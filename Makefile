@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: help test smoke lint deepcheck bench bench-json bench-fleet bench-fleet-sim trace-smoke dashboard-smoke fleet-smoke doctest docs docs-check
+.PHONY: help test smoke lint deepcheck bench trace-smoke dashboard-smoke fleet-smoke doctest docs docs-check
 
 help:       ## list targets with their one-line descriptions
 	@awk -F':.*##' '/^[a-z-]+:.*##/ {printf "  %-12s %s\n", $$1, $$2}' $(MAKEFILE_LIST)
@@ -20,7 +20,7 @@ deepcheck:  ## repo-specific invariant linter (docs/STATIC_ANALYSIS.md)
 	$(PYTHON) tools/deepcheck --self-test
 
 doctest:    ## run the docstring examples (units, SPL algebra, error taxonomy)
-	$(PYTHON) -m pytest -q --doctest-modules src/repro/units.py src/repro/acoustics/spl.py src/repro/errors.py
+	$(PYTHON) -m pytest -q --doctest-modules src/repro/units.py src/repro/acoustics/spl.py src/repro/acoustics/piston.py src/repro/errors.py
 
 docs:       ## regenerate docs/CLI.md from the argparse tree
 	$(PYTHON) tools/gen_cli_docs.py
@@ -30,15 +30,6 @@ docs-check: ## CI gate: fail if docs/CLI.md is stale
 
 bench:      ## paper-scale benchmarks (writes results/*.txt)
 	$(PYTHON) -m pytest -q benchmarks
-
-bench-json: ## machine-readable perf trajectory (writes BENCH_PR10.json)
-	$(PYTHON) tools/bench_json.py --out BENCH_PR10.json
-
-bench-fleet: ## batched rack sweep vs scalar loop only (writes BENCH_FLEET.json)
-	$(PYTHON) tools/bench_json.py --quick --only fleet --out BENCH_FLEET.json
-
-bench-fleet-sim: ## event-loop fleet campaign gate only (writes BENCH_FLEETSIM.json)
-	$(PYTHON) tools/bench_json.py --quick --only fleetsim --out BENCH_FLEETSIM.json
 
 trace-smoke: ## tiny traced sweep + trace schema validation
 	$(PYTHON) -m repro.cli figure2 --runtime 0.2 --seed 7 \

@@ -13,8 +13,8 @@ the fleet topology and availability accounting come from
 Three things to notice:
 
 * **physics once per rack** — every tower shares the rack's wall and
-  water column, so each attack edge evaluates the batched vecphys
-  kernels on one reference tower and broadcasts to all 250 drives;
+  water column, so each attack edge evaluates the physics chain on
+  one reference tower and applies it to all 250 drives;
 * **common-mode failure** — when the tone stalls a bay it stalls that
   bay in *every* tower of the rack at once, so RAID's independent-
   failure math buys far less than on mechanical faults;

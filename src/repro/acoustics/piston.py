@@ -11,8 +11,9 @@ that matter to close-range attacks:
 * **directivity** — off-axis response falls as ``2 J1(x) / x`` with
   ``x = k a sin(theta)``, so a large piston at high frequency beams.
 
-Implemented exactly (scipy's Bessel J1), with helpers the coupling
-ablations use to sanity-check the point-source approximation.
+Implemented exactly (a pure-Python Bessel J1, :func:`bessel_j1`), with
+helpers the coupling ablations use to sanity-check the point-source
+approximation.
 """
 
 from __future__ import annotations
@@ -20,11 +21,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import j1
-
 from repro.errors import UnitError
 
-__all__ = ["CircularPiston"]
+__all__ = ["CircularPiston", "bessel_j1"]
+
+
+def bessel_j1(x: float) -> float:
+    """Bessel function of the first kind of order one, ``J1(x)``.
+
+    Trapezoid rule on Bessel's integral
+    ``J1(x) = (1/pi) * integral_0^pi cos(tau - x sin(tau)) dtau``.  The
+    integrand extends to a smooth 2 pi-periodic function, so the rule
+    converges geometrically once the panel count exceeds ``|x|``;
+    ``max(32, |x| + 32)`` panels give double precision (within 1e-15 of
+    the series value over [0, 40]).
+
+    >>> bessel_j1(1.0)
+    0.44005058574493355
+    """
+    if not math.isfinite(x):
+        raise UnitError(f"J1 argument must be finite: {x}")
+    n = max(32, int(abs(x)) + 32)
+    h = math.pi / n
+    total = 0.5 * (1.0 + math.cos(math.pi - x * math.sin(math.pi)))
+    for k in range(1, n):
+        tau = k * h
+        total += math.cos(tau - x * math.sin(tau))
+    return total / n
 
 
 @dataclass(frozen=True)
@@ -75,7 +98,7 @@ class CircularPiston:
         x = self.wavenumber(frequency_hz) * self.radius_m * math.sin(angle_rad)
         if abs(x) < 1e-9:
             return 1.0
-        return abs(2.0 * float(j1(x)) / x)
+        return abs(2.0 * bessel_j1(x) / x)
 
     def beamwidth_deg(self, frequency_hz: float) -> float:
         """Full -3 dB beamwidth; 360 when the piston is omnidirectional.

@@ -51,6 +51,7 @@ paths keep their bit-identical fast path.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -471,8 +472,8 @@ def _cmd_rack(args: argparse.Namespace) -> int:
     print(f"stalled bays: {rack.stalled_bays()}  healthy bays: {rack.healthy_bays()}")
     if args.sweep is not None:
         start, stop, step = args.sweep
-        if step <= 0.0 or stop < start:
-            print("--sweep needs START <= STOP and STEP > 0", file=sys.stderr)
+        if not (-math.inf < start <= stop < math.inf and 0.0 < step < math.inf):
+            print("--sweep needs finite START <= STOP and STEP > 0", file=sys.stderr)
             return 2
         grid = []
         f = start
@@ -612,13 +613,10 @@ def _run_with_abort_hint(handler):
     """Wrap a handler so campaign aborts exit cleanly with a resume hint."""
 
     def wrapped(args: argparse.Namespace) -> int:
-        from repro.errors import CampaignAborted, ResumeMismatch
+        from repro.errors import CampaignAborted
 
         try:
             return handler(args)
-        except ResumeMismatch as exc:
-            print(f"deepnote: {exc}", file=sys.stderr)
-            return 2
         except CampaignAborted as exc:
             print(f"deepnote: campaign aborted: {exc}", file=sys.stderr)
             if getattr(args, "journal", None) is not None or (
@@ -658,9 +656,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     installed :mod:`repro.obs` session and the requested artifacts are
     written after the handler returns.  Without them nothing is
     installed and every component keeps its zero-overhead path.
+
+    Invalid input (any :class:`repro.errors.ReproError`, e.g. a NaN or
+    out-of-range value) prints one ``deepnote: <Type>: <message>`` line
+    on stderr and returns exit code 2, with no traceback.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    from repro.errors import ReproError
+
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ReproError as exc:
+        message = " ".join(str(exc).split())
+        print(f"deepnote: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command, under telemetry when a flag asks for it."""
     handler = _run_with_abort_hint(_COMMANDS[args.command])
 
     trace_path = getattr(args, "trace", None)

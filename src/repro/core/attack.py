@@ -32,7 +32,6 @@ from repro.hdd.profiles import make_barracuda_profile
 from repro.obs import telemetry as obs
 from repro.obs.trace import NULL_TRACER
 from repro.rng import ReproRandom, make_rng
-from repro.runtime import transport
 from repro.runtime.retry import PointFailure
 from repro.sim.clock import VirtualClock
 from repro.workloads.fio import FioJob, FioResult, FioTester, IOMode
@@ -64,19 +63,6 @@ class SweepPoint:
     frequency_hz: float
     write_mbps: float
     read_mbps: float
-
-
-# Figure 2's hot row: batched pool chunks of these travel packed as raw
-# float64 bytes instead of pickled objects (see repro.runtime.transport).
-transport.register_row_codec(
-    "sweep-point/1",
-    SweepPoint,
-    (
-        ("frequency_hz", "d"),
-        ("write_mbps", "d"),
-        ("read_mbps", "d"),
-    ),
-)
 
 
 @dataclass

@@ -8,6 +8,7 @@ hardware or software — only sound crosses the boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -32,10 +33,12 @@ class AttackConfig:
     distance_m: float = 1.0 * CM
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0.0:
-            raise UnitError(f"frequency must be positive: {self.frequency_hz}")
-        if self.distance_m <= 0.0:
-            raise UnitError(f"distance must be positive: {self.distance_m}")
+        if not (0.0 < self.frequency_hz < math.inf):  # also rejects NaN
+            raise UnitError(
+                f"frequency must be positive and finite: {self.frequency_hz}"
+            )
+        if not (0.0 < self.distance_m < math.inf):
+            raise UnitError(f"distance must be positive and finite: {self.distance_m}")
         if not 60.0 <= self.source_level_db <= 230.0:
             raise UnitError(
                 f"source level {self.source_level_db} dB outside plausible "

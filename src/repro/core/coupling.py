@@ -22,7 +22,6 @@ from typing import Optional
 from repro.hdd.drive import HardDiskDrive
 from repro.hdd.servo import OpKind, VibrationInput
 
-from . import fieldcache
 from .attacker import AcousticAttacker, AttackConfig
 from .environment import UnderwaterEnvironment
 from .scenario import Scenario
@@ -49,62 +48,14 @@ class AttackCoupling:
         )
 
     def vibration_at_drive(self, config: AttackConfig) -> VibrationInput:
-        """Chassis vibration induced at the victim drive.
-
-        When the acoustic-field cache is enabled, repeated evaluations
-        of the same (coupling, config) pair — in this process or, with a
-        campaign ``--cache-dir``, across processes — are served from the
-        memo instead of re-running the propagation chain.  Cached values
-        are the floats the chain produced, so results are identical.
-        """
-        cache = fieldcache.active()
-        if cache is None:
-            return VibrationInput(
-                frequency_hz=config.frequency_hz,
-                displacement_m=self._displacement_at_drive(config),
-            )
-        token = self._field_token()
-        displacement = cache.get(token, config)
-        if displacement is None:
-            displacement = self._displacement_at_drive(config)
-            cache.put(token, config, displacement)
-        return VibrationInput(
-            frequency_hz=config.frequency_hz, displacement_m=displacement
-        )
-
-    def _displacement_at_drive(self, config: AttackConfig) -> float:
+        """Chassis vibration induced at the victim drive."""
         pressure = self.wall_pressure_pa(config)
-        return self.scenario.chassis_displacement_m(pressure, config.frequency_hz)
-
-    def _field_token(self) -> str:
-        """Value fingerprint of this coupling, computed once per instance.
-
-        Spelled out field by field (rather than fingerprinting ``self``)
-        so the mount's :class:`~repro.vibration.modes.ModalResponse`
-        contributes only its physical mode parameters, not its mutable
-        response memo — two couplings with the same geometry share a
-        token regardless of cache warm-up state.
-        """
-        token = self.__dict__.get("_field_token_memo")
-        if token is None:
-            from repro.runtime.fingerprint import fingerprint
-
-            scenario = self.scenario
-            mount = scenario.mount
-            modes = mount.modes
-            token = fingerprint(
-                self.attacker,
-                self.environment,
-                scenario.name,
-                scenario.enclosure,
-                scenario.hdd_offset_m,
-                scenario.calibration,
-                mount.name,
-                mount.base_gain,
-                None if modes is None else tuple(modes.modes),
-            )
-            self.__dict__["_field_token_memo"] = token
-        return token
+        return VibrationInput(
+            frequency_hz=config.frequency_hz,
+            displacement_m=self.scenario.chassis_displacement_m(
+                pressure, config.frequency_hz
+            ),
+        )
 
     def apply(self, drive: HardDiskDrive, config: Optional[AttackConfig]) -> VibrationInput:
         """Point the speaker at the drive (or silence it with None)."""

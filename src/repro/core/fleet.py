@@ -8,12 +8,12 @@ property that defeats RAID redundancy (see the RAID ablation bench).
 
 Because every bay sits behind the same wall in the same water, the
 attacker → water → wall stage of the chain is identical rack-wide; only
-the tower mount's bay height and the per-drive servo state differ.  The
-rack therefore evaluates attacks through the batched
-:mod:`repro.vecphys` fleet kernels (one shared-stage computation per
-call, broadcast across bays) whenever ``repro.perf.vec_physics_enabled``
-allows, falling back to the per-bay scalar chain otherwise — with
-bit-identical results either way, enforced by the fleet parity suite.
+the tower mount's bay height and the per-drive servo state differ.  Rack
+sweeps over a frequency grid therefore go through
+:func:`repro.vecphys.fleet_surface` (one shared-stage computation per
+frequency, reused across bays), falling back to the per-bay scalar chain
+for heterogeneous racks — with bit-identical results either way,
+enforced by the fleet parity suite.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import perf, vecphys
+from repro import vecphys
 from repro.core.attacker import AttackConfig
 from repro.core.coupling import AttackCoupling
 from repro.core.environment import UnderwaterEnvironment
@@ -34,7 +34,6 @@ from repro.hdd.servo import OpKind, ServoSystem, VibrationInput
 from repro.obs import telemetry as obs
 from repro.obs.health import HealthTracker
 from repro.rng import ReproRandom, make_rng
-from repro.runtime import transport
 from repro.sim.clock import VirtualClock
 from repro.sim.events import (
     LANE_ATTACK,
@@ -72,13 +71,7 @@ class RackSlot:
 
 @dataclass(frozen=True)
 class BaySweepPoint:
-    """One (bay, frequency) cell of a rack sweep surface, as a flat row.
-
-    The hot fleet row type: campaign pools move thousands of these per
-    sweep, so it is registered with :mod:`repro.runtime.transport` and
-    travels packed as raw float64/int64 bytes instead of pickled
-    objects.
-    """
+    """One (bay, frequency) cell of a rack sweep surface, as a flat row."""
 
     bay: int
     frequency_hz: float
@@ -185,21 +178,9 @@ class DriveRack:
         """Point one speaker at the enclosure; every bay feels it.
 
         Returns the per-bay vibration for inspection.  ``None`` silences
-        the attack.  With the vectorized kernels enabled the shared
-        source/water/wall stage is computed once for the whole rack.
+        the attack.
         """
         self._annotate_attack(config)
-        if config is not None and perf.vec_physics_enabled():
-            try:
-                batched = vecphys.rack_attack(self.couplings, config)
-            except ConfigurationError:
-                batched = None  # heterogeneous rack: per-bay scalar chain
-            if batched is not None:
-                vibrations: Dict[int, VibrationInput] = {}
-                for slot, vibration in zip(self.slots, batched):
-                    slot.drive.set_vibration(vibration)
-                    vibrations[slot.bay] = vibration
-                return vibrations
         return {
             slot.bay: slot.coupling.apply(slot.drive, config)
             for slot in self.slots
@@ -237,21 +218,6 @@ class DriveRack:
         return tracker.observe_rack(self.name, self.write_success_probabilities(), at)
 
     def _success_probabilities(self, op: OpKind) -> Dict[int, float]:
-        if perf.vec_physics_enabled():
-            servo = self._shared_servo()
-            if servo is not None:
-                out: Dict[int, float] = {}
-                active = [slot for slot in self.slots if not slot.drive.parked]
-                for slot in self.slots:
-                    if slot.drive.parked:
-                        out[slot.bay] = 0.0
-                if active:
-                    probabilities = vecphys.rack_success_probability(
-                        servo, op, [slot.drive.vibration for slot in active]
-                    )
-                    for slot, p in zip(active, probabilities):
-                        out[slot.bay] = p
-                return out
         return {
             slot.bay: slot.drive.success_probability(op) for slot in self.slots
         }
@@ -297,43 +263,31 @@ class DriveRack:
         JSON-able dict: 1-D lists ``frequency_hz`` and
         ``wall_pressure_pa`` plus a ``bays`` list of per-bay rows
         (``bay``, ``displacement_m``, ``offtrack_m``, ``p_write``,
-        ``p_read``, ``stalled``).  The batched and scalar paths return
-        byte-identical structures (the fleet bench gate serializes
-        both and compares digests).
+        ``p_read``, ``stalled``).  Homogeneous racks (one servo model,
+        one shared wall stage) go through the batched
+        :func:`repro.vecphys.fleet_surface`; the scalar reference loop
+        returns the byte-identical structure.
         """
         base = config if config is not None else AttackConfig()
         freqs = [float(f) for f in frequencies]
-        if perf.vec_physics_enabled() and vecphys.available():
-            servo = self._shared_servo()
-            if servo is not None:
-                try:
-                    surface = vecphys.fleet_surface(
-                        self.couplings, base, freqs, servo=servo
-                    )
-                except ConfigurationError:
-                    pass  # heterogeneous rack: per-bay scalar chain
-                else:
-                    return {
-                        "frequency_hz": surface["frequency_hz"].tolist(),
-                        "wall_pressure_pa": surface["wall_pressure_pa"].tolist(),
-                        "bays": [
-                            {
-                                "bay": slot.bay,
-                                "displacement_m": surface["displacement_m"][i].tolist(),
-                                "offtrack_m": surface["offtrack_m"][i].tolist(),
-                                "p_write": surface["p_write"][i].tolist(),
-                                "p_read": surface["p_read"][i].tolist(),
-                                "stalled": surface["stalled"][i].tolist(),
-                            }
-                            for i, slot in enumerate(self.slots)
-                        ],
-                    }
+        servo = self._shared_servo()
+        if servo is not None:
+            try:
+                surface = vecphys.fleet_surface(self.couplings, base, freqs, servo=servo)
+            except ConfigurationError:
+                pass  # heterogeneous rack: per-bay scalar chain
+            else:
+                surface["bays"] = [
+                    {"bay": slot.bay, **row}
+                    for slot, row in zip(self.slots, surface["bays"])
+                ]
+                return surface
         return self._sweep_surface_scalar(base, freqs)
 
     def _sweep_surface_scalar(
         self, base: AttackConfig, freqs: List[float]
     ) -> Dict[str, object]:
-        """Reference per-bay scalar loop (also the fleet bench baseline)."""
+        """Reference per-bay scalar loop (the parity tests' oracle)."""
         wall: List[float] = []
         bays = [
             {
@@ -370,7 +324,7 @@ class DriveRack:
         frequencies: Sequence[float],
         config: Optional[AttackConfig] = None,
     ) -> List[BaySweepPoint]:
-        """The sweep surface flattened to transport-friendly rows.
+        """The sweep surface flattened to one row per (bay, frequency).
 
         Row order is bay-major (all frequencies of bay 0, then bay 1,
         ...), matching the surface layout.
@@ -395,23 +349,6 @@ class DriveRack:
                 row["p_read"],
             )
         ]
-
-
-# The hot fleet row travels packed over the pool (see
-# repro.runtime.transport); registration is keyed by type in both the
-# parent and worker processes, which import this module to build racks.
-transport.register_row_codec(
-    "bay-sweep-point/1",
-    BaySweepPoint,
-    (
-        ("bay", "q"),
-        ("frequency_hz", "d"),
-        ("displacement_m", "d"),
-        ("offtrack_m", "d"),
-        ("p_write", "d"),
-        ("p_read", "d"),
-    ),
-)
 
 
 # -- fleet-scale discrete-event simulation ------------------------------------
@@ -450,11 +387,13 @@ class AttackWindow:
     distance_m: float = 0.12
 
     def __post_init__(self) -> None:
-        if self.start_s < 0.0:
-            raise ConfigurationError(f"attack start must be >= 0: {self.start_s}")
-        if self.duration_s <= 0.0:
+        if not (0.0 <= self.start_s < math.inf):  # also rejects NaN
             raise ConfigurationError(
-                f"attack duration must be positive: {self.duration_s}"
+                f"attack start must be >= 0 and finite: {self.start_s}"
+            )
+        if not (0.0 < self.duration_s < math.inf):
+            raise ConfigurationError(
+                f"attack duration must be positive and finite: {self.duration_s}"
             )
         self.config()  # validate tone parameters via AttackConfig's ranges
 
@@ -539,6 +478,18 @@ class FleetSpec:
     attacks: Tuple[AttackWindow, ...] = (AttackWindow(start_s=10.0, duration_s=30.0),)
 
     def __post_init__(self) -> None:
+        for name in (
+            "duration_s",
+            "request_rate_hz",
+            "write_fraction",
+            "service_tick_s",
+            "health_interval_s",
+            "rebuild_s",
+            "base_latency_s",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):  # NaN would slip past every range check
+                raise ConfigurationError(f"{name} must be finite: {value}")
         if self.racks < 1 or self.towers_per_rack < 1:
             raise ConfigurationError(
                 f"need at least one rack and tower: {self.racks}x{self.towers_per_rack}"
@@ -665,11 +616,11 @@ class FleetRack:
     """One rack of towers as an actor group on the event scheduler.
 
     Physics is computed **once per (source, rack) geometry**: every
-    tower shares the same wall and water column, so attack edges
-    evaluate the batched kernels on the reference tower (tower 0) and
-    broadcast the per-bay vibrations to every other tower's drives —
-    the fleet-scale version of the rack batching in
-    docs/ARCHITECTURE.md.  Randomness comes exclusively from streams
+    tower shares the same wall, water column and bay geometry, so the
+    rack builds one reference :class:`DriveRack` (tower 0) and attack
+    edges evaluate its per-bay success probabilities for all towers.
+    Each tower keeps only its own :class:`RaidGroup` state.  Randomness
+    comes exclusively from streams
     forked off ``scheduler.rng_for(f"rack{index}")`` by label, so the
     rack's behaviour is independent of which other racks share the
     scheduler.
@@ -684,21 +635,18 @@ class FleetRack:
         self.scheduler = scheduler
         rng = scheduler.rng_for(self.name)
         self._service_rng = rng.fork("service")
-        env = UnderwaterEnvironment.tank()
-        self.towers: List[DriveRack] = []
-        for tower in range(spec.towers_per_rack):
-            drive_rack = DriveRack(
-                bays=spec.bays,
-                environment=env,
-                clock=scheduler.clock,
-                rng=rng.fork(f"tower{tower}"),
-                metal=spec.metal,
-            )
-            # The reference tower carries the rack's name so its
-            # attack.on/off tracer instants and health rollups read as
-            # rack-level signals.
-            drive_rack.name = self.name if tower == 0 else f"{self.name}/t{tower}"
-            self.towers.append(drive_rack)
+        #: Tower 0: the tower whose physics stands in for the rack.
+        self.reference = DriveRack(
+            bays=spec.bays,
+            environment=UnderwaterEnvironment.tank(),
+            clock=scheduler.clock,
+            rng=rng.fork("tower0"),
+            metal=spec.metal,
+        )
+        # The reference tower carries the rack's name so its
+        # attack.on/off tracer instants and health rollups read as
+        # rack-level signals.
+        self.reference.name = self.name
         self.groups: List[RaidGroup] = [
             RaidGroup(spec.raid_level, spec.bays, name=f"{self.name}/g{tower}")
             for tower in range(spec.towers_per_rack)
@@ -718,29 +666,18 @@ class FleetRack:
         self.events = 0
         self.tracker: Optional[HealthTracker] = None
 
-    @property
-    def reference(self) -> DriveRack:
-        """Tower 0: the tower whose physics stands in for the rack."""
-        return self.towers[0]
-
     # -- attack edges (LANE_ATTACK) -----------------------------------
 
     def attack_on(self, window: AttackWindow) -> None:
-        """Start ``window``'s tone: evaluate physics once, broadcast."""
+        """Start ``window``'s tone: evaluate physics once for the rack."""
         self.events += 1
-        vibrations = self.reference.apply_attack(window.config())
-        for tower in self.towers[1:]:
-            for slot in tower.slots:
-                slot.drive.set_vibration(vibrations[slot.bay])
+        self.reference.apply_attack(window.config())
         self._refresh_probabilities()
 
     def attack_off(self) -> None:
         """Silence the attack and queue rebuilds for recovered bays."""
         self.events += 1
         self.reference.apply_attack(None)
-        for tower in self.towers[1:]:
-            for slot in tower.slots:
-                slot.drive.set_vibration(None)
         self._refresh_probabilities()
         to_rebuild = tuple(
             (tower, bay)
@@ -799,11 +736,12 @@ class FleetRack:
             return
         tel = obs.get()
         served = errors = 0
+        towers = spec.towers_per_rack
         for _ in range(n):
             counter = self._op_counter
             self._op_counter += 1
-            tower = counter % len(self.towers)
-            bay = (counter // len(self.towers)) % spec.bays
+            tower = counter % towers
+            bay = (counter // towers) % spec.bays
             is_write = self._service_rng.random() < spec.write_fraction
             p = self._p_write[bay] if is_write else self._p_read[bay]
             group = self.groups[tower]
@@ -868,8 +806,8 @@ class FleetRack:
             group.finalize(t_s)
         return RackOutcome(
             rack=self.index,
-            towers=len(self.towers),
-            drives=len(self.towers) * self.spec.bays,
+            towers=self.spec.towers_per_rack,
+            drives=self.spec.towers_per_rack * self.spec.bays,
             ops_ok=self.ops_ok,
             ops_degraded=self.ops_degraded,
             ops_error=self.ops_error,

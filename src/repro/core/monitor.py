@@ -120,8 +120,8 @@ class AvailabilityMonitor:
         the health timeline / metrics when attached) — "survived" and
         "ran out of budget" are different findings.
         """
-        if deadline_s <= 0.0:
-            raise ConfigurationError("deadline must be positive")
+        if not deadline_s > 0.0:  # also rejects NaN
+            raise ConfigurationError(f"deadline must be positive: {deadline_s}")
         tel = self._obs
         tracer = tel.tracer if tel is not None else NULL_TRACER
         start = self.clock.now

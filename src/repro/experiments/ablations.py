@@ -56,20 +56,8 @@ def _offtrack_ratios(
     servo,
     op: OpKind,
 ) -> "List[float]":
-    """Write off-track ratios over a frequency grid (one table row).
-
-    Uses the batched :mod:`repro.vecphys` kernels when the perf flag is
-    on — bit-identical to the scalar chain, so the formatted cells do
-    not change — and falls back to per-frequency scalar evaluation
-    otherwise (``perf_baseline()`` or numpy-less installs).
-    """
-    from repro import perf, vecphys
-
+    """Write off-track ratios over a frequency grid (one table row)."""
     threshold = servo.threshold_m(op)
-    if perf.vec_physics_enabled() and vecphys.available():
-        base = AttackConfig(ATTACK_TONE_HZ, ATTACK_LEVEL_DB, 0.01)
-        surface = vecphys.sweep_surface(coupling, base, frequencies_hz, servo=servo)
-        return [amplitude / threshold for amplitude in surface["offtrack_m"].tolist()]
     ratios = []
     for frequency in frequencies_hz:
         config = AttackConfig(frequency, ATTACK_LEVEL_DB, 0.01)

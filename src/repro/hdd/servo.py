@@ -269,7 +269,19 @@ class ServoSystem:
 
     def _success_probability(self, op: OpKind, vibration: VibrationInput) -> float:
         """The unmemoized fault model (the original arithmetic)."""
-        amplitude = self.offtrack_amplitude_m(vibration)
+        return self.success_from_amplitude(
+            op, self.offtrack_amplitude_m(vibration), vibration.frequency_hz
+        )
+
+    def success_from_amplitude(
+        self, op: OpKind, amplitude: float, frequency_hz: float
+    ) -> float:
+        """Success probability for a known off-track ``amplitude`` (m).
+
+        The fault model proper, past the transfer functions: batched
+        callers that already hold the off-track amplitude of a
+        ``frequency_hz`` tone evaluate it here, without memoization.
+        """
         if amplitude >= self.servo_limit_m:
             return 0.0
         threshold = self.threshold_m(op)
@@ -278,9 +290,7 @@ class ServoSystem:
         if amplitude <= threshold:
             return 1.0 - self._grazing_failure(amplitude, threshold)
         window = self.write_window_s if op is OpKind.WRITE else self.read_window_s
-        return self._window_probability(
-            amplitude, threshold, vibration.frequency_hz, window
-        )
+        return self._window_probability(amplitude, threshold, frequency_hz, window)
 
     def _grazing_failure(self, amplitude: float, threshold: float) -> float:
         """Failure probability for sub-threshold vibration."""

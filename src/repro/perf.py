@@ -1,27 +1,22 @@
 """Runtime switches for the hot-path I/O engine optimizations.
 
 The simulator's hot paths (servo transfer-function memoization, the
-controller's static-vibration fast path, geometry locate caching) are
-*bit-identical* rewrites of the original math: they change wall-clock
-cost, never results.  These switches exist so that claim can be checked
-and benchmarked rather than trusted:
-
-* the cache-correctness tests run the same campaign with and without
-  the caches and compare outputs byte for byte;
-* ``tools/bench_json.py`` measures a cold sweep in both modes and
-  records the speedup in ``BENCH_PR2.json``.
+controller's static-vibration fast path with the closed-form sequential
+FIO evaluation, geometry locate caching) are *bit-identical* rewrites of
+the original math: they change wall-clock cost, never results.  These
+switches exist so that claim can be checked rather than trusted: the
+cache-correctness tests run the same campaign with and without the
+optimizations and compare outputs byte for byte.
 
 Flags default to *on* and can be forced off for a whole process with
 environment variables (read once at import)::
 
     REPRO_SERVO_CACHE=0    # disable servo/modal memoization
-    REPRO_IO_FAST_PATH=0   # disable controller fast path + locate cache
-    REPRO_VEC_PHYSICS=0    # disable the numpy-vectorized kernels
-    REPRO_FIELD_CACHE=0    # disable the acoustic-field memo cache
+    REPRO_IO_FAST_PATH=0   # disable controller fast path, closed-form
+                           # FIO and the locate cache
 
 or toggled in-process with :func:`perf_baseline` /
-:func:`set_servo_cache_enabled` / :func:`set_io_fast_path_enabled` /
-:func:`set_vec_physics_enabled` / :func:`set_field_cache_enabled`.
+:func:`set_servo_cache_enabled` / :func:`set_io_fast_path_enabled`.
 Components read the flags when they are *constructed* (a fresh drive,
 controller, or servo picks up the current setting), except the shared
 geometry locate cache, which consults the flag per call so an already
@@ -40,12 +35,8 @@ __all__ = [
     "ENV_FLAGS",
     "servo_cache_enabled",
     "io_fast_path_enabled",
-    "vec_physics_enabled",
-    "field_cache_enabled",
     "set_servo_cache_enabled",
     "set_io_fast_path_enabled",
-    "set_vec_physics_enabled",
-    "set_field_cache_enabled",
     "perf_baseline",
 ]
 
@@ -55,12 +46,10 @@ _FALSE = {"0", "false", "no", "off"}
 #: with a one-line description.  This is the source of truth deepcheck's
 #: DC08 rule checks env reads against: a flag read anywhere in ``src/``
 #: whose name is missing here fails ``make deepcheck``, so there can be
-#: no invisible knobs the before/after benchmark harness cannot list.
+#: no invisible knobs.
 ENV_FLAGS: Dict[str, str] = {
     "REPRO_SERVO_CACHE": "servo/modal transfer-function memoization",
-    "REPRO_IO_FAST_PATH": "controller fast path + geometry locate cache",
-    "REPRO_VEC_PHYSICS": "numpy-vectorized physics kernels",
-    "REPRO_FIELD_CACHE": "shared acoustic-field memo cache",
+    "REPRO_IO_FAST_PATH": "controller fast path, closed-form FIO + geometry locate cache",
 }
 
 
@@ -77,8 +66,6 @@ def _env_flag(name: str, default: bool = True) -> bool:
 
 _servo_cache: bool = _env_flag("REPRO_SERVO_CACHE")
 _io_fast_path: bool = _env_flag("REPRO_IO_FAST_PATH")
-_vec_physics: bool = _env_flag("REPRO_VEC_PHYSICS")
-_field_cache: bool = _env_flag("REPRO_FIELD_CACHE")
 
 
 def servo_cache_enabled() -> bool:
@@ -89,16 +76,6 @@ def servo_cache_enabled() -> bool:
 def io_fast_path_enabled() -> bool:
     """True when the controller/geometry fast paths are active."""
     return _io_fast_path
-
-
-def vec_physics_enabled() -> bool:
-    """True when the numpy-vectorized kernels may be used."""
-    return _vec_physics
-
-
-def field_cache_enabled() -> bool:
-    """True when the acoustic-field cache may serve coupling results."""
-    return _field_cache
 
 
 def set_servo_cache_enabled(enabled: bool) -> bool:
@@ -117,22 +94,6 @@ def set_io_fast_path_enabled(enabled: bool) -> bool:
     return previous
 
 
-def set_vec_physics_enabled(enabled: bool) -> bool:
-    """Set the vectorized-kernel flag; returns the previous value."""
-    global _vec_physics
-    previous = _vec_physics
-    _vec_physics = bool(enabled)
-    return previous
-
-
-def set_field_cache_enabled(enabled: bool) -> bool:
-    """Set the acoustic-field-cache flag; returns the previous value."""
-    global _field_cache
-    previous = _field_cache
-    _field_cache = bool(enabled)
-    return previous
-
-
 @contextmanager
 def perf_baseline() -> Iterator[None]:
     """Run a block with every hot-path optimization disabled.
@@ -143,12 +104,8 @@ def perf_baseline() -> Iterator[None]:
     """
     servo_prev = set_servo_cache_enabled(False)
     io_prev = set_io_fast_path_enabled(False)
-    vec_prev = set_vec_physics_enabled(False)
-    field_prev = set_field_cache_enabled(False)
     try:
         yield
     finally:
         set_servo_cache_enabled(servo_prev)
         set_io_fast_path_enabled(io_prev)
-        set_vec_physics_enabled(vec_prev)
-        set_field_cache_enabled(field_prev)

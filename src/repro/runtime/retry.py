@@ -57,7 +57,7 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ConfigurationError(f"max_retries must be >= 0: {self.max_retries}")
-        if self.point_timeout_s is not None and self.point_timeout_s <= 0.0:
+        if self.point_timeout_s is not None and not self.point_timeout_s > 0.0:
             raise ConfigurationError(
                 f"point timeout must be positive: {self.point_timeout_s}"
             )

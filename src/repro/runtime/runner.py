@@ -42,7 +42,6 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import perf
 from repro.errors import (
     CampaignAborted,
     ConfigurationError,
@@ -58,7 +57,6 @@ from .faultinject import FaultAction, FaultPlan, apply_fault
 from .journal import CampaignJournal
 from .progress import ProgressReporter, _STDERR
 from .retry import FAILURE_ERROR, FAILURE_FAULT, FAILURE_TIMEOUT, PointFailure, RetryPolicy
-from .transport import maybe_unpack, pack_outcomes
 
 __all__ = ["SweepRunner", "make_runner"]
 
@@ -125,21 +123,14 @@ def _batched_attempt_job(
 ):
     """A contiguous chunk of point attempts as one pool task.
 
-    With the vectorized kernels a sweep point costs tens of
-    microseconds, so per-point ``pool.submit`` pickling dominates the
-    wall clock on small grids.  Batching amortizes that overhead; each
-    point still runs through :func:`_attempt_job` (fault-free — the
-    batched engine only runs when no fault plan is installed), so
-    per-point results and telemetry snapshots are unchanged.
-
-    Telemetry-free chunks of registered hot row types additionally
-    return as one packed struct payload instead of a pickled object
-    list (see :mod:`repro.runtime.transport`); the parent unpacks to
-    the identical per-point triples.
+    A closed-form sweep point costs tens of microseconds, so per-point
+    ``pool.submit`` pickling dominates the wall clock on small grids.
+    Batching amortizes that overhead; each point still runs through
+    :func:`_attempt_job` (fault-free — the batched engine only runs
+    when no fault plan is installed), so per-point results and
+    telemetry snapshots are unchanged.
     """
-    outcomes = [_attempt_job(fn, spec, None, with_telemetry) for spec in specs]
-    packed = pack_outcomes(outcomes)
-    return outcomes if packed is None else packed
+    return [_attempt_job(fn, spec, None, with_telemetry) for spec in specs]
 
 
 def make_runner(
@@ -181,13 +172,6 @@ def make_runner(
     if resume and journal_path is None:
         raise ConfigurationError("--resume needs a journal (--journal or --cache-dir)")
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    if cache_dir is not None:
-        # Campaigns with a cache dir also persist the acoustic-field
-        # memo there, so re-runs and ablation variants sharing geometry
-        # skip the propagation chain across processes.
-        from repro.core.fieldcache import attach_disk
-
-        attach_disk(os.path.join(cache_dir, "acoustic-field"))
     journal = None
     if journal_path is not None:
         if campaign is None:
@@ -581,11 +565,7 @@ class SweepRunner:
         pending: Sequence[int],
         context: _MapContext,
     ) -> None:
-        if (
-            self.retry is None
-            and self.fault_plan is None
-            and perf.vec_physics_enabled()
-        ):
+        if self.retry is None and self.fault_plan is None:
             # Legacy semantics (first exception propagates, no retries,
             # no deadlines) — safe to trade the per-point state machine
             # for chunked submissions that amortize pool overhead.
@@ -706,7 +686,7 @@ class SweepRunner:
             for future in concurrent.futures.as_completed(list(futures)):
                 batch = futures[future]
                 try:
-                    outcomes = maybe_unpack(future.result())
+                    outcomes = future.result()
                 except concurrent.futures.process.BrokenProcessPool as exc:
                     raise WorkerCrashed(
                         f"a campaign worker died after "

@@ -1,40 +1,23 @@
-"""Vectorized (batched) physics kernels for the transmission chain.
+"""Batched physics: the two evaluations that pay for batching.
 
-The Figure 2 / Table 1 campaigns evaluate the acoustics -> enclosure
-wall -> mount -> servo chain at one frequency per call, thousands of
-times per sweep.  This module batches that chain: one call takes a whole
-frequency grid (plus displacements, pressures, or a drive scenario) and
-returns numpy arrays.
-
-**Bit-parity contract.**  Every kernel reproduces the scalar chain's
-results *exactly* — not approximately.  That constrains the
-implementation in two ways:
-
-* numpy is used only for operations that are IEEE-754-identical to their
-  Python equivalents: elementwise ``+ - * /``, comparisons, ``diff``,
-  ``cumsum`` (which accumulates strictly left-to-right, matching a
-  scalar ``+=`` chain), and ``searchsorted``.
-* every power (including ``x ** 2``) and transcendental (``log10``,
-  ``exp``, ``asin``, ``10 ** x``) is evaluated per element with the same
-  ``math`` / ``**`` calls the scalar code makes, because numpy's pow and
-  transcendental kernels round differently from libm in the last ulp.
-  The batch win on those stages comes from hoisting the per-call
-  constant folding, memo probing, and attribute dispatch out of the
-  loop, not from SIMD.
-
-The big vector win is :func:`run_sequential_static`: in the healthy
-regime (per-attempt success probability >= 1) a sequential FIO run is a
-closed-form arithmetic series, so the whole per-op issue loop collapses
-into one ``cumsum``/``searchsorted`` evaluation with identical clock
-timings, latencies, counters, and RNG stream (zero draws) to the scalar
-walk.  Degraded and stalled points fall back to the scalar path, which
-is cheap there because the runtime window holds few operations.
-
-Callers gate on :func:`repro.perf.vec_physics_enabled` (environment
-variable ``REPRO_VEC_PHYSICS``); :func:`repro.perf.perf_baseline`
-disables the kernels along with the other hot-path optimizations.
-numpy itself is optional — :func:`available` reports whether the
-kernels can run at all.
+* :func:`fleet_surface` evaluates the acoustics -> wall -> mount ->
+  servo chain over a (bay x frequency) grid for a whole rack.  Every bay
+  sits behind one wall in one water column and the rack runs one servo
+  model, so the source/water/wall stage and the head-stack/rejection
+  stage are computed once per frequency and reused for every bay.  Each
+  stage is evaluated by its model class (``Enclosure``, ``Mount``,
+  ``ModalResponse``, ``ServoSystem``), so no formula is restated here
+  and every cell is bit-identical to the scalar chain run on that
+  (bay, frequency) pair.
+* :func:`run_sequential_static` evaluates a healthy-regime sequential
+  FIO run in closed form: with a per-attempt success probability >= 1
+  the per-op issue loop is an arithmetic series, so one
+  ``cumsum``/``searchsorted`` reproduces its clock timings, latencies,
+  counters and RNG stream (zero draws) exactly.  numpy is used only for
+  operations that are IEEE-754-identical to the scalar ``+=`` chain
+  (``cumsum`` accumulates strictly left to right, ``diff``,
+  ``searchsorted``).  Degraded, stalled, random-mode and traced runs
+  fall back to the scalar loop, which is cheap there.
 """
 
 from __future__ import annotations
@@ -42,63 +25,23 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as np
 
 from repro.errors import ConfigurationError, UnitError
-from repro.hdd.servo import OpKind, VibrationInput
-from repro.units import KM, SECTOR_SIZE
+from repro.hdd.servo import OpKind
+from repro.units import SECTOR_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from repro.acoustics.medium import WaterConditions
-    from repro.acoustics.propagation import PropagationModel
     from repro.core.coupling import AttackCoupling
-    from repro.core.scenario import Scenario
     from repro.hdd.servo import ServoSystem
-    from repro.vibration.enclosure import Enclosure
-    from repro.vibration.modes import ModalResponse
-    from repro.vibration.mount import Mount
-    from repro.vibration.transmission import PanelWall
     from repro.workloads.fio import FioJob, FioResult, FioTester
 
-__all__ = [
-    "available",
-    "modal_response",
-    "panel_displacement_per_pascal",
-    "frame_displacement_per_pascal",
-    "mount_transmissibility",
-    "servo_rejection",
-    "servo_offtrack_amplitude",
-    "servo_success_probability",
-    "absorption_db_per_km",
-    "transmission_loss_db",
-    "chassis_displacement",
-    "sweep_surface",
-    "rack_attack",
-    "rack_success_probability",
-    "fleet_surface",
-    "run_sequential_static",
-]
+__all__ = ["fleet_surface", "run_sequential_static"]
 
 #: Backstop for the closed-form op-count search: a sweep point's FIO run
 #: is a few thousand ops; anything needing more slots than this signals
 #: a pathological (runtime, service-time) pair better served scalar.
 _MAX_CLOSED_FORM_OPS = 50_000_000
-
-
-def available() -> bool:
-    """True when numpy is importable and the kernels can run."""
-    return _np is not None
-
-
-def _require_numpy() -> None:
-    if _np is None:
-        raise ConfigurationError(
-            "repro.vecphys needs numpy, which is not installed; "
-            "use the scalar chain instead"
-        )
 
 
 def _grid(frequencies: Sequence[float]) -> List[float]:
@@ -112,346 +55,9 @@ def _grid(frequencies: Sequence[float]) -> List[float]:
     return freqs
 
 
-def _array(values: Sequence[float]):
-    return _np.asarray(values, dtype=_np.float64)
-
-
-def _paired(name: str, a: Sequence, b: Sequence) -> None:
-    if len(a) != len(b):
-        raise ConfigurationError(
-            f"{name}: got {len(a)} frequencies for {len(b)} values"
-        )
-
-
 # --------------------------------------------------------------------------
-# Vibration chain kernels
+# Rack surface: one call per rack
 # --------------------------------------------------------------------------
-
-
-def _modal_consts(modes: "ModalResponse"):
-    """Hoisted (f0, zeta, gain) tuples — the kernel's loop constants."""
-    return tuple(
-        (mode.frequency_hz, mode.damping_ratio, mode.gain) for mode in modes.modes
-    )
-
-
-def _modal_eval(consts, f: float, sqrt=math.sqrt) -> float:
-    """One modal-response evaluation; bit-identical to the scalar chain."""
-    total_sq = 0
-    for f0, zeta, gain in consts:
-        r = f / f0
-        denom = sqrt((1.0 - r * r) ** 2 + (2.0 * zeta * r) ** 2)
-        total_sq += (gain / denom) ** 2
-    return sqrt(total_sq)
-
-
-def modal_response(modes: "ModalResponse", frequencies: Sequence[float]):
-    """Batched :meth:`repro.vibration.modes.ModalResponse.response`."""
-    _require_numpy()
-    consts = _modal_consts(modes)
-    return _array([_modal_eval(consts, f) for f in _grid(frequencies)])
-
-
-def panel_displacement_per_pascal(wall: "PanelWall", frequencies: Sequence[float]):
-    """Batched :meth:`repro.vibration.transmission.PanelWall.displacement_per_pascal`."""
-    _require_numpy()
-    m_eff = wall.effective_surface_density
-    omega0 = 2.0 * math.pi * wall.fundamental_frequency_hz
-    omega0_sq = omega0 ** 2
-    structural = wall.material.loss_factor / 2.0
-    two_m = 2.0 * m_eff
-    impedance = wall.fluid_impedance
-    sqrt = math.sqrt
-    out = []
-    for f in _grid(frequencies):
-        omega = 2.0 * math.pi * f
-        radiation = impedance / (two_m * omega)
-        zeta = structural + min(radiation, 2.0)
-        denom = sqrt((omega0_sq - omega ** 2) ** 2 + (2.0 * zeta * omega0 * omega) ** 2)
-        if denom <= 0.0:  # exactly on an undamped resonance (zeta == 0 impossible)
-            denom = 1e-12
-        out.append(1.0 / (m_eff * denom))
-    return _array(out)
-
-
-def frame_displacement_per_pascal(
-    enclosure: "Enclosure", frequencies: Sequence[float]
-):
-    """Batched :meth:`repro.vibration.enclosure.Enclosure.frame_displacement_per_pascal`."""
-    _require_numpy()
-    freqs = _grid(frequencies)
-    wall = panel_displacement_per_pascal(enclosure.wall, freqs).tolist()
-    gain = enclosure.structural_gain
-    rolloff = enclosure.stiffness_rolloff_hz
-    out = []
-    for f, per_pascal in zip(freqs, wall):
-        displacement = gain * per_pascal
-        if rolloff is not None:
-            r2 = (f / rolloff) ** 2
-            displacement /= 1.0 + r2
-        out.append(displacement)
-    return _array(out)
-
-
-def mount_transmissibility(mount: "Mount", frequencies: Sequence[float]):
-    """Batched :meth:`repro.vibration.mount.Mount.transmissibility`."""
-    _require_numpy()
-    freqs = _grid(frequencies)
-    base_gain = mount.base_gain
-    if mount.modes is None:
-        return _array([base_gain] * len(freqs))
-    modal = modal_response(mount.modes, freqs).tolist()
-    return _array([base_gain * m for m in modal])
-
-
-# --------------------------------------------------------------------------
-# Servo kernels
-# --------------------------------------------------------------------------
-
-
-def _rejection_eval(corner: float, order: int, f: float) -> float:
-    """One rejection evaluation; bit-identical to the scalar chain."""
-    r2 = (f / corner) ** 2
-    return (r2 / (1.0 + r2)) ** order
-
-
-def servo_rejection(servo: "ServoSystem", frequencies: Sequence[float]):
-    """Batched :meth:`repro.hdd.servo.ServoSystem.rejection`."""
-    _require_numpy()
-    corner = servo.rejection_corner_hz
-    order = servo.rejection_order
-    return _array([_rejection_eval(corner, order, f) for f in _grid(frequencies)])
-
-
-def _displacements(displacements: Sequence[float]) -> List[float]:
-    disps = []
-    for d in displacements:
-        d = float(d)
-        if not (d >= 0.0):
-            raise UnitError(f"displacement must be non-negative: {d}")
-        disps.append(d)
-    return disps
-
-
-def servo_offtrack_amplitude(
-    servo: "ServoSystem",
-    frequencies: Sequence[float],
-    displacements: Sequence[float],
-):
-    """Batched :meth:`repro.hdd.servo.ServoSystem.offtrack_amplitude_m`."""
-    _require_numpy()
-    freqs = _grid(frequencies)
-    disps = _displacements(displacements)
-    _paired("servo_offtrack_amplitude", freqs, disps)
-    hsa = modal_response(servo.hsa, freqs).tolist()
-    rej = servo_rejection(servo, freqs).tolist()
-    head_gain = servo.head_gain
-    out = []
-    for d, h, r in zip(disps, hsa, rej):
-        if d == 0.0:
-            out.append(0.0)
-        else:
-            mechanical = h * head_gain
-            out.append(d * mechanical * r)
-    return _array(out)
-
-
-def _success_consts(servo: "ServoSystem", op: OpKind):
-    """Hoisted success-model constants for one (servo, op) pair."""
-    threshold = servo.threshold_m(op)
-    onset = servo.grazing_onset * threshold
-    return (
-        servo.servo_limit_m,
-        threshold,
-        servo.write_window_s if op is OpKind.WRITE else servo.read_window_s,
-        onset,
-        threshold - onset,
-        servo.grazing_penalty,
-        servo.grazing_exponent,
-    )
-
-
-def _success_eval(
-    a: float,
-    f: float,
-    limit: float,
-    threshold: float,
-    window: float,
-    onset: float,
-    span: float,
-    penalty: float,
-    exponent: float,
-    asin=math.asin,
-    pi=math.pi,
-) -> float:
-    """One success-probability evaluation; bit-identical to the scalar chain."""
-    if a >= limit:
-        return 0.0
-    if a <= 0.0:
-        return 1.0
-    if a <= threshold:
-        if a <= onset:
-            return 1.0
-        frac = (a - onset) / span
-        return 1.0 - penalty * frac ** exponent
-    on_track = asin(threshold / a) / (pi * f)
-    usable = max(0.0, on_track - window)
-    return min(1.0, 2.0 * f * usable)
-
-
-def servo_success_probability(
-    servo: "ServoSystem",
-    op: OpKind,
-    frequencies: Sequence[float],
-    displacements: Sequence[float],
-):
-    """Batched :meth:`repro.hdd.servo.ServoSystem.success_probability`."""
-    _require_numpy()
-    freqs = _grid(frequencies)
-    amps = servo_offtrack_amplitude(servo, freqs, displacements).tolist()
-    consts = _success_consts(servo, op)
-    return _array([_success_eval(a, f, *consts) for a, f in zip(amps, freqs)])
-
-
-# --------------------------------------------------------------------------
-# Acoustics kernels
-# --------------------------------------------------------------------------
-
-
-def absorption_db_per_km(
-    conditions: "WaterConditions", frequencies: Sequence[float]
-):
-    """Batched :func:`repro.acoustics.absorption.absorption_for_conditions`."""
-    _require_numpy()
-    freqs = _grid(frequencies)
-    t = conditions.temperature_c
-    z_km = conditions.depth_m / 1000.0
-    exp = math.exp
-    out = []
-    if conditions.salinity_ppt < 0.5:
-        # Fresh water: only the viscous term survives; the exponential
-        # is frequency-independent and hoists out of the loop.
-        viscous_exp = exp(-(t / 27.0 + z_km / 17.0))
-        for f_hz in freqs:
-            f = f_hz / 1000.0
-            out.append(0.00049 * f * f * viscous_exp)
-        return _array(out)
-    s = conditions.salinity_ppt
-    ph = conditions.ph
-    f1 = 0.78 * math.sqrt(s / 35.0) * exp(t / 26.0)
-    f2 = 42.0 * exp(t / 17.0)
-    f1_sq = f1 * f1
-    f2_sq = f2 * f2
-    ph_term = exp((ph - 8.0) / 0.56)
-    mg_pre = 0.52 * (1.0 + t / 43.0) * (s / 35.0)
-    mg_exp = exp(-z_km / 6.0)
-    viscous_exp = exp(-(t / 27.0 + z_km / 17.0))
-    for f_hz in freqs:
-        f = f_hz / 1000.0
-        boric = 0.106 * (f1 * f * f) / (f1_sq + f * f) * ph_term
-        magnesium = mg_pre * (f2 * f * f) / (f2_sq + f * f) * mg_exp
-        viscous = 0.00049 * f * f * viscous_exp
-        out.append(boric + magnesium + viscous)
-    return _array(out)
-
-
-def transmission_loss_db(
-    model: "PropagationModel", distance_m: float, frequencies: Sequence[float]
-):
-    """Batched :meth:`repro.acoustics.propagation.PropagationModel.transmission_loss_db`."""
-    _require_numpy()
-    from repro.acoustics.propagation import spherical_spreading_db
-
-    freqs = _grid(frequencies)
-    spreading = spherical_spreading_db(distance_m, model.reference_m)
-    per_km = distance_m / KM
-    alphas = absorption_db_per_km(model.conditions, freqs)
-    return spreading + alphas * per_km
-
-
-# --------------------------------------------------------------------------
-# Scenario / coupling surfaces
-# --------------------------------------------------------------------------
-
-
-def chassis_displacement(
-    scenario: "Scenario",
-    pressures_pa: Sequence[float],
-    frequencies: Sequence[float],
-):
-    """Batched :meth:`repro.core.scenario.Scenario.chassis_displacement_m`."""
-    _require_numpy()
-    freqs = _grid(frequencies)
-    pressures = [float(p) for p in pressures_pa]
-    _paired("chassis_displacement", freqs, pressures)
-    frame = frame_displacement_per_pascal(scenario.enclosure, freqs).tolist()
-    mount = mount_transmissibility(scenario.mount, freqs).tolist()
-    coupling_gain = scenario.calibration.structure_coupling
-    out = []
-    for pressure, wall, transmissibility in zip(pressures, frame, mount):
-        if pressure < 0.0:
-            raise UnitError(f"pressure must be non-negative: {pressure}")
-        if pressure == 0.0:
-            out.append(0.0)
-        else:
-            out.append(pressure * wall * coupling_gain * transmissibility)
-    return _array(out)
-
-
-def sweep_surface(
-    coupling: "AttackCoupling",
-    base_config,
-    frequencies: Sequence[float],
-    servo: "Optional[ServoSystem]" = None,
-) -> "Dict[str, object]":
-    """Per-frequency attack response surface for one scenario.
-
-    Evaluates the attacker -> water -> wall stage with the scalar chain
-    (it is control-flow heavy — drive clamping, tank bounds — and costs
-    one call per frequency) and batches everything from the wall onward.
-    Returns arrays keyed ``frequency_hz``, ``wall_pressure_pa``,
-    ``displacement_m``, ``offtrack_m``, ``p_write``, ``p_read``, and the
-    boolean ``stalled`` (no-response regime).  Every value is
-    bit-identical to the scalar chain at the same frequency.
-    """
-    _require_numpy()
-    freqs = _grid(frequencies)
-    if servo is None:
-        from repro.hdd.profiles import BARRACUDA_500GB
-
-        servo = BARRACUDA_500GB.servo
-    pressures = [
-        coupling.wall_pressure_pa(base_config.at_frequency(f)) for f in freqs
-    ]
-    displacements = chassis_displacement(coupling.scenario, pressures, freqs)
-    disp_list = displacements.tolist()
-    offtrack = servo_offtrack_amplitude(servo, freqs, disp_list)
-    return {
-        "frequency_hz": _array(freqs),
-        "wall_pressure_pa": _array(pressures),
-        "displacement_m": displacements,
-        "offtrack_m": offtrack,
-        "p_write": servo_success_probability(servo, OpKind.WRITE, freqs, disp_list),
-        "p_read": servo_success_probability(servo, OpKind.READ, freqs, disp_list),
-        "stalled": offtrack >= servo.servo_limit_m,
-    }
-
-
-# --------------------------------------------------------------------------
-# Fleet kernels: one call per rack
-# --------------------------------------------------------------------------
-#
-# A rack holds several drives behind ONE wall: the attacker, the water
-# path, and the enclosure panel are identical for every bay, and only
-# the ``StorageTower(bay=i)`` mount (a scalar ``base_gain``) and the
-# per-drive servo state differ.  The kernels below hoist that shared
-# source/water/wall stage out of the per-bay loop — it is computed once
-# per (source, rack geometry, water condition) and broadcast — while
-# keeping every per-element operation bit-identical to the scalar chain.
-# ``rack_attack`` and ``rack_success_probability`` are pure Python (no
-# numpy needed), so the fleet wiring keeps its speedup on numpy-less
-# installs; ``fleet_surface`` batches whole (frequency × bay) matrices
-# and does require numpy.
 
 
 def _shared_rack_stage(couplings: "Sequence[AttackCoupling]") -> "AttackCoupling":
@@ -483,116 +89,21 @@ def _shared_rack_stage(couplings: "Sequence[AttackCoupling]") -> "AttackCoupling
     return first
 
 
-def _mount_column(couplings: "Sequence[AttackCoupling]", f: float) -> List[float]:
-    """Per-bay mount transmissibility at one frequency.
-
-    The modal factor is computed once per distinct mode set (all
-    ``StorageTower`` bays share one), so only the per-bay ``base_gain``
-    multiply remains in the loop.
-    """
-    modal_cache: Dict[tuple, float] = {}
-    out = []
-    for coupling in couplings:
-        mount = coupling.scenario.mount
-        modes = mount.modes
-        if modes is None:
-            out.append(mount.base_gain)
-            continue
-        consts = _modal_consts(modes)
-        modal = modal_cache.get(consts)
-        if modal is None:
-            modal = _modal_eval(consts, f)
-            modal_cache[consts] = modal
-        out.append(mount.base_gain * modal)
-    return out
-
-
-def rack_attack(
-    couplings: "Sequence[AttackCoupling]", config
-) -> List[VibrationInput]:
-    """Per-bay chassis vibrations for one attack tone, in one call.
-
-    Computes the attacker → water → wall pressure and the enclosure
-    frame response once for the whole rack, then broadcasts across the
-    per-bay mounts.  Pure Python — no numpy required.  Bit-identical to
-    calling ``coupling.vibration_at_drive(config)`` on every bay.
-    """
-    if not couplings:
-        return []
-    first = _shared_rack_stage(couplings)
-    f = config.frequency_hz
-    if not (0.0 < f < math.inf):  # also rejects NaN, like the scalar guards
-        raise UnitError(f"frequency must be positive and finite: {f}")
-    pressure = first.wall_pressure_pa(config)
-    if pressure < 0.0:
-        raise UnitError(f"pressure must be non-negative: {pressure}")
-    if pressure == 0.0:
-        return [
-            VibrationInput(frequency_hz=f, displacement_m=0.0) for _ in couplings
-        ]
-    wall = first.scenario.enclosure.frame_displacement_per_pascal(f)
-    coupling_gain = first.scenario.calibration.structure_coupling
-    shared = pressure * wall * coupling_gain
-    return [
-        VibrationInput(frequency_hz=f, displacement_m=shared * transmissibility)
-        for transmissibility in _mount_column(couplings, f)
-    ]
-
-
-def rack_success_probability(
-    servo: "ServoSystem", op: OpKind, vibrations: Sequence[VibrationInput]
-) -> List[float]:
-    """Batched success probabilities for drives sharing one servo model.
-
-    Hoists the (servo, op) constants and shares the head-stack modal
-    response and rejection factor per distinct frequency — under a
-    single-tone attack the whole rack pays them once.  Pure Python.
-    Bit-identical to ``servo.success_probability(op, vibration)`` per
-    drive.
-    """
-    consts = _success_consts(servo, op)
-    hsa_consts = _modal_consts(servo.hsa)
-    head_gain = servo.head_gain
-    corner = servo.rejection_corner_hz
-    order = servo.rejection_order
-    stage: Dict[float, tuple] = {}
-    out = []
-    for vibration in vibrations:
-        f = vibration.frequency_hz
-        d = vibration.displacement_m
-        if d == 0.0:
-            amplitude = 0.0
-        else:
-            pair = stage.get(f)
-            if pair is None:
-                mechanical = _modal_eval(hsa_consts, f) * head_gain
-                pair = (mechanical, _rejection_eval(corner, order, f))
-                stage[f] = pair
-            amplitude = d * pair[0] * pair[1]
-        out.append(_success_eval(amplitude, f, *consts))
-    return out
-
-
 def fleet_surface(
     couplings: "Sequence[AttackCoupling]",
     base_config,
     frequencies: Sequence[float],
     servo: "Optional[ServoSystem]" = None,
-) -> "Dict[str, object]":
-    """(frequency × bay) attack response surface for a whole rack.
+) -> "Dict[str, list]":
+    """(bay × frequency) attack response surface for a whole rack.
 
-    Evaluates the full acoustics → wall → mount → servo chain over the
-    grid for every bay in one call.  The attacker/water/wall stage is
-    computed once per frequency (not once per bay), the head-stack and
-    rejection factors once per frequency (the rack shares one servo
-    model), and the per-bay work reduces to the mount broadcast plus the
-    success-model branches.  Returns 1-D arrays ``frequency_hz`` and
-    ``wall_pressure_pa`` plus 2-D ``(bays, len(grid))`` arrays
-    ``displacement_m``, ``offtrack_m``, ``p_write``, ``p_read``, and the
-    boolean ``stalled``.  Every element is bit-identical to the scalar
-    chain run on that (bay, frequency) cell.
+    Returns the lists ``frequency_hz`` and ``wall_pressure_pa`` plus
+    ``bays``: one dict per coupling, in order, holding the per-frequency
+    lists ``displacement_m``, ``offtrack_m``, ``p_write``, ``p_read`` and
+    ``stalled``.  ``servo`` is the one servo model every bay runs
+    (default: the paper's Barracuda).  Every element is bit-identical to
+    the scalar chain run on that (bay, frequency) cell.
     """
-    _require_numpy()
     if not couplings:
         raise ConfigurationError("fleet_surface needs at least one bay")
     freqs = _grid(frequencies)
@@ -602,75 +113,51 @@ def fleet_surface(
 
         servo = BARRACUDA_500GB.servo
 
-    # Shared stage: once per frequency for the whole rack.
-    pressures = [
-        first.wall_pressure_pa(base_config.at_frequency(f)) for f in freqs
-    ]
-    frame = frame_displacement_per_pascal(first.scenario.enclosure, freqs).tolist()
+    # Shared wall stage: once per frequency for the whole rack.
+    enclosure = first.scenario.enclosure
     coupling_gain = first.scenario.calibration.structure_coupling
+    pressures = []
     shared = []
-    for pressure, wall in zip(pressures, frame):
+    for f in freqs:
+        pressure = first.wall_pressure_pa(base_config.at_frequency(f))
         if pressure < 0.0:
             raise UnitError(f"pressure must be non-negative: {pressure}")
-        if pressure == 0.0:
-            shared.append(0.0)
-        else:
-            shared.append(pressure * wall * coupling_gain)
+        pressures.append(pressure)
+        shared.append(
+            0.0
+            if pressure == 0.0
+            else pressure * enclosure.frame_displacement_per_pascal(f) * coupling_gain
+        )
 
     # Shared servo stage: the whole rack runs one servo model.
-    hsa = modal_response(servo.hsa, freqs).tolist()
     head_gain = servo.head_gain
-    mechanical = [h * head_gain for h in hsa]
-    rej = servo_rejection(servo, freqs).tolist()
+    servo_stage = [
+        (servo.hsa.response(f) * head_gain, servo.rejection(f)) for f in freqs
+    ]
     limit = servo.servo_limit_m
-    write_consts = _success_consts(servo, OpKind.WRITE)
-    read_consts = _success_consts(servo, OpKind.READ)
+    success = servo.success_from_amplitude
 
-    # Per-bay broadcast: only the mount differs between bays, and all
-    # StorageTower bays share one mode set, so the modal factor is
-    # computed once and reused.
-    modal_cache: Dict[tuple, List[float]] = {}
-    disp_rows, off_rows, pw_rows, pr_rows, stall_rows = [], [], [], [], []
+    bays = []
     for coupling in couplings:
-        mount = coupling.scenario.mount
-        modes = mount.modes
-        base_gain = mount.base_gain
-        if modes is None:
-            transmissibilities = [base_gain] * len(freqs)
-        else:
-            consts = _modal_consts(modes)
-            modal = modal_cache.get(consts)
-            if modal is None:
-                modal = [_modal_eval(consts, f) for f in freqs]
-                modal_cache[consts] = modal
-            transmissibilities = [base_gain * m for m in modal]
+        transmissibility = coupling.scenario.mount.transmissibility
         disps = [
-            0.0 if s == 0.0 else s * t
-            for s, t in zip(shared, transmissibilities)
+            0.0 if s == 0.0 else s * transmissibility(f)
+            for s, f in zip(shared, freqs)
         ]
         offs = [
-            0.0 if d == 0.0 else d * m * r
-            for d, m, r in zip(disps, mechanical, rej)
+            0.0 if d == 0.0 else d * mechanical * rejection
+            for d, (mechanical, rejection) in zip(disps, servo_stage)
         ]
-        disp_rows.append(disps)
-        off_rows.append(offs)
-        pw_rows.append(
-            [_success_eval(a, f, *write_consts) for a, f in zip(offs, freqs)]
+        bays.append(
+            {
+                "displacement_m": disps,
+                "offtrack_m": offs,
+                "p_write": [success(OpKind.WRITE, a, f) for a, f in zip(offs, freqs)],
+                "p_read": [success(OpKind.READ, a, f) for a, f in zip(offs, freqs)],
+                "stalled": [a >= limit for a in offs],
+            }
         )
-        pr_rows.append(
-            [_success_eval(a, f, *read_consts) for a, f in zip(offs, freqs)]
-        )
-        stall_rows.append([a >= limit for a in offs])
-
-    return {
-        "frequency_hz": _array(freqs),
-        "wall_pressure_pa": _array(pressures),
-        "displacement_m": _np.asarray(disp_rows, dtype=_np.float64),
-        "offtrack_m": _np.asarray(off_rows, dtype=_np.float64),
-        "p_write": _np.asarray(pw_rows, dtype=_np.float64),
-        "p_read": _np.asarray(pr_rows, dtype=_np.float64),
-        "stalled": _np.asarray(stall_rows, dtype=bool),
-    }
+    return {"frequency_hz": freqs, "wall_pressure_pa": pressures, "bays": bays}
 
 
 # --------------------------------------------------------------------------
@@ -695,11 +182,9 @@ def run_sequential_static(
 
     Returns ``result`` (filled in) on success, or None when the run is
     not eligible (degraded/stalled point, random mode, telemetry on,
-    vibration schedule, cursor wrap, ...) — the caller then takes the
-    scalar loop unchanged.
+    vibration schedule, I/O fast path off, cursor wrap, ...) — the
+    caller then takes the scalar loop unchanged.
     """
-    if _np is None:
-        return None
     drive = tester.drive
     if job.mode.is_random or tester._obs is not None or drive._obs is not None:
         return None
@@ -709,8 +194,6 @@ def run_sequential_static(
     if controller._attempt_tracer is not None:
         return None
     runtime_s = job.runtime_s
-    if not (0.0 < runtime_s < math.inf):
-        return None
     is_write = job.mode.is_write
     if not is_write and drive.store_data:
         return None  # scalar reads consult the sector store
@@ -789,21 +272,21 @@ def run_sequential_static(
     while True:
         if slots > _MAX_CLOSED_FORM_OPS:
             return None
-        steps = _np.empty(slots + 1, dtype=_np.float64)
+        steps = np.empty(slots + 1, dtype=np.float64)
         steps[0] = start
         steps[1] = base0
         steps[2:] = base
-        times = _np.cumsum(steps)
+        times = np.cumsum(steps)
         elapsed = times - start
         if elapsed[-1] >= runtime_s:
             break
         slots *= 2
-    completed = int(_np.searchsorted(elapsed, runtime_s, side="left"))
+    completed = int(np.searchsorted(elapsed, runtime_s, side="left"))
     if completed > span_blocks:
         return None  # the sequential cursor would wrap back and re-seek
 
     # Commit: exactly the state the scalar loop leaves behind.
-    latencies = _np.diff(times[: completed + 1])
+    latencies = np.diff(times[: completed + 1])
     clock.advance_to(float(times[completed]))
     controller.commands += completed
     if cache_missing and (op0_near or completed >= 2):
@@ -831,7 +314,7 @@ def run_sequential_static(
     result.timeout_ops = 0
     result.error_ops = 0
     result.bytes_moved = completed * job.block_bytes
-    result.total_latency_s = float(_np.cumsum(latencies)[-1])
+    result.total_latency_s = float(np.cumsum(latencies)[-1])
     result.max_latency_s = float(latencies.max())
     result.busy_time_s = float(elapsed[completed])
     result.latencies_s.frombytes(latencies.tobytes())

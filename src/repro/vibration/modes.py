@@ -25,6 +25,14 @@ __all__ = ["VibrationMode", "ModalResponse"]
 _RESPONSE_CACHE_CAP = 4096
 
 
+def _mode_magnitude(
+    frequency_hz: float, f0_hz: float, damping_ratio: float, gain: float
+) -> float:
+    """``|H(f)| = gain / sqrt((1 - r^2)^2 + (2 zeta r)^2)``, ``r = f / f0``."""
+    r = frequency_hz / f0_hz
+    return gain / math.sqrt((1.0 - r * r) ** 2 + (2.0 * damping_ratio * r) ** 2)
+
+
 @dataclass(frozen=True)
 class VibrationMode:
     """One resonant mode of a structure.
@@ -56,9 +64,9 @@ class VibrationMode:
         """
         if not (0.0 < frequency_hz < math.inf):  # also rejects NaN
             raise UnitError(f"frequency must be positive and finite: {frequency_hz}")
-        r = frequency_hz / self.frequency_hz
-        denom = math.sqrt((1.0 - r * r) ** 2 + (2.0 * self.damping_ratio * r) ** 2)
-        return self.gain / denom
+        return _mode_magnitude(
+            frequency_hz, self.frequency_hz, self.damping_ratio, self.gain
+        )
 
     @property
     def peak_response(self) -> float:
@@ -95,11 +103,10 @@ class ModalResponse:
     def response(self, frequency_hz: float) -> float:
         """Combined magnitude at ``frequency_hz``.
 
-        Evaluates the exact same per-mode arithmetic as
-        :meth:`VibrationMode.response` (bit-identical results), but over
-        precomputed constants and with a per-instance memo — this is
-        the innermost call of the servo chain, reached once per I/O
-        attempt during campaigns.
+        Evaluates the same per-mode arithmetic as
+        :meth:`VibrationMode.response`, but over precomputed constants
+        and with a per-instance memo — this is the innermost call of
+        the servo chain, reached once per I/O attempt during campaigns.
         """
         if not (0.0 < frequency_hz < math.inf):  # also rejects NaN
             raise UnitError(f"frequency must be positive and finite: {frequency_hz}")
@@ -112,9 +119,7 @@ class ModalResponse:
                 return cached
         total_sq = 0
         for f0, zeta, gain in self._consts:
-            r = frequency_hz / f0
-            denom = math.sqrt((1.0 - r * r) ** 2 + (2.0 * zeta * r) ** 2)
-            total_sq += (gain / denom) ** 2
+            total_sq += _mode_magnitude(frequency_hz, f0, zeta, gain) ** 2
         value = math.sqrt(total_sq)
         if cache is not None:
             if len(cache) >= _RESPONSE_CACHE_CAP:

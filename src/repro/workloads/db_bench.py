@@ -8,6 +8,7 @@ rate (ops/s) are the two columns of Table 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -48,8 +49,10 @@ class DbBenchConfig:
             raise ConfigurationError("bad key/value sizing")
         if self.readers < 0:
             raise ConfigurationError("reader count must be non-negative")
-        if self.duration_s <= 0.0:
-            raise ConfigurationError("duration must be positive")
+        if not (0.0 < self.duration_s < math.inf):  # also rejects NaN
+            raise ConfigurationError(
+                f"duration must be positive and finite: {self.duration_s}"
+            )
 
 
 @dataclass

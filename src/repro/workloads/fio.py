@@ -12,11 +12,12 @@ the paper's "-" (no response) entries.
 from __future__ import annotations
 
 import enum
+import math
 from array import array
 from dataclasses import dataclass, field
 from typing import List, MutableSequence, Optional
 
-from repro import perf, vecphys
+from repro import vecphys
 from repro.analysis.stats import percentile
 from repro.errors import ConfigurationError, DriveTimeout, MediumError
 from repro.hdd.drive import HardDiskDrive
@@ -73,8 +74,10 @@ class FioJob:
                 f"block size must be a positive multiple of {SECTOR_SIZE}: "
                 f"{self.block_bytes}"
             )
-        if self.runtime_s <= 0.0:
-            raise ConfigurationError(f"runtime must be positive: {self.runtime_s}")
+        if not (0.0 < self.runtime_s < math.inf):  # also rejects NaN
+            raise ConfigurationError(
+                f"runtime must be positive and finite: {self.runtime_s}"
+            )
         if self.region_start_lba < 0 or self.region_sectors <= 0:
             raise ConfigurationError("invalid target region")
 
@@ -162,7 +165,6 @@ class FioTester:
         self.drive = drive
         self.rng = rng if rng is not None else make_rng().fork("fio")
         self._obs = obs.get()
-        self._vec = perf.vec_physics_enabled() and vecphys.available()
 
     def _next_lba(self, job: FioJob, cursor: int) -> int:
         region_end = min(
@@ -195,7 +197,7 @@ class FioTester:
         span_blocks = (region_end - region_start) // sectors_per_block
         if span_blocks <= 0:
             raise ConfigurationError("target region smaller than one block")
-        if self._vec and not job.mode.is_random:
+        if not job.mode.is_random:
             # Healthy-regime sequential runs collapse to a closed-form
             # arithmetic series; degraded/stalled points return None
             # here and take the scalar issue loop below.

@@ -303,8 +303,13 @@ def run_service_attack(
     from repro.storage.block import BlockDevice
     from repro.storage.fs.filesystem import SimFS
 
-    if min(warmup_s, attack_s, recovery_s) < 0.0 or slice_s <= 0.0:
-        raise ConfigurationError("phase durations must be >= 0 and slice_s > 0")
+    phases = (warmup_s, attack_s, recovery_s)
+    if not all(0.0 <= t < math.inf for t in phases) or not 0.0 < slice_s < math.inf:
+        raise ConfigurationError(
+            f"phase durations must be finite and >= 0, slice_s finite and > 0: "
+            f"warmup {warmup_s}, attack {attack_s}, recovery {recovery_s}, "
+            f"slice {slice_s}"
+        )
     attack_config = config if config is not None else AttackConfig()
     tel = obs.get()
 

@@ -1,5 +1,7 @@
 """Experiment drivers, ablations, and the CLI."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -140,3 +142,36 @@ class TestCLI:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestCLIBoundary:
+    """Invalid input exits 2 with one typed stderr line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["figure2", "--runtime", "nan"], "ConfigurationError"),
+            (["predict", "--frequency", "nan", "--distance", "0.1"], "UnitError"),
+            (["fleet", "--rate", "nan"], "ConfigurationError"),
+            (["ycsb", "--attack", "nan"], "ConfigurationError"),
+            (["table2", "--duration", "inf"], "ConfigurationError"),
+        ],
+        ids=["figure2-runtime", "predict-frequency", "fleet-rate", "ycsb-attack", "table2-duration"],
+    )
+    def test_non_finite_value_exits_2_with_typed_line(self, argv, error, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"deepnote: {error}: ")
+        assert re.search(r"\b(nan|inf)\b", lines[0])
+
+    def test_resume_mismatch_is_a_typed_line(self, tmp_path, capsys):
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text("not a journal header\n")
+        argv = ["table1", "--runtime", "0.2", "--journal", str(journal), "--resume"]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("deepnote: ResumeMismatch: ")

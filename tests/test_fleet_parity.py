@@ -1,11 +1,11 @@
-"""Batched fleet kernels, acoustic-field cache, and pool transport (PR 7).
+"""Rack surfaces, per-bay probabilities and pool transport of fleet rows.
 
 The rack contract mirrors :mod:`tests.test_vecphys`: *exact* equality,
-never approximate.  The batched rack kernels must reproduce the per-bay
-scalar chain float for float across bay counts, wall materials, and
-water conditions; the acoustic-field cache must return the identical
-floats it would recompute; and the packed pool transport must round-trip
-row values bit for bit.
+never approximate.  ``DriveRack.sweep_surface`` (the batched
+:func:`repro.vecphys.fleet_surface`) must reproduce the per-bay scalar
+reference loop, run with every hot-path optimization off, float for
+float across bay counts, wall materials, and water conditions; and fleet
+rows must cross the pool boundary bit for bit.
 """
 
 from __future__ import annotations
@@ -14,18 +14,14 @@ import json
 
 import pytest
 
-from repro import perf, vecphys
+from repro import perf
 from repro.acoustics.medium import WaterConditions
-from repro.core import fieldcache
 from repro.core.attack import SweepPoint
 from repro.core.attacker import AttackConfig
-from repro.core.coupling import AttackCoupling
 from repro.core.environment import UnderwaterEnvironment
 from repro.core.fleet import BaySweepPoint, DriveRack
-from repro.core.scenario import Scenario
 from repro.errors import ConfigurationError
-from repro.hdd.servo import OpKind
-from repro.runtime import transport
+from repro.hdd.profiles import make_laptop_profile
 from repro.runtime.runner import SweepRunner
 
 GRID = [float(f) for f in range(100, 2100, 100)]
@@ -41,40 +37,35 @@ ENVIRONMENTS = {
 GRAZING = AttackConfig(frequency_hz=300.0, source_level_db=140.0, distance_m=0.03)
 
 
-@pytest.fixture()
-def scalar_mode():
-    """Force the per-bay scalar chain (and no field cache) inside the body."""
-    previous_vec = perf.set_vec_physics_enabled(False)
-    previous_cache = perf.set_field_cache_enabled(False)
-    try:
-        yield
-    finally:
-        perf.set_vec_physics_enabled(previous_vec)
-        perf.set_field_cache_enabled(previous_cache)
-
-
 def _scalar_reference(bays, metal, environment, config, frequencies=GRID):
-    """Everything the scalar chain says about one rack under one attack."""
-    previous_vec = perf.set_vec_physics_enabled(False)
-    previous_cache = perf.set_field_cache_enabled(False)
-    try:
+    """Everything the scalar chain says about one rack under one attack.
+
+    Built under ``perf_baseline()`` (no servo/modal memo) and swept
+    with the per-bay reference loop instead of the batched surface.
+    """
+    with perf.perf_baseline():
         rack = DriveRack(bays=bays, metal=metal, environment=environment)
-        vibrations = rack.apply_attack(config)
+        vibrations = {
+            slot.bay: slot.coupling.vibration_at_drive(config) for slot in rack.slots
+        }
+        rack.apply_attack(config)
+        base = config if config is not None else AttackConfig()
         return {
             "vibrations": vibrations,
             "p_write": rack.write_success_probabilities(),
             "p_read": rack.read_success_probabilities(),
             "stalled": rack.stalled_bays(),
             "healthy": rack.healthy_bays(),
-            "surface": rack.sweep_surface(frequencies, config),
+            "surface": rack._sweep_surface_scalar(base, list(frequencies)),
         }
-    finally:
-        perf.set_vec_physics_enabled(previous_vec)
-        perf.set_field_cache_enabled(previous_cache)
+
+
+def _dump(surface) -> str:
+    return json.dumps(surface, sort_keys=True)
 
 
 class TestRackParity:
-    """Batched rack evaluation == per-bay scalar chain, exactly."""
+    """Rack evaluation == per-bay scalar chain, exactly."""
 
     @pytest.mark.parametrize("bays", [1, 2, 3, 4, 5])
     def test_rack_attack_matches_scalar_per_bay(self, bays):
@@ -93,15 +84,13 @@ class TestRackParity:
     def test_parity_across_walls_and_waters(self, metal, env_name):
         environment = ENVIRONMENTS[env_name]
         config = GRAZING
-        reference = _scalar_reference(3, metal, environment, config)
-        rack = DriveRack(bays=3, metal=metal, environment=environment)
-        assert rack.apply_attack(config) == reference["vibrations"]
-        assert rack.write_success_probabilities() == reference["p_write"]
-        assert rack.read_success_probabilities() == reference["p_read"]
-        surface = rack.sweep_surface(GRID, config)
-        assert json.dumps(surface, sort_keys=True) == json.dumps(
-            reference["surface"], sort_keys=True
-        )
+        for bays in (1, 3, 5):
+            reference = _scalar_reference(bays, metal, environment, config)
+            rack = DriveRack(bays=bays, metal=metal, environment=environment)
+            assert rack.apply_attack(config) == reference["vibrations"]
+            assert rack.write_success_probabilities() == reference["p_write"]
+            assert rack.read_success_probabilities() == reference["p_read"]
+            assert _dump(rack.sweep_surface(GRID, config)) == _dump(reference["surface"])
 
     def test_silence_and_park_behaviour_unchanged(self):
         rack = DriveRack(bays=2)
@@ -126,27 +115,27 @@ class TestRackParity:
         )
 
 
-class TestNumpyAbsentFallback:
-    """Pure-Python rack kernels keep working without numpy."""
+class TestHeterogeneousFallback:
+    """Racks the batched surface cannot share a stage for take the scalar loop."""
 
-    def test_rack_attack_is_pure_python(self, monkeypatch):
-        config = AttackConfig.paper_best()
-        reference = _scalar_reference(3, False, None, config)
-        monkeypatch.setattr(vecphys, "_np", None)
-        assert not vecphys.available()
-        rack = DriveRack(bays=3)
-        assert rack.apply_attack(config) == reference["vibrations"]
-        assert rack.write_success_probabilities() == reference["p_write"]
-
-    def test_sweep_surface_falls_back_to_scalar(self, monkeypatch):
-        config = GRAZING
-        reference = _scalar_reference(2, False, None, config)
-        monkeypatch.setattr(vecphys, "_np", None)
+    def test_mixed_servo_rack_uses_scalar_loop(self):
         rack = DriveRack(bays=2)
-        surface = rack.sweep_surface(GRID, config)
-        assert json.dumps(surface, sort_keys=True) == json.dumps(
-            reference["surface"], sort_keys=True
+        rack.slots[1].drive.profile = make_laptop_profile()
+        assert rack._shared_servo() is None
+        surface = rack.sweep_surface(GRID, GRAZING)
+        assert _dump(surface) == _dump(
+            rack._sweep_surface_scalar(GRAZING, list(GRID))
         )
+
+    def test_mixed_wall_rack_uses_scalar_loop(self):
+        rack = DriveRack(bays=2)
+        metal = DriveRack(bays=2, metal=True)
+        rack.slots[1].coupling = metal.slots[1].coupling
+        surface = rack.sweep_surface(GRID, GRAZING)
+        assert _dump(surface) == _dump(
+            rack._sweep_surface_scalar(GRAZING, list(GRID))
+        )
+        assert surface["bays"][0] != surface["bays"][1]
 
 
 class TestHealthyBays:
@@ -178,72 +167,6 @@ class TestHealthyBays:
             rack.healthy_bays(threshold=threshold)
 
 
-class TestFieldCache:
-    """The campaign-level source/water/wall memo returns exact floats."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        fieldcache.reset()
-        yield
-        fieldcache.reset()
-
-    def test_hit_returns_bit_identical_displacement(self):
-        config = AttackConfig.paper_best()
-        cold = AttackCoupling.paper_setup(Scenario.scenario_2())
-        expected = cold.vibration_at_drive(config)
-        assert fieldcache.stats().misses == 1
-        assert fieldcache.stats().stores == 1
-        warm = AttackCoupling.paper_setup(Scenario.scenario_2())
-        assert warm.vibration_at_drive(config) == expected
-        assert fieldcache.stats().hits == 1
-
-    def test_flag_off_bypasses_and_matches(self, scalar_mode):
-        assert fieldcache.active() is None
-        config = AttackConfig.paper_best()
-        coupling = AttackCoupling.paper_setup(Scenario.scenario_2())
-        uncached = coupling.vibration_at_drive(config)
-        assert fieldcache.stats().misses == 0
-        previous = perf.set_field_cache_enabled(True)
-        try:
-            cached = AttackCoupling.paper_setup(
-                Scenario.scenario_2()
-            ).vibration_at_drive(config)
-        finally:
-            perf.set_field_cache_enabled(previous)
-        assert cached == uncached
-
-    def test_disk_layer_round_trips_exactly(self, tmp_path):
-        config = AttackConfig.paper_best()
-        fieldcache.attach_disk(tmp_path)
-        expected = AttackCoupling.paper_setup(
-            Scenario.scenario_2()
-        ).vibration_at_drive(config)
-        # A fresh in-process cache (new process, same cache dir): the
-        # field comes back from disk, bit-identical.
-        fieldcache.reset()
-        fieldcache.attach_disk(tmp_path)
-        got = AttackCoupling.paper_setup(
-            Scenario.scenario_2()
-        ).vibration_at_drive(config)
-        assert got == expected
-        assert fieldcache.stats().disk_hits == 1
-        assert fieldcache.stats().misses == 0
-
-    def test_distinct_geometry_does_not_collide(self):
-        config = AttackConfig.paper_best()
-        plastic = AttackCoupling.paper_setup(Scenario.scenario_2())
-        metal = AttackCoupling.paper_setup(Scenario.scenario_3())
-        assert plastic.vibration_at_drive(config) != metal.vibration_at_drive(config)
-        assert fieldcache.stats().misses == 2
-
-    def test_lru_eviction_bounds_memory(self):
-        cache = fieldcache.reset(capacity=4)
-        coupling = AttackCoupling.paper_setup(Scenario.scenario_2())
-        for f in range(100, 1100, 100):
-            coupling.vibration_at_drive(AttackConfig.paper_best().at_frequency(float(f)))
-        assert len(cache) == 4
-
-
 def _bay_row(spec) -> BaySweepPoint:
     bay, f = spec
     return BaySweepPoint(
@@ -261,52 +184,14 @@ def _sweep_row(f) -> SweepPoint:
 
 
 class TestTransport:
-    """Packed rows cross the pool boundary bit for bit."""
+    """Fleet and sweep rows cross the pool boundary bit for bit."""
 
     def test_round_trip_both_hot_row_types(self):
-        bay_rows = [_bay_row((b, float(f))) for b in (0, 1) for f in (100, 650)]
-        sweep_rows = [_sweep_row(float(f)) for f in (100, 650, 2000)]
-        for rows in (bay_rows, sweep_rows):
-            outcomes = [(row, None, None) for row in rows]
-            packed = transport.pack_outcomes(outcomes)
-            assert isinstance(packed, tuple)
-            assert packed[0] == transport.PACKED_MARKER
-            assert transport.maybe_unpack(packed) == outcomes
-
-    def test_telemetry_carrying_batch_falls_back_to_pickle(self):
-        outcomes = [(_sweep_row(100.0), {"spans": []}, None)]
-        assert transport.pack_outcomes(outcomes) is None
-
-    def test_heterogeneous_and_unregistered_batches_fall_back(self):
-        mixed = [(_sweep_row(100.0), None, None), (_bay_row((0, 100.0)), None, None)]
-        assert transport.pack_outcomes(mixed) is None
-        assert transport.pack_outcomes([("a string", None, None)]) is None
-        assert transport.pack_outcomes([]) is None
-
-    def test_non_packed_results_pass_through(self):
-        outcomes = [(_sweep_row(100.0), None, None)]
-        assert transport.maybe_unpack(outcomes) is outcomes
-
-    def test_unknown_codec_id_is_an_error(self):
-        with pytest.raises(ConfigurationError):
-            transport.maybe_unpack((transport.PACKED_MARKER, "no-such-codec/9", b""))
-
-    def test_registration_is_idempotent_but_conflicts_raise(self):
-        fields = (
-            ("bay", "q"),
-            ("frequency_hz", "d"),
-            ("displacement_m", "d"),
-            ("offtrack_m", "d"),
-            ("p_write", "d"),
-            ("p_read", "d"),
-        )
-        transport.register_row_codec("bay-sweep-point/1", BaySweepPoint, fields)
-        with pytest.raises(ConfigurationError):
-            transport.register_row_codec(
-                "bay-sweep-point/1", BaySweepPoint, fields[:2]
-            )
-        with pytest.raises(ConfigurationError):
-            transport.register_row_codec("bad/1", SweepPoint, (("frequency_hz", "f"),))
+        bay_specs = [(b, float(f)) for b in (0, 1) for f in (100, 650)]
+        sweep_specs = [float(f) for f in (100, 650, 2000)]
+        for fn, specs in ((_bay_row, bay_specs), (_sweep_row, sweep_specs)):
+            pooled = SweepRunner(workers=2).map(fn, specs)
+            assert pooled == [fn(spec) for spec in specs]
 
     def test_pooled_map_matches_inline_bit_for_bit(self):
         specs = [(bay, float(f)) for bay in (0, 1, 2) for f in (100, 650, 2000)]

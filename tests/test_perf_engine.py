@@ -31,14 +31,12 @@ class TestPerfFlags:
     def test_baseline_context_restores_flags(self):
         assert perf.servo_cache_enabled()
         assert perf.io_fast_path_enabled()
-        assert perf.vec_physics_enabled()
         with perf.perf_baseline():
             assert not perf.servo_cache_enabled()
             assert not perf.io_fast_path_enabled()
-            assert not perf.vec_physics_enabled()
         assert perf.servo_cache_enabled()
         assert perf.io_fast_path_enabled()
-        assert perf.vec_physics_enabled()
+        assert sorted(perf.ENV_FLAGS) == ["REPRO_IO_FAST_PATH", "REPRO_SERVO_CACHE"]
 
     def test_baseline_context_restores_on_error(self):
         with pytest.raises(RuntimeError):
@@ -46,7 +44,6 @@ class TestPerfFlags:
                 raise RuntimeError("boom")
         assert perf.servo_cache_enabled()
         assert perf.io_fast_path_enabled()
-        assert perf.vec_physics_enabled()
 
 
 class TestServoMemo:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.acoustics.piston import CircularPiston
+from repro.acoustics.piston import CircularPiston, bessel_j1
 from repro.errors import FileExists, FilesystemError, UnitError
 from repro.storage.kv.db import DB, Options, Snapshot
 from repro.rng import make_rng
@@ -52,6 +52,22 @@ class TestCircularPiston:
             CircularPiston(radius_m=0.0)
         with pytest.raises(UnitError):
             CircularPiston().on_axis_pressure_ratio(-1.0, 650.0)
+
+    def test_bessel_j1_pinned_values(self):
+        # Pinned to the values scipy.special.j1 returns, bit for bit.
+        assert bessel_j1(1.0) == 0.44005058574493355
+        assert bessel_j1(2.0) == 0.5767248077568734
+        # Elsewhere within an ulp or two of the series value.
+        assert bessel_j1(-1.0) == pytest.approx(-0.44005058574493355, abs=1e-15)
+        assert bessel_j1(5.0) == pytest.approx(-0.3275791375914653, abs=1e-15)
+        assert bessel_j1(10.0) == pytest.approx(0.04347274616886141, abs=1e-15)
+        assert bessel_j1(25.0) == pytest.approx(-0.1253502495802898, abs=1e-15)
+        # J1(0) and the first zero of J1 (rounding leaves ~1e-17).
+        assert bessel_j1(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert bessel_j1(3.8317059702075125) == pytest.approx(0.0, abs=1e-15)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(UnitError):
+                bessel_j1(bad)
 
 
 class TestHardLinks:

@@ -1,12 +1,12 @@
-"""Scalar <-> vectorized parity for the batched physics kernels (PR 6).
+"""Scalar <-> batched parity for :mod:`repro.vecphys`.
 
-The contract under test is *exact* equality, never approximate: every
-``repro.vecphys`` kernel must reproduce the scalar chain float for
-float over randomized grids, all shipped drive profiles, and all three
-paper scenarios; the closed-form FIO evaluator must leave the rig —
-clock, stats, caches, head position, RNG stream — in the identical
-state the scalar issue loop produces; and the Figure 2 CSVs must be
-byte-identical with the flag on and off.
+The contract under test is *exact* equality, never approximate: the
+rack surface must reproduce the scalar chain float for float, stage by
+stage, over randomized grids, all shipped drive profiles, all three
+paper scenarios and three water conditions; the closed-form FIO
+evaluator must leave the rig — clock, stats, caches, head position, RNG
+stream — in the identical state the scalar issue loop produces; and the
+Figure 2 CSVs must be byte-identical to the ``perf_baseline()`` run.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 
 from repro import perf, vecphys
 from repro.acoustics.medium import WaterConditions
-from repro.acoustics.propagation import PropagationModel
 from repro.core.attacker import AttackConfig
 from repro.core.coupling import AttackCoupling
+from repro.core.environment import UnderwaterEnvironment
 from repro.core.scenario import Scenario
-from repro.errors import UnitError
+from repro.errors import ConfigurationError, UnitError
 from repro.experiments.paper_data import ATTACK_LEVEL_DB
 from repro.hdd.drive import HardDiskDrive
 from repro.hdd.profiles import (
@@ -39,10 +39,6 @@ from repro.rng import make_rng
 from repro.sim.clock import VirtualClock
 from repro.workloads.fio import FioJob, FioTester, IOMode
 
-pytestmark = pytest.mark.skipif(
-    not vecphys.available(), reason="numpy not installed"
-)
-
 _settings = settings(
     max_examples=25,
     suppress_health_check=[HealthCheck.too_slow],
@@ -54,7 +50,7 @@ _settings = settings(
 band_grids = st.lists(
     st.floats(min_value=100.0, max_value=8000.0), min_size=1, max_size=40
 )
-#: Wider grids for the drive-side kernels (no attacker in the loop).
+#: Wider grids for the drive-side stages (no attacker in the loop).
 wide_grids = st.lists(
     st.floats(min_value=1.0, max_value=50_000.0), min_size=1, max_size=40
 )
@@ -69,67 +65,76 @@ ALL_PROFILES = (
     make_ssd_like_profile(),
 )
 
+BASE = AttackConfig(frequency_hz=650.0, source_level_db=ATTACK_LEVEL_DB, distance_m=0.01)
+
+
+def _surface(coupling, freqs, servo=None, base=BASE):
+    """The one-bay fleet surface of ``coupling`` over ``freqs``."""
+    surface = vecphys.fleet_surface([coupling], base, freqs, servo=servo)
+    return surface, surface["bays"][0]
+
 
 @contextmanager
-def _vec(enabled: bool):
-    previous = perf.set_vec_physics_enabled(enabled)
+def _closed_form(enabled: bool):
+    """Run the block with the closed-form FIO evaluator on or off.
+
+    Off replaces it with a stub that always declines, so the runs take
+    the scalar issue loop with every other fast path unchanged.
+    """
+    original = vecphys.run_sequential_static
+    if not enabled:
+        vecphys.run_sequential_static = lambda tester, job, result: None
     try:
         yield
     finally:
-        perf.set_vec_physics_enabled(previous)
+        vecphys.run_sequential_static = original
+
+
+def test_public_surface_is_the_two_kernels():
+    assert vecphys.__all__ == ["fleet_surface", "run_sequential_static"]
 
 
 class TestKernelParity:
-    """Stage-by-stage exact parity against the scalar chain."""
+    """Stage-by-stage exact parity of the rack surface with the scalar chain."""
 
-    @given(wide_grids)
+    @given(band_grids)
     @_settings
     def test_servo_chain_kernels(self, freqs):
+        coupling = AttackCoupling.paper_setup()
         for profile in ALL_PROFILES:
             servo = profile.servo
-            hsa = vecphys.modal_response(servo.hsa, freqs)
-            rej = vecphys.servo_rejection(servo, freqs)
+            _, bay = _surface(coupling, freqs, servo=servo)
             for i, f in enumerate(freqs):
-                assert hsa[i] == servo.hsa.response(f)
-                assert rej[i] == servo.rejection(f)
+                vib = coupling.vibration_at_drive(BASE.at_frequency(f))
+                assert bay["offtrack_m"][i] == servo.offtrack_amplitude_m(vib)
+                assert bay["stalled"][i] == servo.is_stalled(vib)
 
     @given(wide_grids, displacement_lists)
     @_settings
     def test_offtrack_and_success_probability(self, freqs, disps):
-        n = min(len(freqs), len(disps))
-        freqs, disps = freqs[:n], disps[:n]
         for profile in ALL_PROFILES:
             servo = profile.servo
-            amp = vecphys.servo_offtrack_amplitude(servo, freqs, disps)
-            p_write = vecphys.servo_success_probability(
-                servo, OpKind.WRITE, freqs, disps
-            )
-            p_read = vecphys.servo_success_probability(
-                servo, OpKind.READ, freqs, disps
-            )
-            for i, (f, d) in enumerate(zip(freqs, disps)):
+            for f, d in zip(freqs, disps):
                 vib = VibrationInput(frequency_hz=f, displacement_m=d)
-                assert amp[i] == servo.offtrack_amplitude_m(vib)
-                assert p_write[i] == servo.success_probability(OpKind.WRITE, vib)
-                assert p_read[i] == servo.success_probability(OpKind.READ, vib)
+                amplitude = servo.offtrack_amplitude_m(vib)
+                for op in (OpKind.WRITE, OpKind.READ):
+                    assert servo.success_from_amplitude(
+                        op, amplitude, f
+                    ) == servo.success_probability(op, vib)
 
-    @given(wide_grids)
+    @given(band_grids)
     @_settings
     def test_enclosure_and_mount_kernels(self, freqs):
         for scenario in Scenario.all_three():
-            frame = vecphys.frame_displacement_per_pascal(
-                scenario.enclosure, freqs
-            )
-            wall = vecphys.panel_displacement_per_pascal(
-                scenario.enclosure.wall, freqs
-            )
-            mount = vecphys.mount_transmissibility(scenario.mount, freqs)
+            coupling = AttackCoupling.paper_setup(scenario)
+            surface, bay = _surface(coupling, freqs)
             for i, f in enumerate(freqs):
-                assert frame[i] == scenario.enclosure.frame_displacement_per_pascal(f)
-                assert wall[i] == scenario.enclosure.wall.displacement_per_pascal(f)
-                assert mount[i] == scenario.mount.transmissibility(f)
+                pressure = surface["wall_pressure_pa"][i]
+                assert bay["displacement_m"][i] == scenario.chassis_displacement_m(
+                    pressure, f
+                )
 
-    @given(wide_grids)
+    @given(band_grids)
     @_settings
     def test_absorption_and_transmission_loss(self, freqs):
         conditions = (
@@ -138,52 +143,51 @@ class TestKernelParity:
             WaterConditions.baltic_50m(),
         )
         for cond in conditions:
-            model = PropagationModel(conditions=cond)
-            alphas = vecphys.absorption_db_per_km(cond, freqs)
-            losses = vecphys.transmission_loss_db(model, 3.5, freqs)
+            coupling = AttackCoupling(
+                environment=UnderwaterEnvironment.open_water(cond),
+                scenario=Scenario.scenario_2(),
+            )
+            base = BASE.at_distance(3.5)
+            surface, _ = _surface(coupling, freqs, base=base)
             for i, f in enumerate(freqs):
-                assert alphas[i] == model.absorption_db_per_km(f)
-                assert losses[i] == model.transmission_loss_db(3.5, f)
+                assert surface["wall_pressure_pa"][i] == coupling.wall_pressure_pa(
+                    base.at_frequency(f)
+                )
 
     @given(band_grids)
     @_settings
     def test_sweep_surface_all_scenarios(self, freqs):
-        base = AttackConfig(
-            frequency_hz=650.0, source_level_db=ATTACK_LEVEL_DB, distance_m=0.01
-        )
+        servo = BARRACUDA_500GB.servo
         for scenario in Scenario.all_three():
             coupling = AttackCoupling.paper_setup(scenario)
-            servo = BARRACUDA_500GB.servo
-            surface = vecphys.sweep_surface(coupling, base, freqs, servo=servo)
+            surface, bay = _surface(coupling, freqs, servo=servo)
+            assert surface["frequency_hz"] == [float(f) for f in freqs]
             for i, f in enumerate(freqs):
-                config = base.at_frequency(f)
+                config = BASE.at_frequency(f)
                 pressure = coupling.wall_pressure_pa(config)
                 displacement = scenario.chassis_displacement_m(pressure, f)
                 vib = VibrationInput(frequency_hz=f, displacement_m=displacement)
                 assert surface["wall_pressure_pa"][i] == pressure
-                assert surface["displacement_m"][i] == displacement
-                assert surface["offtrack_m"][i] == servo.offtrack_amplitude_m(vib)
-                assert surface["p_write"][i] == servo.success_probability(
-                    OpKind.WRITE, vib
-                )
-                assert surface["p_read"][i] == servo.success_probability(
-                    OpKind.READ, vib
-                )
-                assert bool(surface["stalled"][i]) == (
+                assert bay["displacement_m"][i] == displacement
+                assert bay["offtrack_m"][i] == servo.offtrack_amplitude_m(vib)
+                assert bay["p_write"][i] == servo.success_probability(OpKind.WRITE, vib)
+                assert bay["p_read"][i] == servo.success_probability(OpKind.READ, vib)
+                assert bay["stalled"][i] == (
                     servo.offtrack_amplitude_m(vib) >= servo.servo_limit_m
                 )
 
     def test_guards_match_scalar_chain(self):
-        servo = BARRACUDA_500GB.servo
+        coupling = AttackCoupling.paper_setup()
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(UnitError):
-                vecphys.servo_rejection(servo, [650.0, bad])
+                vecphys.fleet_surface([coupling], BASE, [650.0, bad])
             with pytest.raises(UnitError):
-                vecphys.modal_response(servo.hsa, [bad])
-        with pytest.raises(UnitError):
-            vecphys.servo_offtrack_amplitude(servo, [650.0], [-1e-9])
-        with pytest.raises(UnitError):
-            vecphys.servo_offtrack_amplitude(servo, [650.0], [math.nan])
+                coupling.vibration_at_drive(BASE.at_frequency(bad))
+        with pytest.raises(ConfigurationError):
+            vecphys.fleet_surface([], BASE, [650.0])
+        metal = AttackCoupling.paper_setup(Scenario.scenario_3())
+        with pytest.raises(ConfigurationError):  # bays behind different walls
+            vecphys.fleet_surface([coupling, metal], BASE, [650.0])
 
 
 class TestScalarEdgeFixes:
@@ -285,15 +289,15 @@ class TestClosedFormFio:
     def _compare(self, vibration=None, modes=(IOMode.SEQ_WRITE, IOMode.SEQ_READ)):
         states = []
         for enabled in (True, False):
-            with _vec(enabled):
-                drive, tester = _rig()
+            drive, tester = _rig()
             if vibration is not None:
                 drive.set_vibration(vibration)
             run_states = []
-            for mode in modes:
-                job = FioJob(mode=mode, runtime_s=0.35, name="parity")
-                result = tester.run(job)
-                run_states.append((_result_state(result), _rig_state(drive)))
+            with _closed_form(enabled):
+                for mode in modes:
+                    job = FioJob(mode=mode, runtime_s=0.35, name="parity")
+                    result = tester.run(job)
+                    run_states.append((_result_state(result), _rig_state(drive)))
             states.append(run_states)
         assert states[0] == states[1]
         return states[0]
@@ -304,8 +308,7 @@ class TestClosedFormFio:
 
     def test_degraded_point_falls_back_and_matches(self):
         degraded = VibrationInput(frequency_hz=650.0, displacement_m=3.4e-8)
-        with _vec(True):
-            drive, tester = _rig()
+        drive, tester = _rig()
         drive.set_vibration(degraded)
         job = FioJob(mode=IOMode.SEQ_WRITE, runtime_s=0.2, name="degraded")
         assert vecphys.run_sequential_static(tester, job, None) is None
@@ -330,8 +333,7 @@ class TestClosedFormFio:
             draws["n"] += 1
             return original(self, p)
 
-        with _vec(True):
-            drive, tester = _rig()
+        drive, tester = _rig()
         with mock.patch.object(ReproRandom, "chance", counting):
             result = tester.run(FioJob(mode=IOMode.SEQ_WRITE, runtime_s=0.3))
         assert result.completed_ops > 0
@@ -340,38 +342,35 @@ class TestClosedFormFio:
     def test_telemetry_session_disables_closed_form(self):
         from repro import obs
 
-        with _vec(True):
-            with obs.session():
-                drive, tester = _rig()
-                job = FioJob(mode=IOMode.SEQ_WRITE, runtime_s=0.1)
-                assert vecphys.run_sequential_static(tester, job, None) is None
-
-    def test_numpy_absence_degrades_to_scalar(self, monkeypatch):
-        monkeypatch.setattr(vecphys, "_np", None)
-        assert not vecphys.available()
-        with _vec(True):
+        with obs.session():
             drive, tester = _rig()
-        assert not tester._vec
-        result = tester.run(FioJob(mode=IOMode.SEQ_WRITE, runtime_s=0.1))
-        assert result.completed_ops > 0
+            job = FioJob(mode=IOMode.SEQ_WRITE, runtime_s=0.1)
+            assert vecphys.run_sequential_static(tester, job, None) is None
+
+    def test_baseline_mode_disables_closed_form(self):
+        with perf.perf_baseline():
+            drive, tester = _rig()
+        job = FioJob(mode=IOMode.SEQ_WRITE, runtime_s=0.1)
+        assert vecphys.run_sequential_static(tester, job, None) is None
+        assert tester.run(job).completed_ops > 0
 
 
 class TestExperimentParity:
-    """Whole-experiment byte identity with the flag on vs off."""
+    """Whole-experiment byte identity against ``perf_baseline()``."""
 
     FREQS = [300.0, 650.0, 1000.0, 2500.0]
 
     def test_figure2_csvs_byte_identical(self):
         from repro.experiments.figure2 import run_figure2
 
-        outputs = []
-        for enabled in (True, False):
-            with _vec(enabled):
-                figure = run_figure2(
-                    frequencies_hz=self.FREQS, fio_runtime_s=0.25, seed=7
-                )
-            outputs.append(figure.to_csv("write") + figure.to_csv("read"))
-        assert outputs[0] == outputs[1]
+        def csvs():
+            figure = run_figure2(frequencies_hz=self.FREQS, fio_runtime_s=0.25, seed=7)
+            return figure.to_csv("write") + figure.to_csv("read")
+
+        fast = csvs()
+        with perf.perf_baseline():
+            baseline = csvs()
+        assert fast == baseline
 
     def test_ablation_rows_identical(self):
         from repro.experiments.ablations import (
@@ -379,23 +378,19 @@ class TestExperimentParity:
             run_material_ablation,
         )
 
-        tables = []
-        for enabled in (True, False):
-            with _vec(enabled):
-                tables.append(
-                    (
-                        run_material_ablation().render(),
-                        run_drive_type_ablation().render(),
-                    )
-                )
-        assert tables[0] == tables[1]
+        def tables():
+            return run_material_ablation().render(), run_drive_type_ablation().render()
+
+        fast = tables()
+        with perf.perf_baseline():
+            baseline = tables()
+        assert fast == baseline
 
     def test_batched_pool_map_matches_inline(self):
         from repro.runtime import SweepRunner
 
         from tests.test_runtime import _square
 
-        with _vec(True):
-            pooled = SweepRunner(workers=2).map(_square, list(range(9)))
+        pooled = SweepRunner(workers=2).map(_square, list(range(9)))
         inline = [_square(n) for n in range(9)]
         assert pooled == inline

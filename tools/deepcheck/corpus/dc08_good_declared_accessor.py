@@ -1,7 +1,7 @@
 """Corpus DC08 good: flags are consumed through the repro.perf accessors."""
 
-from repro.perf import field_cache_enabled
+from repro.perf import servo_cache_enabled
 
 
-def use_field_cache() -> bool:
-    return field_cache_enabled()
+def use_servo_cache() -> bool:
+    return servo_cache_enabled()
