@@ -1,5 +1,7 @@
 """The threat model's two attacker objectives, end to end."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments.objectives import run_objective_comparison
@@ -11,6 +13,29 @@ def comparison():
 
 
 class TestObjectiveComparison:
+    #: sha256 over the three outcome rows below.  This is the only
+    #: experiment that drives the drive through a vibration schedule (the
+    #: controller's re-sampling branch), so it pins that branch's clock
+    #: timings, retries and timeouts.
+    OUTCOME_DIGEST = "9ddf9cc5501ff8f3b29d0567908ff8f3a86e2f78ebfdb4061ac380d154cd21af"
+
+    def test_outcome_digest_is_pinned(self, comparison):
+        rows = [
+            "%s,%d,%d,%.9f,%s"
+            % (
+                outcome.objective,
+                outcome.work_completed,
+                outcome.work_attempted,
+                outcome.elapsed_s,
+                "none"
+                if outcome.crash is None
+                else "%.9f" % outcome.crash.time_to_crash_s,
+            )
+            for outcome in comparison[:3]
+        ]
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        assert digest == self.OUTCOME_DIGEST
+
     def test_baseline_runs_clean(self, comparison):
         baseline, _, _, _ = comparison
         assert not baseline.crashed
