@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import perf
 from repro.hdd.drive import HardDiskDrive
 from repro.hdd.sector_store import SectorStore
 from repro.hdd.servo import OpKind, ServoSystem, VibrationInput
@@ -26,7 +25,7 @@ def fresh_drive(seed=1):
 
 
 def test_drive_sequential_write_rate(benchmark):
-    """Raw simulated-drive op rate (static fast path + servo memo on)."""
+    """Raw simulated-drive op rate (static vibration, single attempts)."""
     drive = fresh_drive()
 
     def run():
@@ -34,24 +33,6 @@ def test_drive_sequential_write_rate(benchmark):
             drive.write((i % 10_000) * 8, 8)
 
     benchmark(run)
-    assert drive.stats.writes >= 2000
-
-
-def test_drive_sequential_write_rate_gated_baseline(benchmark):
-    """The same op loop with the perf flags off: the 'before' number.
-
-    ``perf_baseline`` disables the memoized servo chain and the static
-    fast path, so the drive re-evaluates the servo per attempt exactly
-    like the pre-optimization engine.
-    """
-    with perf.perf_baseline():
-        drive = fresh_drive()
-
-        def run():
-            for i in range(2000):
-                drive.write((i % 10_000) * 8, 8)
-
-        benchmark(run)
     assert drive.stats.writes >= 2000
 
 
@@ -100,8 +81,8 @@ def test_drive_retry_path_rate(benchmark):
     assert drive.stats.retries > 0
 
 
-def test_servo_chain_memoized_rate(benchmark):
-    """success_probability throughput over a sweep grid, memo warm."""
+def test_servo_chain_rate(benchmark):
+    """success_probability throughput over a sweep grid."""
     servo = ServoSystem()
     inputs = [
         VibrationInput(frequency_hz=float(f), displacement_m=1e-8)
@@ -116,25 +97,6 @@ def test_servo_chain_memoized_rate(benchmark):
         return total
 
     assert benchmark(run) >= 0.0
-
-
-def test_servo_chain_uncached_rate(benchmark):
-    """The same grid with the servo memo disabled: the 'before' number."""
-    with perf.perf_baseline():
-        servo = ServoSystem()
-        inputs = [
-            VibrationInput(frequency_hz=float(f), displacement_m=1e-8)
-            for f in range(100, 2100, 100)
-        ]
-
-        def run():
-            total = 0.0
-            for _ in range(50):
-                for vib in inputs:
-                    total += servo.success_probability(OpKind.WRITE, vib)
-            return total
-
-        assert benchmark(run) >= 0.0
 
 
 def test_sector_store_page_churn(benchmark):

@@ -22,6 +22,7 @@ serial run.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, List, Optional
@@ -325,8 +326,10 @@ class AttackSession:
     ) -> None:
         self.coupling = coupling if coupling is not None else AttackCoupling.paper_setup()
         self.rng = make_rng(seed)
-        if fio_runtime_s <= 0.0:
-            raise ConfigurationError("FIO runtime must be positive")
+        if not (0.0 < fio_runtime_s < math.inf):  # also rejects NaN
+            raise ConfigurationError(
+                f"FIO runtime must be positive and finite: {fio_runtime_s}"
+            )
         self.fio_runtime_s = fio_runtime_s
         self._obs = obs.get()
 

@@ -8,6 +8,7 @@ under ``readwhilewriting`` while the 650 Hz tone plays.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -15,7 +16,7 @@ from repro.analysis.tables import Table, format_mbps
 from repro.core.attacker import AttackConfig
 from repro.core.coupling import AttackCoupling
 from repro.core.scenario import Scenario
-from repro.errors import CampaignAborted
+from repro.errors import CampaignAborted, ConfigurationError
 from repro.hdd.drive import HardDiskDrive
 from repro.rng import make_rng
 from repro.runtime import PointFailure, SweepRunner, fingerprint, make_runner
@@ -147,6 +148,11 @@ def run_table2(
     configured (possibly checkpointing/retrying) one.  Without either
     the distances run inline, exactly as before.
     """
+    # Checked here, not only by the per-point DbBenchConfig: a retrying
+    # runner would turn that error into failure rows instead of a
+    # rejected command.
+    if not (0.0 < duration_s < math.inf):  # also rejects NaN
+        raise ConfigurationError(f"duration must be positive and finite: {duration_s}")
     specs = [_Table2PointSpec(distance_m=None, duration_s=duration_s, seed=seed)]
     specs.extend(
         _Table2PointSpec(distance_m=distance, duration_s=duration_s, seed=seed)

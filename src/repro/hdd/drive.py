@@ -13,20 +13,22 @@ store above observe real persistence semantics; payload-less writes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.errors import ConfigurationError, DriveTimeout, MediumError, UnitError
 from repro.rng import ReproRandom, make_rng
 from repro.sim.clock import VirtualClock
 from repro.units import SECTOR_SIZE
-from repro import perf
 from repro.obs import telemetry as obs
 
 from .controller import DriveController, IOResult, RetryPolicy
 from .profiles import DriveProfile, make_barracuda_profile
 from .sector_store import SectorStore
 from .servo import OpKind, VibrationInput
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    import numpy as np
 
 __all__ = ["DriveStats", "HardDiskDrive"]
 
@@ -67,10 +69,8 @@ class HardDiskDrive:
         self.stats = DriveStats()
         self._store = SectorStore()
         self._schedule: Optional[Callable[[float], Optional[VibrationInput]]] = None
-        self._fast_path = perf.io_fast_path_enabled()
-        # Telemetry is captured at construction (like the perf flags):
-        # with nothing installed the I/O paths skip recording on a
-        # single ``is not None`` check.
+        # Telemetry is captured at construction: with nothing installed
+        # the I/O paths skip recording on a single ``is not None`` check.
         self._obs = obs.get()
         # Hot-path caches: the addressable span (the geometry is fixed
         # for the drive's lifetime) and shared zero-filled read buffers
@@ -145,24 +145,19 @@ class HardDiskDrive:
                 self.stats.shock_parks += 1
         return self.vibration, self.parked
 
-    def _current_state(self) -> "Tuple[VibrationInput, bool]":
-        """(vibration, parked) at the current virtual time."""
-        return self._refresh_from_schedule()
-
     def _execute(self, op: OpKind, lba: int, sectors: int) -> IOResult:
-        """Run one command, picking the controller's static fast path.
+        """Run one command under the current vibration state.
 
-        Without a schedule the vibration state cannot change while a
-        command is in flight, so the controller can evaluate the servo
-        chain once per command instead of once per attempt.  A
-        schedule-driven (time-varying) vibration keeps the re-sampling
-        callable path and its per-attempt semantics.
+        Without a schedule the state cannot change while a command is in
+        flight; a schedule-driven (time-varying) vibration is re-sampled
+        by the controller before every attempt.
         """
-        if self._schedule is None and self._fast_path:
-            return self.controller.execute_static(
-                op, lba, sectors, self.vibration, self.parked
-            )
-        return self.controller.execute(op, lba, sectors, self._current_state)
+        if self._schedule is None:
+            return self.controller.execute(op, lba, sectors, self.vibration, self.parked)
+        return self.controller.execute(
+            op, lba, sectors, self.vibration, self.parked,
+            resample=self._refresh_from_schedule,
+        )
 
     def offtrack_ratio(self, op: OpKind = OpKind.WRITE) -> float:
         """Current head excursion as a multiple of the op's threshold."""
@@ -205,12 +200,15 @@ class HardDiskDrive:
         self.stats.reads += 1
         self.stats.sectors_read += sectors
         if not self.store_data:
-            zeros = self._zero_blocks.get(sectors)
-            if zeros is None:
-                zeros = b"\x00" * (sectors * SECTOR_SIZE)
-                self._zero_blocks[sectors] = zeros
-            return result, zeros
+            return result, self._zeros(sectors)
         return result, self._store.read(lba, sectors)
+
+    def _zeros(self, sectors: int) -> bytes:
+        """The shared zero-filled buffer a payload-less read returns."""
+        zeros = self._zero_blocks.get(sectors)
+        if zeros is None:
+            zeros = self._zero_blocks[sectors] = b"\x00" * (sectors * SECTOR_SIZE)
+        return zeros
 
     def write(self, lba: int, sectors: int, data: Optional[bytes] = None) -> IOResult:
         """Write ``sectors`` sectors starting at ``lba``.
@@ -244,6 +242,44 @@ class HardDiskDrive:
         if self.store_data and data is not None:
             self._store.write(lba, data)
         return result
+
+    def run_sequential(
+        self, op: OpKind, lba: int, sectors: int, max_commands: int, runtime_s: float
+    ) -> "Optional[np.ndarray]":
+        """Closed form of a healthy sequential run of ``sectors``-sized I/Os.
+
+        Stands for calling :meth:`read` / :meth:`write` on ``lba``,
+        ``lba + sectors``, ... (at most ``max_commands`` of them) while
+        less than ``runtime_s`` virtual seconds have elapsed, and leaves
+        the clock, statistics and buffers exactly as those calls would
+        (see :meth:`DriveController.run_sequential`).  Returns the
+        per-command latencies, or None with nothing committed when the
+        run has to be issued command by command: a vibration schedule or
+        telemetry is installed, reads must return stored data, or some
+        attempt could fault.
+        """
+        self._check_range(lba, sectors * max_commands)
+        if self._schedule is not None or self._obs is not None:
+            return None
+        is_write = op is OpKind.WRITE
+        if not is_write and self.store_data:
+            return None  # reads must return what the sector store holds
+        latencies = self.controller.run_sequential(
+            op, lba, sectors, max_commands, runtime_s, self.vibration, self.parked
+        )
+        if latencies is None:
+            return None
+        completed = len(latencies)
+        stats = self.stats
+        if is_write:
+            stats.writes += completed
+            stats.sectors_written += completed * sectors
+        else:
+            stats.reads += completed
+            stats.sectors_read += completed * sectors
+            self._zeros(sectors)
+        self._sync_counters()
+        return latencies
 
     def flush(self) -> None:
         """Flush the (implicit) write cache.

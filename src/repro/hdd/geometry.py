@@ -15,7 +15,6 @@ from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError, UnitError
 from repro.units import NM, SECTOR_SIZE
-from repro import perf
 
 __all__ = ["Zone", "DiskGeometry"]
 
@@ -106,23 +105,19 @@ class DiskGeometry:
         Memoized per geometry: the controller locates the same LBAs over
         and over as sequential workloads wrap their target region.  The
         mapping is a pure function of the (immutable) zone table, so the
-        cache can never go stale; it is bypassed entirely in
-        :func:`repro.perf.perf_baseline` mode so before/after benchmarks
-        measure the original path.
+        cache can never go stale.
         """
-        cache = self._locate_cache if perf._io_fast_path else None
-        if cache is not None:
-            cached = cache.get(lba)
-            if cached is not None:
-                return cached
+        cache = self._locate_cache
+        cached = cache.get(lba)
+        if cached is not None:
+            return cached
         index, zone = self.zone_of_lba(lba)
         offset = lba - self._zone_starts[index]
         track_in_zone, sector = divmod(offset, zone.sectors_per_track)
         value = (zone.first_track + track_in_zone, sector)
-        if cache is not None:
-            if len(cache) >= _LOCATE_CACHE_CAP:
-                cache.clear()
-            cache[lba] = value
+        if len(cache) >= _LOCATE_CACHE_CAP:
+            cache.clear()
+        cache[lba] = value
         return value
 
     def sectors_per_track_at(self, lba: int) -> int:

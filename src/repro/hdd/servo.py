@@ -32,14 +32,8 @@ from dataclasses import dataclass, field
 from repro.errors import UnitError
 from repro.units import NM
 from repro.vibration.modes import ModalResponse
-from repro import perf
 
 __all__ = ["OpKind", "VibrationInput", "ServoSystem"]
-
-#: Entries kept per memo table before it is cleared; sweeps touch a
-#: bounded set of (frequency, displacement) points, but schedule-driven
-#: attacks can feed continuously varying vibration inputs.
-_SERVO_CACHE_CAP = 8192
 
 
 class OpKind(enum.Enum):
@@ -150,27 +144,6 @@ class ServoSystem:
         if self.grazing_exponent < 1.0:
             raise UnitError("grazing exponent must be >= 1")
 
-    # -- memoization ---------------------------------------------------------
-    #
-    # The chassis-motion -> fault-probability chain is pure math over the
-    # servo parameters, so repeated evaluations at the same (op,
-    # frequency, displacement) — thousands per campaign point, one per
-    # I/O attempt — can be served from per-instance tables.  Assigning
-    # any servo field drops the tables, so a mutated instance never
-    # serves stale values; the tables themselves are rebuilt lazily and
-    # only when :mod:`repro.perf` has caching enabled.
-
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        if not name.startswith("_"):
-            object.__setattr__(self, "_memo", None)
-
-    def _fresh_memo(self) -> tuple:
-        """(rejection, offtrack, success) tables, or () when disabled."""
-        memo: tuple = ({}, {}, {}) if perf.servo_cache_enabled() else ()
-        object.__setattr__(self, "_memo", memo)
-        return memo
-
     # -- thresholds in metres ----------------------------------------------
 
     def threshold_m(self, op: OpKind) -> float:
@@ -196,46 +169,19 @@ class ServoSystem:
         """
         if not (0.0 < frequency_hz < math.inf):
             raise UnitError(f"frequency must be positive and finite: {frequency_hz}")
-        memo = self._memo
-        if memo is None:
-            memo = self._fresh_memo()
-        if memo:
-            cache = memo[0]
-            cached = cache.get(frequency_hz)
-            if cached is not None:
-                return cached
         r2 = (frequency_hz / self.rejection_corner_hz) ** 2
-        value = (r2 / (1.0 + r2)) ** self.rejection_order
-        if memo:
-            if len(cache) >= _SERVO_CACHE_CAP:
-                cache.clear()
-            cache[frequency_hz] = value
-        return value
+        return (r2 / (1.0 + r2)) ** self.rejection_order
 
     def offtrack_amplitude_m(self, vibration: VibrationInput) -> float:
         """Head-to-track excursion amplitude induced by ``vibration``."""
         if vibration.displacement_m == 0.0:
             return 0.0
-        memo = self._memo
-        if memo is None:
-            memo = self._fresh_memo()
-        if memo:
-            cache = memo[1]
-            key = (vibration.frequency_hz, vibration.displacement_m)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
         mechanical = self.hsa.response(vibration.frequency_hz) * self.head_gain
-        value = (
+        return (
             vibration.displacement_m
             * mechanical
             * self.rejection(vibration.frequency_hz)
         )
-        if memo:
-            if len(cache) >= _SERVO_CACHE_CAP:
-                cache.clear()
-            cache[key] = value
-        return value
 
     # -- fault probabilities -------------------------------------------------
 
@@ -248,27 +194,8 @@ class ServoSystem:
 
         Combines the stall limit, the contiguous-window model for
         super-threshold excursions, and the grazing penalty just below
-        threshold.  Memoized per ``(op, frequency, displacement)``: the
-        controller's retry loop re-asks this once per attempt.
+        threshold.
         """
-        memo = self._memo
-        if memo is None:
-            memo = self._fresh_memo()
-        if memo:
-            cache = memo[2]
-            key = (op, vibration.frequency_hz, vibration.displacement_m)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-        value = self._success_probability(op, vibration)
-        if memo:
-            if len(cache) >= _SERVO_CACHE_CAP:
-                cache.clear()
-            cache[key] = value
-        return value
-
-    def _success_probability(self, op: OpKind, vibration: VibrationInput) -> float:
-        """The unmemoized fault model (the original arithmetic)."""
         return self.success_from_amplitude(
             op, self.offtrack_amplitude_m(vibration), vibration.frequency_hz
         )
@@ -280,7 +207,7 @@ class ServoSystem:
 
         The fault model proper, past the transfer functions: batched
         callers that already hold the off-track amplitude of a
-        ``frequency_hz`` tone evaluate it here, without memoization.
+        ``frequency_hz`` tone evaluate it here.
         """
         if amplitude >= self.servo_limit_m:
             return 0.0

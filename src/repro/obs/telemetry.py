@@ -4,9 +4,8 @@ A :class:`Telemetry` bundles one :class:`~repro.obs.trace.Tracer`, one
 :class:`~repro.obs.metrics.MetricsRegistry`, and one
 :class:`~repro.obs.timeseries.SeriesRecorder`.  Exactly one bundle
 (or none) is *installed* at a time; instrumented components look the
-active bundle up **when they are constructed** — the same discipline as
-the :mod:`repro.perf` flags — so a campaign enables telemetry by
-installing a bundle before it builds its rigs.
+active bundle up **when they are constructed**, so a campaign enables
+telemetry by installing a bundle before it builds its rigs.
 
 With nothing installed, :func:`get` returns None and every component's
 guard (``if self._obs is not None``) falls through: no records, no

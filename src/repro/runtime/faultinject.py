@@ -34,6 +34,7 @@ kills the campaign when point 9 runs.  Ordinals count from 0.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -69,8 +70,10 @@ class FaultAction:
             raise ConfigurationError(
                 f"unknown fault action {self.kind!r}: expected one of {_ACTIONS}"
             )
-        if self.seconds < 0.0:
-            raise ConfigurationError(f"fault duration must be >= 0: {self.seconds}")
+        if not (0.0 <= self.seconds < math.inf):  # also rejects NaN
+            raise ConfigurationError(
+                f"fault duration must be finite and >= 0: {self.seconds}"
+            )
         if self.attempts < 1:
             raise ConfigurationError(f"fault attempt count must be >= 1: {self.attempts}")
 

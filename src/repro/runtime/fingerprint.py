@@ -23,7 +23,11 @@ def canonical(obj: Any) -> str:
 
     Dataclasses encode as ``ClassName(field=value, ...)`` in field
     order, dicts sort by key, floats use ``repr`` (shortest round-trip
-    form), enums use their qualified name.  Unknown objects fall back to
+    form), enums use their qualified name.  Other objects with instance
+    state encode their *public* attributes only: a ``_``-prefixed
+    attribute holds derived state (a lookup table, a memo that fills as
+    the object is used), so a key never depends on what the process
+    evaluated before computing it.  Anything else falls back to
     ``repr`` — acceptable for fingerprinting, since a lying ``repr``
     only costs a spurious cache miss, never a wrong hit for a
     well-behaved type.
@@ -52,11 +56,13 @@ def canonical(obj: Any) -> str:
         body = ", ".join(canonical(v) for v in values)
         kind = type(obj).__name__
         return f"{kind}[{body}]"
-    # Plain value-like objects (e.g. ModalResponse): their default repr
-    # embeds a memory address, so encode the instance state instead.
+    # Plain value-like objects (e.g. ModalResponse, DiskGeometry): their
+    # default repr embeds a memory address, so encode the public instance
+    # state instead.
     state = getattr(obj, "__dict__", None)
     if state:
-        return f"{type(obj).__name__}{canonical(state)}"
+        public = {name: value for name, value in state.items() if not name.startswith("_")}
+        return f"{type(obj).__name__}{canonical(public)}"
     return repr(obj)
 
 

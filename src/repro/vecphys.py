@@ -1,23 +1,17 @@
-"""Batched physics: the two evaluations that pay for batching.
+"""Batched physics: the rack surface, the one evaluation that pays for batching.
 
-* :func:`fleet_surface` evaluates the acoustics -> wall -> mount ->
-  servo chain over a (bay x frequency) grid for a whole rack.  Every bay
-  sits behind one wall in one water column and the rack runs one servo
-  model, so the source/water/wall stage and the head-stack/rejection
-  stage are computed once per frequency and reused for every bay.  Each
-  stage is evaluated by its model class (``Enclosure``, ``Mount``,
-  ``ModalResponse``, ``ServoSystem``), so no formula is restated here
-  and every cell is bit-identical to the scalar chain run on that
-  (bay, frequency) pair.
-* :func:`run_sequential_static` evaluates a healthy-regime sequential
-  FIO run in closed form: with a per-attempt success probability >= 1
-  the per-op issue loop is an arithmetic series, so one
-  ``cumsum``/``searchsorted`` reproduces its clock timings, latencies,
-  counters and RNG stream (zero draws) exactly.  numpy is used only for
-  operations that are IEEE-754-identical to the scalar ``+=`` chain
-  (``cumsum`` accumulates strictly left to right, ``diff``,
-  ``searchsorted``).  Degraded, stalled, random-mode and traced runs
-  fall back to the scalar loop, which is cheap there.
+:func:`fleet_surface` evaluates the acoustics -> wall -> mount -> servo
+chain over a (bay x frequency) grid for a whole rack.  Every bay sits
+behind one wall in one water column and the rack runs one servo model,
+so the source/water/wall stage and the head-stack/rejection stage are
+computed once per frequency and reused for every bay.  Each stage is
+evaluated by its model class (``Enclosure``, ``Mount``,
+``ModalResponse``, ``ServoSystem``), so no formula is restated here and
+every cell is bit-identical to the scalar chain run on that (bay,
+frequency) pair.
+
+The closed form of a healthy sequential FIO run lives with the drive it
+describes: :meth:`repro.hdd.drive.HardDiskDrive.run_sequential`.
 """
 
 from __future__ import annotations
@@ -25,23 +19,14 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError, UnitError
 from repro.hdd.servo import OpKind
-from repro.units import SECTOR_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.core.coupling import AttackCoupling
     from repro.hdd.servo import ServoSystem
-    from repro.workloads.fio import FioJob, FioResult, FioTester
 
-__all__ = ["fleet_surface", "run_sequential_static"]
-
-#: Backstop for the closed-form op-count search: a sweep point's FIO run
-#: is a few thousand ops; anything needing more slots than this signals
-#: a pathological (runtime, service-time) pair better served scalar.
-_MAX_CLOSED_FORM_OPS = 50_000_000
+__all__ = ["fleet_surface"]
 
 
 def _grid(frequencies: Sequence[float]) -> List[float]:
@@ -53,11 +38,6 @@ def _grid(frequencies: Sequence[float]) -> List[float]:
             raise UnitError(f"frequency must be positive and finite: {f}")
         freqs.append(f)
     return freqs
-
-
-# --------------------------------------------------------------------------
-# Rack surface: one call per rack
-# --------------------------------------------------------------------------
 
 
 def _shared_rack_stage(couplings: "Sequence[AttackCoupling]") -> "AttackCoupling":
@@ -158,164 +138,3 @@ def fleet_surface(
             }
         )
     return {"frequency_hz": freqs, "wall_pressure_pa": pressures, "bays": bays}
-
-
-# --------------------------------------------------------------------------
-# Closed-form sequential FIO evaluation
-# --------------------------------------------------------------------------
-
-
-def run_sequential_static(
-    tester: "FioTester", job: "FioJob", result: "FioResult"
-) -> "Optional[FioResult]":
-    """Evaluate a healthy-regime sequential FIO run in closed form.
-
-    When every attempt succeeds deterministically (success probability
-    >= 1) and the drive state is static, the scalar issue loop is a pure
-    arithmetic series: op ``k`` starts at ``T[k] = T[k-1] + base`` with a
-    constant near-track service time after the first op.  This function
-    reproduces that walk with one ``cumsum`` (bit-identical to the
-    scalar ``+=`` chain), derives the op count with ``searchsorted`` on
-    the elapsed times, and commits exactly the clock, counter, cache,
-    and head-position state the scalar loop would leave behind — with
-    zero RNG draws, matching the scalar path's ``p >= 1`` short-circuit.
-
-    Returns ``result`` (filled in) on success, or None when the run is
-    not eligible (degraded/stalled point, random mode, telemetry on,
-    vibration schedule, I/O fast path off, cursor wrap, ...) — the
-    caller then takes the scalar loop unchanged.
-    """
-    drive = tester.drive
-    if job.mode.is_random or tester._obs is not None or drive._obs is not None:
-        return None
-    if drive._schedule is not None or not drive._fast_path:
-        return None
-    controller = drive.controller
-    if controller._attempt_tracer is not None:
-        return None
-    runtime_s = job.runtime_s
-    is_write = job.mode.is_write
-    if not is_write and drive.store_data:
-        return None  # scalar reads consult the sector store
-
-    # Replicate the controller's per-command (vibration, parked)
-    # identity cache exactly as the first scalar op would, so a fallback
-    # after this point leaves the same state a scalar run produces.
-    profile = controller.profile
-    vibration = drive.vibration
-    parked = drive.parked
-    op = OpKind.WRITE if is_write else OpKind.READ
-    if (
-        controller._static_vibration is not vibration
-        or controller._static_parked != parked
-    ):
-        controller._static_vibration = vibration
-        controller._static_parked = parked
-        controller._static_p_read = None
-        controller._static_p_write = None
-    success_p = (
-        controller._static_p_write if is_write else controller._static_p_read
-    )
-    if success_p is None:
-        success_p = (
-            0.0 if parked else profile.servo.success_probability(op, vibration)
-        )
-        if is_write:
-            controller._static_p_write = success_p
-        else:
-            controller._static_p_read = success_p
-    if success_p < 1.0:
-        return None  # degraded or stalled: few ops, scalar walk is cheap
-
-    region_start = job.region_start_lba
-    region_end = min(region_start + job.region_sectors, drive.total_sectors)
-    sectors_per_block = job.sectors_per_block
-    span_blocks = (region_end - region_start) // sectors_per_block
-    if span_blocks <= 0:
-        return None  # scalar path raises the ConfigurationError
-
-    # Service times: the first op may pay a seek; afterwards consecutive
-    # sequential ops advance at most one track, so they all share the
-    # memoized zero-seek base.
-    nbytes = sectors_per_block * 512
-    cache = controller._service_write if is_write else controller._service_read
-    base = cache.get(nbytes)
-    cache_missing = base is None
-    if cache_missing:
-        overhead = (
-            profile.write_overhead_s if is_write else profile.read_overhead_s
-        )
-        base = overhead + profile.transfer_time_s(nbytes)
-    track0, _ = profile.geometry.locate(region_start)
-    distance = track0 - controller.current_track
-    op0_near = -1 <= distance <= 1
-    if op0_near:
-        base0 = base
-    else:
-        seek = profile.seek.seek_time_s(abs(distance))
-        overhead = (
-            profile.write_overhead_s if is_write else profile.read_overhead_s
-        )
-        base0 = seek + overhead + profile.transfer_time_s(nbytes)
-    host_timeout_s = profile.host_timeout_s
-    # IEEE addition is monotone: base <= timeout implies
-    # fl(now + base) <= fl(now + timeout), so the scalar deadline check
-    # can never fire and the closed form holds with no timeout branch.
-    if not (0.0 < base <= host_timeout_s and 0.0 < base0 <= host_timeout_s):
-        return None
-
-    # Completion times T[k] = start + base0 + (k-1)*base, accumulated
-    # with cumsum to reproduce the scalar += chain bit for bit.
-    clock = drive.clock
-    start = clock.now
-    slots = int(runtime_s / base) + 2
-    while True:
-        if slots > _MAX_CLOSED_FORM_OPS:
-            return None
-        steps = np.empty(slots + 1, dtype=np.float64)
-        steps[0] = start
-        steps[1] = base0
-        steps[2:] = base
-        times = np.cumsum(steps)
-        elapsed = times - start
-        if elapsed[-1] >= runtime_s:
-            break
-        slots *= 2
-    completed = int(np.searchsorted(elapsed, runtime_s, side="left"))
-    if completed > span_blocks:
-        return None  # the sequential cursor would wrap back and re-seek
-
-    # Commit: exactly the state the scalar loop leaves behind.
-    latencies = np.diff(times[: completed + 1])
-    clock.advance_to(float(times[completed]))
-    controller.commands += completed
-    if cache_missing and (op0_near or completed >= 2):
-        cache[nbytes] = base
-    last_lba = region_start + (completed - 1) * sectors_per_block
-    if sectors_per_block > 1:
-        end_track, _ = profile.geometry.locate(last_lba + sectors_per_block - 1)
-    else:
-        end_track, _ = profile.geometry.locate(last_lba)
-    controller.current_track = end_track
-    stats = drive.stats
-    if is_write:
-        stats.writes += completed
-        stats.sectors_written += completed * sectors_per_block
-    else:
-        stats.reads += completed
-        stats.sectors_read += completed * sectors_per_block
-        if sectors_per_block not in drive._zero_blocks:
-            drive._zero_blocks[sectors_per_block] = b"\x00" * (
-                sectors_per_block * SECTOR_SIZE
-            )
-    drive._sync_counters()
-
-    result.completed_ops = completed
-    result.timeout_ops = 0
-    result.error_ops = 0
-    result.bytes_moved = completed * job.block_bytes
-    result.total_latency_s = float(np.cumsum(latencies)[-1])
-    result.max_latency_s = float(latencies.max())
-    result.busy_time_s = float(elapsed[completed])
-    result.latencies_s.frombytes(latencies.tobytes())
-    return result

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError, UnitError
-from repro import perf
 
 __all__ = ["VibrationMode", "ModalResponse"]
-
-#: Memoized response values kept per :class:`ModalResponse` before the
-#: cache is cleared; bounds memory for callers that evaluate the
-#: response on continuous (schedule-driven) frequency inputs.
-_RESPONSE_CACHE_CAP = 4096
 
 
 def _mode_magnitude(
@@ -88,44 +82,21 @@ class ModalResponse:
         self.modes: List[VibrationMode] = list(modes)
         if not self.modes:
             raise ConfigurationError("modal response needs at least one mode")
-        self._rebuild_constants()
-
-    def _rebuild_constants(self) -> None:
-        """Flatten the mode parameters into tuples for the hot loop."""
-        self._consts: List[Tuple[float, float, float]] = [
-            (mode.frequency_hz, mode.damping_ratio, mode.gain)
-            for mode in self.modes
-        ]
-        self._response_cache: "dict[float, float] | None" = (
-            {} if perf.servo_cache_enabled() else None
-        )
 
     def response(self, frequency_hz: float) -> float:
         """Combined magnitude at ``frequency_hz``.
 
-        Evaluates the same per-mode arithmetic as
-        :meth:`VibrationMode.response`, but over precomputed constants
-        and with a per-instance memo — this is the innermost call of
-        the servo chain, reached once per I/O attempt during campaigns.
+        The per-mode arithmetic of :meth:`VibrationMode.response`,
+        summed in quadrature left to right over :attr:`modes`.
         """
         if not (0.0 < frequency_hz < math.inf):  # also rejects NaN
             raise UnitError(f"frequency must be positive and finite: {frequency_hz}")
-        if len(self._consts) != len(self.modes):  # modes mutated in place
-            self._rebuild_constants()
-        cache = self._response_cache
-        if cache is not None:
-            cached = cache.get(frequency_hz)
-            if cached is not None:
-                return cached
         total_sq = 0
-        for f0, zeta, gain in self._consts:
-            total_sq += _mode_magnitude(frequency_hz, f0, zeta, gain) ** 2
-        value = math.sqrt(total_sq)
-        if cache is not None:
-            if len(cache) >= _RESPONSE_CACHE_CAP:
-                cache.clear()
-            cache[frequency_hz] = value
-        return value
+        for mode in self.modes:
+            total_sq += _mode_magnitude(
+                frequency_hz, mode.frequency_hz, mode.damping_ratio, mode.gain
+            ) ** 2
+        return math.sqrt(total_sq)
 
     def peak(self, low_hz: float, high_hz: float, points: int = 400) -> Tuple[float, float]:
         """Scan [low_hz, high_hz] and return (frequency, response) at the max."""

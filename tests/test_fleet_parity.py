@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-from repro import perf
 from repro.acoustics.medium import WaterConditions
 from repro.core.attack import SweepPoint
 from repro.core.attacker import AttackConfig
@@ -40,24 +39,23 @@ GRAZING = AttackConfig(frequency_hz=300.0, source_level_db=140.0, distance_m=0.0
 def _scalar_reference(bays, metal, environment, config, frequencies=GRID):
     """Everything the scalar chain says about one rack under one attack.
 
-    Built under ``perf_baseline()`` (no servo/modal memo) and swept
-    with the per-bay reference loop instead of the batched surface.
+    Swept with the per-bay reference loop instead of the batched
+    surface.
     """
-    with perf.perf_baseline():
-        rack = DriveRack(bays=bays, metal=metal, environment=environment)
-        vibrations = {
-            slot.bay: slot.coupling.vibration_at_drive(config) for slot in rack.slots
-        }
-        rack.apply_attack(config)
-        base = config if config is not None else AttackConfig()
-        return {
-            "vibrations": vibrations,
-            "p_write": rack.write_success_probabilities(),
-            "p_read": rack.read_success_probabilities(),
-            "stalled": rack.stalled_bays(),
-            "healthy": rack.healthy_bays(),
-            "surface": rack._sweep_surface_scalar(base, list(frequencies)),
-        }
+    rack = DriveRack(bays=bays, metal=metal, environment=environment)
+    vibrations = {
+        slot.bay: slot.coupling.vibration_at_drive(config) for slot in rack.slots
+    }
+    rack.apply_attack(config)
+    base = config if config is not None else AttackConfig()
+    return {
+        "vibrations": vibrations,
+        "p_write": rack.write_success_probabilities(),
+        "p_read": rack.read_success_probabilities(),
+        "stalled": rack.stalled_bays(),
+        "healthy": rack.healthy_bays(),
+        "surface": rack._sweep_surface_scalar(base, list(frequencies)),
+    }
 
 
 def _dump(surface) -> str:

@@ -141,6 +141,22 @@ class TestFaultPlan:
             with pytest.raises(ConfigurationError):
                 FaultPlan.parse(spec)
 
+    @pytest.mark.parametrize(
+        "spec", ["0=hang@nan", "1=slow@inf", "2=fail@-1", "0=hang@-inf", "3=slow@NaN"]
+    )
+    def test_parse_rejects_non_finite_or_negative_durations(self, spec):
+        with pytest.raises(ConfigurationError):
+            FaultPlan.parse(spec)
+
+    def test_cli_rejects_a_non_finite_duration_with_exit_2(self, capsys):
+        from repro import cli
+
+        assert cli.main(["figure2", "--runtime", "0.1", "--inject-faults", "0=hang@nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("deepnote: ConfigurationError: ")
+
     def test_empty_plan_is_falsy(self):
         assert not FaultPlan()
         assert FaultPlan.parse("1=fail")

@@ -67,6 +67,36 @@ class TestFingerprint:
     def test_dict_order_does_not_matter(self):
         assert canonical({"a": 1, "b": 2}) == canonical({"b": 2, "a": 1})
 
+    def test_coupling_fingerprint_ignores_evaluation_state(self):
+        from repro.core.attacker import AttackConfig
+
+        coupling = AttackCoupling.paper_setup()
+        before = fingerprint(coupling)
+        coupling.vibration_at_drive(AttackConfig(frequency_hz=777.0))
+        assert fingerprint(coupling) == before
+
+    def test_profile_fingerprint_ignores_evaluation_state(self):
+        from repro.hdd.drive import HardDiskDrive
+        from repro.hdd.profiles import make_barracuda_profile
+
+        profile = make_barracuda_profile()
+        before = fingerprint(profile)
+        # An LBA no other test touches, so the shared locate cache grows.
+        HardDiskDrive(profile=profile).write(654_321_987, 8)
+        assert fingerprint(profile) == before
+
+    def test_repeated_sweep_hits_the_cache(self, tmp_path):
+        session = AttackSession(seed=5, fio_runtime_s=0.2)
+        grid = [300.0, 650.0, 1000.0]
+        first = make_runner(cache_dir=str(tmp_path))
+        session.frequency_sweep(grid, runner=first)
+        assert first.cache.stats.hits == 0
+        second = make_runner(cache_dir=str(tmp_path))
+        session.frequency_sweep(grid, runner=second)
+        # The baseline and every sweep point come back from the cache.
+        assert second.cache.stats.hits == 1 + len(grid)
+        assert second.cache.stats.misses == 0
+
 
 class TestResultCache:
     def test_round_trip(self, tmp_path):

@@ -1,24 +1,26 @@
-"""Scalar <-> batched parity for :mod:`repro.vecphys`.
+"""Scalar <-> batched parity for :mod:`repro.vecphys` and the FIO closed form.
 
 The contract under test is *exact* equality, never approximate: the
 rack surface must reproduce the scalar chain float for float, stage by
 stage, over randomized grids, all shipped drive profiles, all three
 paper scenarios and three water conditions; the closed-form FIO
-evaluator must leave the rig — clock, stats, caches, head position, RNG
-stream — in the identical state the scalar issue loop produces; and the
-Figure 2 CSVs must be byte-identical to the ``perf_baseline()`` run.
+evaluator (:meth:`HardDiskDrive.run_sequential`) must leave the rig —
+clock, stats, caches, head position, RNG stream — in the identical state
+the scalar issue loop produces; and the Figure 2 CSVs must be
+byte-identical with the closed form switched off.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import perf, vecphys
+from repro import vecphys
 from repro.acoustics.medium import WaterConditions
 from repro.core.attacker import AttackConfig
 from repro.core.coupling import AttackCoupling
@@ -81,17 +83,17 @@ def _closed_form(enabled: bool):
     Off replaces it with a stub that always declines, so the runs take
     the scalar issue loop with every other fast path unchanged.
     """
-    original = vecphys.run_sequential_static
-    if not enabled:
-        vecphys.run_sequential_static = lambda tester, job, result: None
-    try:
+    if enabled:
         yield
-    finally:
-        vecphys.run_sequential_static = original
+        return
+    with mock.patch.object(
+        HardDiskDrive, "run_sequential", lambda self, *args: None
+    ):
+        yield
 
 
-def test_public_surface_is_the_two_kernels():
-    assert vecphys.__all__ == ["fleet_surface", "run_sequential_static"]
+def test_public_surface_is_the_rack_kernel():
+    assert vecphys.__all__ == ["fleet_surface"]
 
 
 class TestKernelParity:
@@ -310,8 +312,8 @@ class TestClosedFormFio:
         degraded = VibrationInput(frequency_hz=650.0, displacement_m=3.4e-8)
         drive, tester = _rig()
         drive.set_vibration(degraded)
-        job = FioJob(mode=IOMode.SEQ_WRITE, runtime_s=0.2, name="degraded")
-        assert vecphys.run_sequential_static(tester, job, None) is None
+        assert drive.run_sequential(OpKind.WRITE, 0, 8, 1000, 0.2) is None
+        assert drive.clock.now == 0.0 and drive.stats.writes == 0
         self._compare(vibration=degraded)
 
     def test_stalled_point_falls_back_and_matches(self):
@@ -344,19 +346,23 @@ class TestClosedFormFio:
 
         with obs.session():
             drive, tester = _rig()
-            job = FioJob(mode=IOMode.SEQ_WRITE, runtime_s=0.1)
-            assert vecphys.run_sequential_static(tester, job, None) is None
+            assert drive.run_sequential(OpKind.WRITE, 0, 8, 1000, 0.1) is None
 
-    def test_baseline_mode_disables_closed_form(self):
-        with perf.perf_baseline():
-            drive, tester = _rig()
+    def test_schedule_disables_closed_form(self):
+        drive, tester = _rig()
+        drive.set_vibration_schedule(lambda t: None)
+        assert drive.run_sequential(OpKind.WRITE, 0, 8, 1000, 0.1) is None
         job = FioJob(mode=IOMode.SEQ_WRITE, runtime_s=0.1)
-        assert vecphys.run_sequential_static(tester, job, None) is None
         assert tester.run(job).completed_ops > 0
+
+    def test_stored_reads_disable_closed_form(self):
+        drive = HardDiskDrive(profile=BARRACUDA_500GB, rng=make_rng(7))
+        assert drive.run_sequential(OpKind.READ, 0, 8, 1000, 0.1) is None
+        assert drive.run_sequential(OpKind.WRITE, 0, 8, 1000, 0.1) is not None
 
 
 class TestExperimentParity:
-    """Whole-experiment byte identity against ``perf_baseline()``."""
+    """Whole-experiment byte identity with the closed form switched off."""
 
     FREQS = [300.0, 650.0, 1000.0, 2500.0]
 
@@ -368,22 +374,8 @@ class TestExperimentParity:
             return figure.to_csv("write") + figure.to_csv("read")
 
         fast = csvs()
-        with perf.perf_baseline():
+        with _closed_form(False):
             baseline = csvs()
-        assert fast == baseline
-
-    def test_ablation_rows_identical(self):
-        from repro.experiments.ablations import (
-            run_drive_type_ablation,
-            run_material_ablation,
-        )
-
-        def tables():
-            return run_material_ablation().render(), run_drive_type_ablation().render()
-
-        fast = tables()
-        with perf.perf_baseline():
-            baseline = tables()
         assert fast == baseline
 
     def test_batched_pool_map_matches_inline(self):

@@ -116,7 +116,6 @@ def self_test(stream=sys.stdout) -> int:
     *all* rules, so the corpus doubles as a false-positive regression net.
     """
     engine = Engine(root=_DEFAULT_ROOT)
-    engine._env_registry = frozenset()  # corpus is checked without a registry
     known_ids = {rule.id for rule in ALL_RULES}
     failures: List[str] = []
     snippets = sorted(CORPUS_DIR.glob("dc*_*.py"))

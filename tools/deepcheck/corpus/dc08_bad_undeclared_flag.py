@@ -1,4 +1,4 @@
-"""Corpus DC08 bad: a REPRO_* switch read without being declared."""
+"""Corpus DC08 bad: a REPRO_* environment switch read by the simulator."""
 
 import os
 

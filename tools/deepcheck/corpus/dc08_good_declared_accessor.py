@@ -1,7 +1,8 @@
-"""Corpus DC08 good: flags are consumed through the repro.perf accessors."""
+"""Corpus DC08 good: a behaviour switch is a declared parameter, not an env read."""
 
-from repro.perf import servo_cache_enabled
+import os
 
 
-def use_servo_cache() -> bool:
-    return servo_cache_enabled()
+def cache_root(cache_dir: str = "") -> str:
+    # Non-REPRO variables (the user's home) are not simulator switches.
+    return cache_dir or os.path.join(os.environ.get("HOME", "."), ".cache")

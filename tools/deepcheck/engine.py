@@ -86,7 +86,6 @@ class FileContext:
     relpath: str
     tree: ast.Module
     lines: Sequence[str]
-    env_registry: frozenset  # declared REPRO_* flags (see DC08)
 
     def snippet(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
@@ -139,37 +138,6 @@ def parse_suppressions(lines: Sequence[str]) -> Tuple[List[Suppression], List[Fi
     return directives, problems
 
 
-def _load_env_registry(root: Path) -> frozenset:
-    """Declared REPRO_* flags: the keys of ``ENV_FLAGS`` in repro.perf.
-
-    Parsed statically so deepcheck never imports the code under
-    analysis.  Missing file or registry → empty set (every REPRO_* read
-    is then a finding, which is the safe failure mode).
-    """
-    perf_path = root / "src" / "repro" / "perf.py"
-    try:
-        tree = ast.parse(perf_path.read_text(encoding="utf-8"))
-    except (OSError, SyntaxError):
-        return frozenset()
-    names: set = set()
-    for node in ast.walk(tree):
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if not any(
-            isinstance(t, ast.Name) and t.id == "ENV_FLAGS" for t in targets
-        ):
-            continue
-        if isinstance(value, ast.Dict):
-            for key in value.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    names.add(key.value)
-    return frozenset(names)
-
-
 @dataclass
 class RunResult:
     """The outcome of one engine run."""
@@ -202,15 +170,8 @@ class Engine:
             dropped = {r.upper() for r in ignore}
             chosen = [r for r in chosen if r.id not in dropped]
         self.rules = chosen
-        self._env_registry: Optional[frozenset] = None
 
     # -- helpers -----------------------------------------------------------
-
-    @property
-    def env_registry(self) -> frozenset:
-        if self._env_registry is None:
-            self._env_registry = _load_env_registry(self.root)
-        return self._env_registry
 
     def _iter_files(self, targets: Sequence[str]) -> Iterable[Path]:
         seen = set()
@@ -256,12 +217,7 @@ class Engine:
         except SyntaxError as exc:
             return [], 0, f"{relpath}:{exc.lineno}: syntax error: {exc.msg}"
         lines = source.splitlines()
-        ctx = FileContext(
-            relpath=relpath,
-            tree=tree,
-            lines=lines,
-            env_registry=self.env_registry,
-        )
+        ctx = FileContext(relpath=relpath, tree=tree, lines=lines)
         raw: List[Finding] = []
         for rule in self.rules:
             if rule.applies(relpath):
@@ -316,8 +272,6 @@ def check_source(
     unit tests use.
     """
     engine = Engine(root=root if root is not None else Path("."), select=select)
-    if root is None:
-        engine._env_registry = frozenset()  # corpus runs: no registry on disk
     findings, _suppressed, error = engine.check_source(source, relpath)
     if error is not None:
         raise SyntaxError(error)

@@ -598,18 +598,18 @@ class UnitSuffixSanity(Rule):
 
 
 # --------------------------------------------------------------------------
-# DC08 — REPRO_* flags must be declared in repro.perf
+# DC08 — no REPRO_* environment switches
 # --------------------------------------------------------------------------
 
 
-class FlagRegistry(Rule):
+class NoEnvFlags(Rule):
     id = "DC08"
-    name = "flag-registry"
+    name = "no-env-flags"
     rationale = (
-        "Every REPRO_* environment switch must be declared in "
-        "repro.perf.ENV_FLAGS with a description: the flags gate "
-        "bit-identity caches, so an undeclared read is an invisible knob "
-        "the before/after benchmark harness cannot exercise."
+        "The simulator has no environment switches: its input selects "
+        "every code path.  A REPRO_* environment read is a hidden knob "
+        "that makes one command behave differently on two machines and "
+        "keeps a second path alive that no golden exercises."
     )
 
     _READ_FUNCS = frozenset({"os.environ.get", "os.getenv"})
@@ -637,15 +637,14 @@ class FlagRegistry(Rule):
                         flag, site = node.slice.value, node
             if flag is None or site is None or not flag.startswith("REPRO_"):
                 continue
-            if flag not in ctx.env_registry:
-                yield _finding(
-                    ctx,
-                    self,
-                    site,
-                    f"env flag `{flag}` is read here but not declared in "
-                    "repro.perf.ENV_FLAGS — add it there with a one-line "
-                    "description",
-                )
+            yield _finding(
+                ctx,
+                self,
+                site,
+                f"env flag `{flag}` is read here — the simulator takes no "
+                "REPRO_* switches; pass the choice in as an explicit "
+                "parameter or delete the path it gates",
+            )
 
 
 ALL_RULES: Tuple[Rule, ...] = (
@@ -656,7 +655,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     ErrorTaxonomy(),
     FloatMergeOrder(),
     UnitSuffixSanity(),
-    FlagRegistry(),
+    NoEnvFlags(),
 )
 
 

@@ -13,11 +13,13 @@ linter enforcing determinism, clock, RNG, and telemetry discipline (see
 docs/STATIC_ANALYSIS.md).  Skip it with ``--no-deepcheck``.
 
 Stage 3 enforces docstrings on the simulation-engine surface: every
-public module, class, and function under ``src/repro/sim/`` and in
-``src/repro/core/fleet.py`` must carry one (the packages document a
-determinism-and-units contract per docs/SIMULATION.md, so an
-undocumented public name there is a contract hole, not a style nit).
-Skip it with ``--no-docstrings``.
+public module, class, and function under ``src/repro/sim/`` and
+``src/repro/hdd/``, and in ``src/repro/core/fleet.py`` and
+``src/repro/workloads/fio.py``, must carry one (these modules document
+a determinism-and-units contract per docs/SIMULATION.md — the drive's
+one command path and its closed form among them — so an undocumented
+public name there is a contract hole, not a style nit).  Skip it with
+``--no-docstrings``.
 
 The selected checker and its version are printed to stderr so CI logs
 are unambiguous about what actually gated.  Exit status is the worst of
@@ -40,7 +42,12 @@ TARGETS = ["src", "tests", "benchmarks", "tools", "examples"]
 #: Packages whose public surface must be fully docstring-covered.  These
 #: are the modules that carry the simulation determinism/units contract;
 #: see docs/SIMULATION.md and docs/FLEET.md.
-DOCSTRING_SCOPE = [Path("src") / "repro" / "sim", Path("src") / "repro" / "core" / "fleet.py"]
+DOCSTRING_SCOPE = [
+    Path("src") / "repro" / "sim",
+    Path("src") / "repro" / "hdd",
+    Path("src") / "repro" / "core" / "fleet.py",
+    Path("src") / "repro" / "workloads" / "fio.py",
+]
 
 #: Deepcheck's rule-violation corpus is linted by deepcheck's own
 #: self-test, not by the generic checkers (its snippets intentionally
