@@ -119,7 +119,6 @@ def test_ycsb_mixes_under_attack(benchmark, results_dir):
                 db = DB.open(
                     fs, "/db",
                     options=Options(wal_sync_every_bytes=64 * 1024),
-                    rng=rng.fork("db"),
                 )
                 runner = YcsbRunner(db, record_count=1000, rng=rng.fork("y"))
                 runner.load()

@@ -17,6 +17,7 @@ from repro.sim.clock import VirtualClock
 from repro.storage.block import BlockDevice
 from repro.storage.fs.filesystem import SimFS
 from repro.storage.kv.db import DB, Options
+from repro.workloads.db_bench import DbBench, DbBenchConfig
 from repro.workloads.fio import FioJob, FioTester, IOMode
 
 
@@ -149,7 +150,7 @@ def test_kv_put_get_rate(benchmark):
     drive = fresh_drive()
     fs = SimFS.mkfs(BlockDevice(drive))
     fs.mkdir("/db")
-    db = DB.open(fs, "/db", options=Options(write_buffer_size=256 * 1024), rng=make_rng(3))
+    db = DB.open(fs, "/db", options=Options(write_buffer_size=256 * 1024))
 
     counter = [0]
 
@@ -163,6 +164,23 @@ def test_kv_put_get_rate(benchmark):
 
     benchmark(run)
     assert db.stats.puts >= 2000
+
+
+def test_kv_flushed_get_rate(benchmark):
+    """Point reads of random known keys from a flushed table: the
+    memtable miss, bloom probe and one-block key search that dominate
+    the Table 3 victims."""
+    drive = fresh_drive()
+    fs = SimFS.mkfs(BlockDevice(drive))
+    fs.mkdir("/db")
+    db = DB.open(fs, "/db", options=Options())
+    bench = DbBench(db, DbBenchConfig(num_preload=5_000), rng=make_rng(5))
+    bench.fill_seq()
+    db.flush()
+
+    result = benchmark(bench.read_random, 2000)
+    assert result.reads == 2000
+    assert result.bytes_moved == 2000 * (16 + 64)  # every key found
 
 
 def test_coupling_chain_evaluation_rate(benchmark):

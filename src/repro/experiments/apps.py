@@ -166,7 +166,6 @@ class RocksDBVictim:
             fs=self.fs,
             dirpath="/db",
             options=Options(wal_sync_every_bytes=1 << 20),
-            rng=self.rng.fork("db"),
         )
         self.bench = DbBench(
             self.db,

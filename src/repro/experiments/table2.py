@@ -81,7 +81,7 @@ def _fresh_bench(seed: Optional[int], label: str, duration_s: float) -> Tuple[Ha
     device = BlockDevice(drive)
     fs = SimFS.mkfs(device, commit_interval_s=3600.0)
     fs.mkdir("/db")
-    db = DB.open(fs, "/db", options=Options(), rng=rng.fork("db"))
+    db = DB.open(fs, "/db", options=Options())
     bench = DbBench(
         db,
         DbBenchConfig(num_preload=5_000, duration_s=duration_s, seed_label=label),

@@ -2,13 +2,13 @@
 
 Implements the pieces the paper's RocksDB victim exercises: a CRC'd
 write-ahead log whose sync failure is fatal (the
-``sync_without_flush`` crash of Table 3), a skiplist memtable, bloom-
-filtered SSTables, a manifest/version set, and leveled compaction.
+``sync_without_flush`` crash of Table 3), a memtable of per-key version
+lists, bloom-filtered SSTables searched by key offsets, a
+manifest/version set, and leveled compaction.
 ``db_bench``-style workloads live in :mod:`repro.workloads.db_bench`.
 """
 
 from .bloom import BloomFilter
-from .skiplist import SkipList
 from .memtable import MemTable
 from .wal import WALReader, WALWriter
 from .sstable import SSTableBuilder, SSTableReader
@@ -18,7 +18,6 @@ from .db import DB, Options, Snapshot, WriteBatch
 
 __all__ = [
     "BloomFilter",
-    "SkipList",
     "MemTable",
     "WALWriter",
     "WALReader",

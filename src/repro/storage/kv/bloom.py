@@ -58,19 +58,23 @@ class BloomFilter:
             bloom.add(key)
         return bloom
 
-    def _positions(self, key: bytes) -> Iterable[int]:
-        h1, h2 = _hash_pair(key)
-        for i in range(self.num_probes):
-            yield (h1 + i * h2) % self.num_bits
-
     def add(self, key: bytes) -> None:
-        """Insert ``key``."""
-        for pos in self._positions(key):
-            self.bits[pos >> 3] |= 1 << (pos & 7)
+        """Insert ``key``: set bit ``(h1 + i*h2) % num_bits`` per probe."""
+        h1, h2 = _hash_pair(key)
+        bits, num_bits = self.bits, self.num_bits
+        for i in range(self.num_probes):
+            pos = (h1 + i * h2) % num_bits
+            bits[pos >> 3] |= 1 << (pos & 7)
 
     def may_contain(self, key: bytes) -> bool:
         """False means definitely absent; True means probably present."""
-        return all(self.bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(key))
+        h1, h2 = _hash_pair(key)
+        bits, num_bits = self.bits, self.num_bits
+        for i in range(self.num_probes):
+            pos = (h1 + i * h2) % num_bits
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                return False
+        return True
 
     def fill_ratio(self) -> float:
         """Fraction of set bits (diagnostic)."""

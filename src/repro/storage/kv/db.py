@@ -24,7 +24,6 @@ from repro.errors import (
     WALSyncError,
 )
 from repro.obs import telemetry as obs
-from repro.rng import ReproRandom, make_rng
 from repro.storage.fs.filesystem import SimFS
 
 from .compaction import Compactor
@@ -141,17 +140,10 @@ class DBStats:
 class DB:
     """A single-process LSM database on the simulated filesystem."""
 
-    def __init__(
-        self,
-        fs: SimFS,
-        dirpath: str,
-        options: Optional[Options] = None,
-        rng: Optional[ReproRandom] = None,
-    ) -> None:
+    def __init__(self, fs: SimFS, dirpath: str, options: Optional[Options] = None) -> None:
         self.fs = fs
         self.dirpath = dirpath.rstrip("/")
         self.options = options if options is not None else Options()
-        self.rng = rng if rng is not None else make_rng().fork("kvdb")
         self.versions = VersionSet(fs, self.dirpath)
         self.readers: Dict[int, SSTableReader] = {}
         self._live_snapshots: "set[int]" = set()
@@ -163,9 +155,11 @@ class DB:
             level_base_bytes=self.options.level_base_bytes,
             level_multiplier=self.options.level_multiplier,
             target_file_bytes=self.options.target_file_bytes,
-            live_snapshots=lambda: list(self._live_snapshots),
+            # A bound method of the set, not a closure over ``self``:
+            # the compactor must not keep the database alive.
+            live_snapshots=self._live_snapshots.copy,
         )
-        self.memtable = MemTable(self.rng.fork("memtable"))
+        self.memtable = MemTable()
         self.wal: Optional[WALWriter] = None
         self.stats = DBStats()
         self.closed = False
@@ -175,15 +169,9 @@ class DB:
     # -- lifecycle ------------------------------------------------------------
 
     @classmethod
-    def open(
-        cls,
-        fs: SimFS,
-        dirpath: str,
-        options: Optional[Options] = None,
-        rng: Optional[ReproRandom] = None,
-    ) -> "DB":
+    def open(cls, fs: SimFS, dirpath: str, options: Optional[Options] = None) -> "DB":
         """Open (or create) the database at ``dirpath``."""
-        db = cls(fs, dirpath, options, rng)
+        db = cls(fs, dirpath, options)
         if fs.exists(db.versions.current_path):
             db._recover()
         else:
@@ -334,7 +322,7 @@ class DB:
             self.fs, self.versions.table_path(number), blob=builder.final_blob
         )
         self.versions.log_and_apply(VersionEdit(added=[meta]))
-        self.memtable = MemTable(self.rng.fork(f"memtable/{number}"))
+        self.memtable = MemTable()
         self._rotate_wal()
         self.stats.flushes += 1
         if tel is not None:

@@ -1,62 +1,40 @@
-"""The memtable: an in-memory sorted buffer of recent writes.
+"""The memtable: an in-memory buffer of recent writes.
 
 Entries carry a sequence number and a kind (value or tombstone), like
 RocksDB's internal keys; lookups return the newest entry at or below
-the read snapshot.  The memtable key encodes ``user_key`` ascending and
-sequence *descending* so that a single forward scan finds the newest
-visible entry first.
+the read snapshot.  Each user key maps to its versions, oldest first,
+so a point lookup is one dict probe and a write at a new sequence is an
+append.  Sorted order is only needed when the table is flushed:
+:meth:`MemTable.iterate` sorts the user keys once and yields each key's
+versions newest first, the order SSTables store.  Raw ``bytes``
+ordering of user keys is exact for arbitrary keys, NUL bytes included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.rng import ReproRandom
 
-from .skiplist import SkipList
-
-__all__ = ["EntryKind", "MemTable", "VALUE", "TOMBSTONE"]
+__all__ = ["MemTable", "VALUE", "TOMBSTONE"]
 
 VALUE = 0
 TOMBSTONE = 1
 
 _MAX_SEQ = (1 << 56) - 1
 
-
-def encode_internal_key(user_key: bytes, sequence: int) -> bytes:
-    """Escaped user_key, terminator, then (max_seq - seq) big-endian.
-
-    Raw-bytes comparison of the result must order by (user_key
-    ascending, sequence descending).  A bare separator is not enough:
-    with user keys that contain NUL (``b"\\x00"`` vs ``b"\\x00\\x00"``)
-    the comparison runs into the sequence bytes and inverts the order.
-    Escaping NUL as ``00 01`` and terminating with ``00 00`` keeps the
-    key section prefix-free, so ordering (and decoding) is exact for
-    arbitrary byte keys.
-    """
-    if not 0 <= sequence <= _MAX_SEQ:
-        raise ConfigurationError(f"sequence out of range: {sequence}")
-    escaped = user_key.replace(b"\x00", b"\x00\x01")
-    return escaped + b"\x00\x00" + (_MAX_SEQ - sequence).to_bytes(7, "big")
-
-
-def decode_internal_key(internal_key: bytes) -> Tuple[bytes, int]:
-    """Inverse of :func:`encode_internal_key`."""
-    if len(internal_key) < 9 or internal_key[-9:-7] != b"\x00\x00":
-        raise ConfigurationError("malformed internal key")
-    user_key = internal_key[:-9].replace(b"\x00\x01", b"\x00")
-    sequence = _MAX_SEQ - int.from_bytes(internal_key[-7:], "big")
-    return user_key, sequence
+#: One version of a key: (sequence, kind, value).
+_Version = Tuple[int, int, bytes]
 
 
 class MemTable:
-    """A skiplist of internal keys with byte-size accounting."""
+    """Per-key version lists with byte-size accounting."""
 
-    def __init__(self, rng: Optional[ReproRandom] = None) -> None:
-        self._list = SkipList(rng)
+    def __init__(self) -> None:
+        self._versions: Dict[bytes, List[_Version]] = {}
         self._bytes = 0
+        self._pairs = 0
         self.entries = 0
 
     @property
@@ -65,11 +43,33 @@ class MemTable:
         return self._bytes
 
     def add(self, sequence: int, kind: int, user_key: bytes, value: bytes = b"") -> None:
-        """Record a put (kind=VALUE) or delete (kind=TOMBSTONE)."""
+        """Record a put (kind=VALUE) or delete (kind=TOMBSTONE).
+
+        Re-adding an existing ``(user_key, sequence)`` pair replaces
+        its entry.
+        """
         if kind not in (VALUE, TOMBSTONE):
             raise ConfigurationError(f"unknown entry kind: {kind}")
-        internal = encode_internal_key(user_key, sequence)
-        self._list.insert(internal, (kind, value))
+        if not 0 <= sequence <= _MAX_SEQ:
+            raise ConfigurationError(f"sequence out of range: {sequence}")
+        if not isinstance(user_key, bytes):
+            raise ConfigurationError(f"keys must be bytes, got {type(user_key).__name__}")
+        entry = (sequence, kind, value)
+        versions = self._versions.get(user_key)
+        if versions is None:
+            self._versions[user_key] = [entry]
+            self._pairs += 1
+        elif sequence > versions[-1][0]:
+            versions.append(entry)
+            self._pairs += 1
+        else:
+            # ``(sequence,)`` sorts before every entry with that sequence.
+            index = bisect_left(versions, (sequence,))
+            if versions[index][0] == sequence:
+                versions[index] = entry
+            else:
+                versions.insert(index, entry)
+                self._pairs += 1
         self._bytes += len(user_key) + len(value) + 16
         self.entries += 1
 
@@ -79,20 +79,21 @@ class MemTable:
         ``None`` means the key is unknown here (check older tables);
         a TOMBSTONE result means it is known deleted.
         """
-        seq_limit = _MAX_SEQ if snapshot is None else snapshot
-        probe = encode_internal_key(user_key, seq_limit)
-        for internal, payload in self._list.items_from(probe):
-            found_key, _ = decode_internal_key(internal)
-            if found_key != user_key:
-                return None
-            return payload  # first hit is the newest visible
+        versions = self._versions.get(user_key)
+        if versions is None:
+            return None
+        for sequence, kind, value in reversed(versions):
+            if snapshot is None or sequence <= snapshot:
+                return kind, value
         return None
 
     def __len__(self) -> int:
-        return len(self._list)
+        """Distinct ``(user_key, sequence)`` pairs held."""
+        return self._pairs
 
     def iterate(self) -> Iterator[Tuple[bytes, int, int, bytes]]:
-        """Yield (user_key, sequence, kind, value), newest-first per key."""
-        for internal, (kind, value) in self._list.items():
-            user_key, sequence = decode_internal_key(internal)
-            yield user_key, sequence, kind, value
+        """Yield (user_key, sequence, kind, value): keys ascending,
+        newest-first per key."""
+        for user_key in sorted(self._versions):
+            for sequence, kind, value in self._versions[user_key][::-1]:
+                yield user_key, sequence, kind, value

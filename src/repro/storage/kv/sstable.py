@@ -11,8 +11,14 @@ On-disk layout (all little-endian)::
                     bloom_len, entries, smallest, largest, crc} padded
                     into the final 512 bytes, preceded by magic
 
-Readers binary-search the block index, scan one block, and consult the
-bloom filter first for point lookups.
+Point lookups check the key range and the bloom filter, bisect the
+block first keys, then binary-search the raw key bytes of one block
+(stepping into the next block only while it starts with the same key).
+The search runs over two ``array('I')`` columns per block holding each
+entry's key start and key end offsets into the data section.  They are
+built the first time a lookup lands in a block, cost 8 bytes per entry
+of a touched block, and never decode an entry: only the matching
+entries' sequence, kind and value are read.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, CorruptionError
@@ -32,6 +39,8 @@ from .memtable import TOMBSTONE, VALUE
 __all__ = ["SSTableBuilder", "SSTableReader"]
 
 _ENTRY = struct.Struct("<II")
+#: Entry header: lengths, then 7 sequence bytes and the kind byte.
+_HEADER = _ENTRY.size + 8
 _MAGIC = b"reproSST1"
 _FOOTER_SIZE = 512
 _TARGET_BLOCK = 4096
@@ -161,28 +170,30 @@ class SSTableReader:
             raise CorruptionError(f"{path}: body CRC mismatch")
         self._data = body[: footer["data_len"]]
         index_raw = body[footer["index_off"] : footer["index_off"] + footer["index_len"]]
-        self._index = [
-            (bytes.fromhex(first), off, length)
-            for first, off, length in json.loads(index_raw.decode())
-        ]
+        index = json.loads(index_raw.decode())
+        self._firsts = [bytes.fromhex(first) for first, _, _ in index]
+        self._blocks = [(off, off + length) for _, off, length in index]
+        self._key_offsets: List[Optional[Tuple[array, array]]] = [None] * len(index)
         bloom_raw = body[footer["bloom_off"] : footer["bloom_off"] + footer["bloom_len"]]
         self._bloom = BloomFilter.from_bytes(bloom_raw)
         self.entries = int(footer["entries"])
         self.smallest = bytes.fromhex(footer["smallest"])
         self.largest = bytes.fromhex(footer["largest"])
 
-    def _block_for(self, key: bytes) -> Optional[Tuple[int, int]]:
-        lo, hi = 0, len(self._index) - 1
-        best: Optional[Tuple[int, int]] = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            first, off, length = self._index[mid]
-            if first <= key:
-                best = (off, length)
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return best
+    def _index_block(self, block: int) -> Tuple[array, array]:
+        """Build and keep the key start/end offsets of ``block``'s entries."""
+        starts, ends = array("I"), array("I")
+        data = self._data
+        offset, end = self._blocks[block]
+        while offset < end:
+            klen, vlen = _ENTRY.unpack_from(data, offset)
+            offset += _HEADER
+            starts.append(offset)
+            offset += klen
+            ends.append(offset)
+            offset += vlen
+        offsets = self._key_offsets[block] = (starts, ends)
+        return offsets
 
     def get(self, key: bytes, snapshot: Optional[int] = None) -> Optional[Tuple[int, int, bytes]]:
         """Newest (sequence, kind, value) for ``key`` visible at snapshot."""
@@ -190,23 +201,35 @@ class SSTableReader:
             return None
         if not self._bloom.may_contain(key):
             return None
-        block = self._block_for(key)
-        if block is None:
-            return None
-        offset, length = block
-        end = offset + length
+        data = self._data
+        firsts = self._firsts
+        # The block before the first one starting at ``key`` may end
+        # with ``key``'s newest versions.
+        block = max(bisect_left(firsts, key) - 1, 0)
         best: Optional[Tuple[int, int, bytes]] = None
-        while offset < end:
-            entry_key, sequence, kind, value, offset = _decode_entry(self._data, offset)
-            if entry_key != key:
-                if entry_key > key:
-                    break
-                continue
-            if snapshot is not None and sequence > snapshot:
-                continue
-            if best is None or sequence > best[0]:
-                best = (sequence, kind, value)
-        return best
+        while True:
+            offsets = self._key_offsets[block]
+            starts, ends = offsets if offsets is not None else self._index_block(block)
+            lo, hi = 0, len(starts)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if data[starts[mid] : ends[mid]] < key:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            while lo < len(starts) and data[starts[lo] : ends[lo]] == key:
+                start = starts[lo]
+                sequence = int.from_bytes(data[start - 8 : start - 1], "little")
+                if (snapshot is None or sequence <= snapshot) and (
+                    best is None or sequence > best[0]
+                ):
+                    end = ends[lo]
+                    vlen = _ENTRY.unpack_from(data, start - _HEADER)[1]
+                    best = (sequence, data[start - 1], data[end : end + vlen])
+                lo += 1
+            block += 1
+            if block == len(firsts) or firsts[block] != key:
+                return best
 
     def iterate(self) -> Iterator[Tuple[bytes, int, int, bytes]]:
         """All entries in key order."""

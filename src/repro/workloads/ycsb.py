@@ -321,9 +321,7 @@ def run_service_attack(
     from repro.storage.kv.db import Options
 
     fs = SimFS.mkfs(BlockDevice(drive))
-    db = DB.open(
-        fs, "/service", options=Options(sync_writes=sync_writes), rng=rng.fork("db")
-    )
+    db = DB.open(fs, "/service", options=Options(sync_writes=sync_writes))
     runner = YcsbRunner(
         db, record_count=record_count, value_size=value_size, rng=rng.fork("ycsb")
     )

@@ -46,10 +46,10 @@ def fs(device):
 
 
 @pytest.fixture
-def db(fs, rng):
+def db(fs):
     """An open key-value store on the filesystem."""
     fs.mkdir("/db")
-    return DB.open(fs, "/db", options=Options(), rng=rng.fork("db"))
+    return DB.open(fs, "/db", options=Options())
 
 
 @pytest.fixture

@@ -125,7 +125,7 @@ class TestKVRangeAndProperties:
         assert [k for k, _ in db.range_scan()] == [b"a", b"b", b"c"]
         assert [k for k, _ in db.range_scan(start=b"b")] == [b"b", b"c"]
 
-    def test_compact_range_flattens_l0(self, fs, rng):
+    def test_compact_range_flattens_l0(self, fs):
         from repro.storage.kv.db import DB, Options
 
         fs.mkdir("/cr")
@@ -133,7 +133,6 @@ class TestKVRangeAndProperties:
             fs,
             "/cr",
             options=Options(write_buffer_size=8 * 1024, l0_compaction_trigger=100),
-            rng=rng.fork("cr"),
         )
         for i in range(600):
             db.put(f"k{i % 100:04d}".encode(), b"x" * 56)

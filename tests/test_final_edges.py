@@ -8,10 +8,10 @@ from repro.storage.kv.db import DB, Options, Snapshot
 
 
 class TestMultipleSnapshots:
-    def test_two_pinned_generations_survive_churn(self, fs, rng):
+    def test_two_pinned_generations_survive_churn(self, fs):
         fs.mkdir("/multi")
         options = Options(write_buffer_size=8 * 1024, l0_compaction_trigger=2)
-        db = DB.open(fs, "/multi", options=options, rng=rng.fork("m"))
+        db = DB.open(fs, "/multi", options=options)
         key = b"versioned"
         db.put(key, b"gen1")
         snap1 = db.snapshot()
@@ -26,10 +26,10 @@ class TestMultipleSnapshots:
         assert db.get(key, snapshot=snap2) == b"gen2"
         assert db.get(key) == b"gen2"
 
-    def test_release_allows_reclaim_on_next_compaction(self, fs, rng):
+    def test_release_allows_reclaim_on_next_compaction(self, fs):
         fs.mkdir("/rel")
         options = Options(write_buffer_size=4 * 1024, l0_compaction_trigger=2)
-        db = DB.open(fs, "/rel", options=options, rng=rng.fork("r"))
+        db = DB.open(fs, "/rel", options=options)
         db.put(b"k", b"old")
         snap = db.snapshot()
         db.put(b"k", b"new")

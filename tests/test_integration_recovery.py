@@ -68,7 +68,7 @@ class TestFilesystemRecoveryArc:
     def test_database_recovery_after_wal_death(self):
         drive, device, fs = build_stack(commit_interval=3600.0)
         fs.mkdir("/db")
-        db = DB.open(fs, "/db", options=Options(), rng=make_rng(1).fork("db"))
+        db = DB.open(fs, "/db", options=Options())
         coupling = AttackCoupling.paper_setup()
 
         for i in range(200):
@@ -83,7 +83,7 @@ class TestFilesystemRecoveryArc:
 
         # Operator silences the speaker and reopens the store.
         coupling.apply(drive, None)
-        reopened = DB.open(fs, "/db", rng=make_rng(1).fork("db2"))
+        reopened = DB.open(fs, "/db")
         for i in range(200):
             assert reopened.get(f"key-{i:04d}".encode()) == f"value-{i}".encode()
         # The writes the WAL never persisted are gone — and that is the

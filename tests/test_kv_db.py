@@ -1,5 +1,9 @@
 """The LSM database: API, flush/compaction, recovery, crash semantics."""
 
+import gc
+import hashlib
+import weakref
+
 import pytest
 
 from repro.errors import (
@@ -7,7 +11,11 @@ from repro.errors import (
     DatabaseClosed,
     WALSyncError,
 )
+from repro.hdd.drive import HardDiskDrive
 from repro.hdd.servo import VibrationInput
+from repro.rng import make_rng
+from repro.sim.clock import VirtualClock
+from repro.storage.block import BlockDevice
 from repro.storage.fs.filesystem import SimFS
 from repro.storage.kv.db import DB, Options, WriteBatch
 from repro.storage.kv.version import VersionEdit, VersionSet, FileMetadata
@@ -97,23 +105,75 @@ class TestFlushAndCompaction:
         for i, key in enumerate(keys):
             assert db.get(key) == bytes([i])
 
-    def test_automatic_flush_at_write_buffer(self, fs, rng):
+    def test_newest_version_read_across_block_boundary(self, db):
+        """Regression: when a key's newest version closed one SSTable
+        block and an older version opened the next, the lookup jumped
+        to the later block and returned the older value."""
+        for i in range(33):
+            db.put(b"a%04d" % i, b"v" * 100)
+        db.put(b"a0033", b"p" * 74)  # block 0 now holds 4088 bytes
+        db.put(b"k", b"old")
+        db.put(b"k", b"new")
+        db.flush()
+        assert db.get(b"k") == b"new"
+
+    def test_flushed_table_bytes_are_pinned(self, db):
+        """Golden lock on the memtable's byte accounting, the flush
+        order (key ascending, newest first) and the SSTable bytes,
+        bloom bits included."""
+        for i in range(300):
+            key = b"k%03d" % ((i * 37) % 120)
+            if i % 11 == 5:
+                db.delete(key)
+            else:
+                db.put(key, bytes([i % 251]) * (i % 90))
+        for key in (b"\x00", b"\x00\x00", b"a\x00b"):
+            db.put(key, key * 3)
+        assert (db.memtable.approximate_bytes, len(db.memtable)) == (17406, 303)
+        meta = db.flush()
+        blob = db.fs.read_file(db.versions.table_path(meta.number))
+        assert hashlib.sha256(blob).hexdigest() == (
+            "e3bee1e302c75b4a7df0b4a6d79538744ef83755e1974df58c353334f7dbf9df"
+        )
+
+    def test_finished_stack_freed_without_cycle_collector(self):
+        """Dropping the last reference to a database frees the whole
+        stack by reference counting alone, down to the drive."""
+        gc.collect()
+        gc.disable()
+        try:
+            drive = HardDiskDrive(clock=VirtualClock(), rng=make_rng(7))
+            fs = SimFS.mkfs(BlockDevice(drive), journal_blocks=64, inode_table_blocks=64)
+            fs.mkdir("/db")
+            db = DB.open(fs, "/db", options=Options(write_buffer_size=4096))
+            for i in range(200):
+                db.put(b"key-%04d" % i, b"v" * 64)
+            assert db.stats.flushes > 0 and db.readers
+            assert db.compactor.compactions_run > 0
+            db_ref, drive_ref = weakref.ref(db), weakref.ref(drive)
+            del db, fs, drive
+            assert db_ref() is None
+            assert drive_ref() is None
+        finally:
+            gc.enable()
+
+    def test_automatic_flush_at_write_buffer(self, fs):
         fs.mkdir("/small")
         options = Options(write_buffer_size=16 * 1024)
-        db = DB.open(fs, "/small", options=options, rng=rng.fork("small"))
+        db = DB.open(fs, "/small", options=options)
         for i in range(400):
             db.put(f"k{i:04d}".encode(), b"x" * 64)
         assert db.stats.flushes >= 1
         assert db.get(b"k0000") == b"x" * 64
 
-    def test_compaction_triggers_and_preserves_data(self, fs, rng):
+    def test_compaction_triggers_and_preserves_data(self, fs):
         fs.mkdir("/c")
         options = Options(
             write_buffer_size=8 * 1024,
             l0_compaction_trigger=2,
             target_file_bytes=16 * 1024,
         )
-        db = DB.open(fs, "/c", options=options, rng=rng.fork("c"))
+        db = DB.open(fs, "/c", options=options)
         for i in range(600):
             db.put(f"k{i % 150:04d}".encode(), f"gen-{i}".encode() + b"x" * 48)
         assert db.compactor.compactions_run >= 1
@@ -122,10 +182,10 @@ class TestFlushAndCompaction:
             value = db.get(f"k{i:04d}".encode())
             assert value is not None and value.startswith(b"gen-")
 
-    def test_compaction_drops_fully_deleted_keys(self, fs, rng):
+    def test_compaction_drops_fully_deleted_keys(self, fs):
         fs.mkdir("/d")
         options = Options(write_buffer_size=4 * 1024, l0_compaction_trigger=2)
-        db = DB.open(fs, "/d", options=options, rng=rng.fork("d"))
+        db = DB.open(fs, "/d", options=options)
         for i in range(50):
             db.put(f"k{i:03d}".encode(), b"v" * 40)
         db.flush()
@@ -146,33 +206,33 @@ class TestFlushAndCompaction:
 
 
 class TestRecovery:
-    def test_reopen_recovers_flushed_and_walled_state(self, fs, rng):
+    def test_reopen_recovers_flushed_and_walled_state(self, fs):
         fs.mkdir("/r")
-        db = DB.open(fs, "/r", rng=rng.fork("r1"))
+        db = DB.open(fs, "/r")
         for i in range(100):
             db.put(f"k{i:03d}".encode(), f"v{i}".encode())
         db.flush()
         db.put(b"unflushed", b"from-wal")
         db.wal.sync()
-        reopened = DB.open(fs, "/r", rng=rng.fork("r2"))
+        reopened = DB.open(fs, "/r")
         assert reopened.get(b"k050") == b"v50"
         assert reopened.get(b"unflushed") == b"from-wal"
 
-    def test_unsynced_writes_lost_on_recovery(self, fs, rng):
+    def test_unsynced_writes_lost_on_recovery(self, fs):
         fs.mkdir("/r")
-        db = DB.open(fs, "/r", rng=rng.fork("r1"))
+        db = DB.open(fs, "/r")
         db.put(b"durable", b"yes", sync=True)
         db.put(b"volatile", b"no")  # buffered in the WAL, never synced
-        reopened = DB.open(fs, "/r", rng=rng.fork("r2"))
+        reopened = DB.open(fs, "/r")
         assert reopened.get(b"durable") == b"yes"
         assert reopened.get(b"volatile") is None
 
-    def test_sequence_numbers_continue_after_recovery(self, fs, rng):
+    def test_sequence_numbers_continue_after_recovery(self, fs):
         fs.mkdir("/r")
-        db = DB.open(fs, "/r", rng=rng.fork("r1"))
+        db = DB.open(fs, "/r")
         db.put(b"a", b"1", sync=True)
         seq = db.versions.last_sequence
-        reopened = DB.open(fs, "/r", rng=rng.fork("r2"))
+        reopened = DB.open(fs, "/r")
         assert reopened.versions.last_sequence >= seq
         reopened.put(b"b", b"2")
         assert reopened.versions.last_sequence > seq

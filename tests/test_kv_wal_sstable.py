@@ -1,6 +1,8 @@
 """WAL and SSTable on-disk formats, including failure injection."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, CorruptionError, WALSyncError
 from repro.hdd.servo import VibrationInput
@@ -156,3 +158,55 @@ class TestSSTable:
         stall(device.drive)
         reader = SSTableReader(fs, "/cached.sst", blob=builder.final_blob)
         assert reader.get(b"k")[2] == b"v"
+
+
+def _brute_force_get(reader, key, snapshot):
+    """The newest visible version of ``key``, by scanning every entry."""
+    best = None
+    for entry_key, sequence, kind, value in reader.iterate():
+        if entry_key != key or (snapshot is not None and sequence > snapshot):
+            continue
+        if best is None or sequence > best[0]:
+            best = (sequence, kind, value)
+    return best
+
+
+@st.composite
+def _tables(draw):
+    """Five distinct keys, several versions each, with values large
+    enough that 4 KiB blocks split inside one key's versions."""
+    keys = sorted(draw(st.lists(st.binary(min_size=1, max_size=4), min_size=5,
+                                max_size=5, unique=True)))
+    sequences = iter(draw(st.permutations(range(1, 41))))
+    entries = []
+    for key in keys:
+        for _ in range(draw(st.integers(1, 8))):
+            kind = draw(st.sampled_from([VALUE, VALUE, TOMBSTONE]))
+            size = 0 if kind == TOMBSTONE else draw(st.integers(0, 900))
+            entries.append((key, next(sequences), kind, bytes([len(entries) % 251]) * size))
+    # Newest first within a key, as flushes and compactions write them.
+    entries.sort(key=lambda e: (e[0], -e[1]))
+    return keys, entries
+
+
+class TestSSTableModel:
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(table=_tables(), data=st.data())
+    def test_get_matches_a_full_scan(self, fs, table, data):
+        keys, entries = table
+        builder = SSTableBuilder(fs, "/model.sst")
+        for entry in entries:
+            builder.add(*entry)
+        builder.finish()
+        reader = SSTableReader(fs, "/model.sst", blob=builder.final_blob)
+        probes = keys + [key + b"\x00" for key in keys] + [b"", b"\xff" * 5]
+        snapshots = data.draw(st.lists(st.one_of(st.none(), st.integers(0, 42)),
+                                       min_size=1, max_size=6))
+        for snapshot in snapshots:
+            for key in probes:
+                assert reader.get(key, snapshot) == _brute_force_get(reader, key, snapshot)

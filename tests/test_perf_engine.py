@@ -289,7 +289,7 @@ class TestTelemetryOffIdentity:
                 profile=make_barracuda_profile(), clock=clock, rng=rng.fork("drive")
             )
             fs = SimFS.mkfs(BlockDevice(drive))
-            db = DB.open(fs, "/ycsb", rng=rng.fork("db"))
+            db = DB.open(fs, "/ycsb")
             runner = YcsbRunner(
                 db, record_count=300, value_size=64, rng=rng.fork("ycsb")
             )

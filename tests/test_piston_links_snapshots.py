@@ -129,10 +129,10 @@ class TestPinnedSnapshots:
         assert db.get(b"k", snapshot=snap) == b"v1"
         assert db.get(b"k") == b"v2"
 
-    def test_snapshot_survives_flush_and_compaction(self, fs, rng):
+    def test_snapshot_survives_flush_and_compaction(self, fs):
         fs.mkdir("/snap")
         options = Options(write_buffer_size=8 * 1024, l0_compaction_trigger=2)
-        db = DB.open(fs, "/snap", options=options, rng=rng.fork("snap"))
+        db = DB.open(fs, "/snap", options=options)
         for i in range(100):
             db.put(f"k{i:03d}".encode(), b"gen1-" + bytes([i]))
         snap = db.snapshot()
@@ -159,10 +159,10 @@ class TestPinnedSnapshots:
         db.put(b"b", b"2")
         assert list(db.iterator(snapshot=snap)) == [(b"a", b"1")]
 
-    def test_deletes_respect_snapshots_through_compaction(self, fs, rng):
+    def test_deletes_respect_snapshots_through_compaction(self, fs):
         fs.mkdir("/sd")
         options = Options(write_buffer_size=4 * 1024, l0_compaction_trigger=2)
-        db = DB.open(fs, "/sd", options=options, rng=rng.fork("sd"))
+        db = DB.open(fs, "/sd", options=options)
         for i in range(50):
             db.put(f"k{i:03d}".encode(), b"v" * 30)
         snap = db.snapshot()

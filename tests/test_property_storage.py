@@ -95,9 +95,7 @@ class TestDBModel:
     def test_db_matches_dict_with_flushes(self, ops):
         fs = fresh_fs()
         fs.mkdir("/db")
-        db = DB.open(
-            fs, "/db", options=Options(write_buffer_size=4 * 1024), rng=make_rng(11)
-        )
+        db = DB.open(fs, "/db", options=Options(write_buffer_size=4 * 1024))
         model = {}
         for index, (is_delete, key, value) in enumerate(ops):
             if is_delete:
@@ -121,7 +119,7 @@ class TestDBModel:
     def test_scan_returns_sorted_live_state(self, spec):
         fs = fresh_fs()
         fs.mkdir("/db")
-        db = DB.open(fs, "/db", rng=make_rng(12))
+        db = DB.open(fs, "/db")
         for key, value in spec.items():
             db.put(key, value)
         db.flush()
@@ -136,11 +134,11 @@ class TestDBModel:
         device = BlockDevice(drive)
         fs = SimFS.mkfs(device, journal_blocks=64, inode_table_blocks=64)
         fs.mkdir("/db")
-        db = DB.open(fs, "/db", rng=make_rng(14))
+        db = DB.open(fs, "/db")
         for key, value in spec.items():
             db.put(key, value)
         db.wal.sync()
         fs.sync()
-        reopened = DB.open(fs, "/db", rng=make_rng(15))
+        reopened = DB.open(fs, "/db")
         for key, value in spec.items():
             assert reopened.get(key) == value

@@ -3,10 +3,8 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.rng import make_rng
 from repro.storage.kv.bloom import BloomFilter
-from repro.storage.kv.memtable import VALUE, MemTable, decode_internal_key, encode_internal_key
-from repro.storage.kv.skiplist import SkipList
+from repro.storage.kv.memtable import TOMBSTONE, VALUE, MemTable
 from repro.storage.kv.db import WriteBatch
 
 keys = st.binary(min_size=1, max_size=24)
@@ -15,47 +13,6 @@ values = st.binary(max_size=48)
 _settings = settings(
     max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None
 )
-
-
-class TestSkipListModel:
-    @given(ops=st.lists(st.tuples(keys, values), max_size=120))
-    @_settings
-    def test_matches_dict_semantics(self, ops):
-        sl = SkipList(make_rng(1).fork("prop"))
-        model = {}
-        for key, value in ops:
-            sl.insert(key, value)
-            model[key] = value
-        assert len(sl) == len(model)
-        for key, value in model.items():
-            assert sl.get(key) == value
-        assert [k for k, _ in sl.items()] == sorted(model)
-
-    @given(
-        inserts=st.lists(keys, min_size=1, max_size=60, unique=True),
-        data=st.data(),
-    )
-    @_settings
-    def test_delete_removes_exactly_one_key(self, inserts, data):
-        sl = SkipList(make_rng(2).fork("prop"))
-        for key in inserts:
-            sl.insert(key, key)
-        victim = data.draw(st.sampled_from(inserts))
-        assert sl.delete(victim)
-        assert sl.get(victim) is None
-        survivors = sorted(k for k in inserts if k != victim)
-        assert [k for k, _ in sl.items()] == survivors
-
-    @given(st.lists(st.tuples(keys, values), max_size=80), keys)
-    @_settings
-    def test_items_from_respects_bound(self, ops, bound):
-        sl = SkipList(make_rng(3).fork("prop"))
-        for key, value in ops:
-            sl.insert(key, value)
-        tail = [k for k, _ in sl.items_from(bound)]
-        assert all(k >= bound for k in tail)
-        expected = sorted(k for k in {k for k, _ in ops} if k >= bound)
-        assert tail == expected
 
 
 class TestBloomModel:
@@ -76,28 +33,11 @@ class TestBloomModel:
         ]
 
 
-class TestInternalKeyModel:
-    @given(keys, st.integers(min_value=0, max_value=(1 << 56) - 1))
-    @_settings
-    def test_roundtrip(self, user_key, sequence):
-        assert decode_internal_key(encode_internal_key(user_key, sequence)) == (
-            user_key,
-            sequence,
-        )
-
-    @given(keys, st.integers(0, 1 << 40), st.integers(1, 1 << 20))
-    @_settings
-    def test_newer_sorts_before_older_same_key(self, user_key, sequence, delta):
-        newer = encode_internal_key(user_key, sequence + delta)
-        older = encode_internal_key(user_key, sequence)
-        assert newer < older
-
-
 class TestMemTableModel:
     @given(st.lists(st.tuples(keys, values), min_size=1, max_size=80))
     @_settings
     def test_latest_write_wins(self, ops):
-        table = MemTable(make_rng(4).fork("prop"))
+        table = MemTable()
         model = {}
         for sequence, (key, value) in enumerate(ops, start=1):
             table.add(sequence, VALUE, key, value)
@@ -108,7 +48,7 @@ class TestMemTableModel:
     @given(st.lists(st.tuples(keys, values), min_size=2, max_size=50))
     @_settings
     def test_snapshot_isolation(self, ops):
-        table = MemTable(make_rng(5).fork("prop"))
+        table = MemTable()
         half = len(ops) // 2
         model_at_snapshot = {}
         for sequence, (key, value) in enumerate(ops, start=1):
@@ -118,6 +58,44 @@ class TestMemTableModel:
         for key, value in model_at_snapshot.items():
             found = table.get(key, snapshot=half)
             assert found == (VALUE, value)
+
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from([b"a", b"a\x00", b"b", b"\x00", b""]),
+                st.integers(0, 40),
+                st.booleans(),
+                values,
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        snapshots=st.lists(st.one_of(st.none(), st.integers(-1, 45)), max_size=8),
+    )
+    @_settings
+    def test_matches_version_model(self, ops, snapshots):
+        """Repeated keys, out-of-order sequences and equal-sequence
+        replaces behave like a map from (key, sequence) to the last
+        entry written there."""
+        table = MemTable()
+        model = {}
+        added_bytes = 0
+        for key, sequence, is_delete, value in ops:
+            kind, value = (TOMBSTONE, b"") if is_delete else (VALUE, value)
+            table.add(sequence, kind, key, value)
+            model[(key, sequence)] = (kind, value)
+            added_bytes += len(key) + len(value) + 16
+        assert len(table) == len(model)
+        assert table.approximate_bytes == added_bytes
+        ordered = sorted(model, key=lambda pair: (pair[0], -pair[1]))
+        assert [(k, q, *model[(k, q)]) for k, q in ordered] == list(table.iterate())
+        for snapshot in snapshots + [None]:
+            for key in {k for k, _ in model}:
+                visible = [q for k, q in model if k == key and (snapshot is None or q <= snapshot)]
+                expected = model[(key, max(visible))] if visible else None
+                assert table.get(key, snapshot) == expected
+        assert table.get(b"never-written") is None
 
 
 class TestWriteBatchModel:

@@ -94,8 +94,7 @@ class TestYcsbRunner:
             drive = HardDiskDrive(clock=VirtualClock(), rng=rng.fork(f"d{name}"))
             fs = SimFS.mkfs(BlockDevice(drive), commit_interval_s=3600.0)
             fs.mkdir("/db")
-            db = DB.open(fs, "/db", options=Options(wal_sync_every_bytes=64 * 1024),
-                         rng=rng.fork(f"db{name}"))
+            db = DB.open(fs, "/db", options=Options(wal_sync_every_bytes=64 * 1024))
             runner = YcsbRunner(db, record_count=1000, rng=rng.fork(f"y{name}"))
             runner.load()
             coupling = AttackCoupling.paper_setup()

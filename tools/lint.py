@@ -13,13 +13,14 @@ linter enforcing determinism, clock, RNG, and telemetry discipline (see
 docs/STATIC_ANALYSIS.md).  Skip it with ``--no-deepcheck``.
 
 Stage 3 enforces docstrings on the simulation-engine surface: every
-public module, class, and function under ``src/repro/sim/`` and
-``src/repro/hdd/``, and in ``src/repro/core/fleet.py`` and
-``src/repro/workloads/fio.py``, must carry one (these modules document
-a determinism-and-units contract per docs/SIMULATION.md — the drive's
-one command path and its closed form among them — so an undocumented
-public name there is a contract hole, not a style nit).  Skip it with
-``--no-docstrings``.
+public module, class, and function under ``src/repro/sim/``,
+``src/repro/hdd/`` and ``src/repro/storage/kv/``, and in
+``src/repro/core/fleet.py``, ``src/repro/workloads/fio.py`` and
+``src/repro/workloads/db_bench.py``, must carry one (these modules
+document a determinism-and-units contract per docs/SIMULATION.md — the
+drive's one command path and its closed form, and the KV store's hot
+point-lookup path, among them — so an undocumented public name there
+is a contract hole, not a style nit).  Skip it with ``--no-docstrings``.
 
 The selected checker and its version are printed to stderr so CI logs
 are unambiguous about what actually gated.  Exit status is the worst of
@@ -45,8 +46,10 @@ TARGETS = ["src", "tests", "benchmarks", "tools", "examples"]
 DOCSTRING_SCOPE = [
     Path("src") / "repro" / "sim",
     Path("src") / "repro" / "hdd",
+    Path("src") / "repro" / "storage" / "kv",
     Path("src") / "repro" / "core" / "fleet.py",
     Path("src") / "repro" / "workloads" / "fio.py",
+    Path("src") / "repro" / "workloads" / "db_bench.py",
 ]
 
 #: Deepcheck's rule-violation corpus is linted by deepcheck's own
