@@ -31,10 +31,12 @@ docs-check: ## CI gate: fail if docs/CLI.md is stale
 bench:      ## paper-scale benchmarks (writes results/*.txt)
 	$(PYTHON) -m pytest -q benchmarks
 
-trace-smoke: ## tiny traced sweep + trace schema validation
+trace-smoke: ## tiny traced sweeps (both detail levels) + trace schema validation
 	$(PYTHON) -m repro.cli figure2 --runtime 0.2 --seed 7 \
 		--trace trace.json --metrics-out metrics.prom > /dev/null
-	$(PYTHON) tools/validate_trace.py trace.json
+	$(PYTHON) -m repro.cli figure2 --runtime 0.2 --seed 7 \
+		--trace-detail attempts --trace trace-attempts.json > /dev/null
+	$(PYTHON) tools/validate_trace.py trace.json trace-attempts.json
 
 dashboard-smoke: ## tiny attacked YCSB run + series/dashboard validation
 	$(PYTHON) -m repro.cli ycsb --warmup 1 --attack 1.5 --recovery 1 \

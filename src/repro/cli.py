@@ -381,7 +381,6 @@ def _cmd_table3(args: argparse.Namespace) -> int:
         from repro.obs import telemetry as obs_telemetry
 
         path = pathlib.Path(args.incident_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(result.incident_report(obs_telemetry.get()))
         print(f"incident report written to {path}", file=sys.stderr)
     return 0
@@ -656,7 +655,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     When any telemetry flag is given (``--trace``, ``--metrics-out``,
     table3's ``--incident-out``), the whole command runs under an
     installed :mod:`repro.obs` session and the requested artifacts are
-    written after the handler returns.  Without them nothing is
+    written after the handler returns; each artifact's parent directory
+    is created before the handler starts.  Without them nothing is
     installed and every component keeps its zero-overhead path.
 
     Invalid input (any :class:`repro.errors.ReproError`, e.g. a NaN or
@@ -674,6 +674,33 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
 
+def _prepare_artifact_dirs(paths: List[str]) -> None:
+    """Create each artifact's parent directory before the command runs.
+
+    A parent that cannot be created, or that exists but is not a
+    directory, is a :class:`~repro.errors.ConfigurationError` (exit 2)
+    rather than a traceback after a long run.
+    """
+    import pathlib
+
+    from repro.errors import ConfigurationError
+
+    for path in paths:
+        parent = pathlib.Path(path).parent
+        try:
+            parent.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:
+            raise ConfigurationError(
+                f"cannot write {path}: {parent} is not a directory"
+            ) from None
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot write {path}: {exc.strerror or exc}"
+            ) from None
+        if pathlib.Path(path).is_dir():
+            raise ConfigurationError(f"cannot write {path}: it is a directory")
+
+
 def _run(args: argparse.Namespace) -> int:
     """Run the parsed command, under telemetry when a flag asks for it."""
     handler = _run_with_abort_hint(_COMMANDS[args.command])
@@ -684,27 +711,25 @@ def _run(args: argparse.Namespace) -> int:
     series_path = getattr(args, "series_out", None)
     dashboard_path = getattr(args, "dashboard_out", None)
     slo_spec = getattr(args, "slo", None)
-    if (
-        trace_path is None
-        and metrics_path is None
-        and incident_path is None
-        and series_path is None
-        and dashboard_path is None
-        and slo_spec is None
-    ):
+    artifacts = [
+        path
+        for path in (trace_path, metrics_path, incident_path, series_path, dashboard_path)
+        if path is not None
+    ]
+    if not artifacts and slo_spec is None:
         return handler(args)
 
     from repro import obs
 
     objectives = obs.parse_slo(slo_spec) if slo_spec is not None else None
+    _prepare_artifact_dirs(artifacts)
     detail = getattr(args, "trace_detail", "commands")
     with obs.session(obs.Telemetry(tracer=obs.Tracer(detail=detail))) as tel:
         status = handler(args)
     if trace_path is not None:
-        obs.write_chrome_trace(tel.tracer, trace_path)
+        spans, events = obs.write_chrome_trace(tel.tracer, trace_path)
         print(
-            f"trace written to {trace_path} "
-            f"({len(tel.tracer.spans)} spans, {len(tel.tracer.events)} events)",
+            f"trace written to {trace_path} ({spans} spans, {events} events)",
             file=sys.stderr,
         )
     if metrics_path is not None:

@@ -86,32 +86,22 @@ class Tracer:
         # SpanRecord/EventRecord field order — appending a tuple is several
         # times cheaper than constructing a frozen dataclass per drive
         # command, which BENCH_PR6 measured as ~12x traced overhead.  The
-        # record views below materialize dataclasses on demand (and cache
-        # them: the buffers are append-only, so a length check suffices).
+        # record views below materialize dataclasses on each read; the
+        # Chrome exporter streams from the tuples and never builds them.
         self._spans: List[tuple] = []
         self._events: List[tuple] = []
-        self._span_view: Optional[List[SpanRecord]] = None
-        self._event_view: Optional[List[EventRecord]] = None
         self.dropped = 0
         self._track_stack: List[str] = []
 
     @property
     def spans(self) -> List[SpanRecord]:
-        """Completed spans as :class:`SpanRecord` objects (read-only view)."""
-        view = self._span_view
-        if view is None or len(view) != len(self._spans):
-            view = [SpanRecord(*row) for row in self._spans]
-            self._span_view = view
-        return view
+        """Completed spans as :class:`SpanRecord` objects (a fresh list)."""
+        return [SpanRecord(*row) for row in self._spans]
 
     @property
     def events(self) -> List[EventRecord]:
-        """Instant events as :class:`EventRecord` objects (read-only view)."""
-        view = self._event_view
-        if view is None or len(view) != len(self._events):
-            view = [EventRecord(*row) for row in self._events]
-            self._event_view = view
-        return view
+        """Instant events as :class:`EventRecord` objects (a fresh list)."""
+        return [EventRecord(*row) for row in self._events]
 
     # -- tracks --------------------------------------------------------------
 
@@ -279,27 +269,32 @@ class NullTracer:
     _NOOP_CM = None  # filled in below; one shared reusable context manager
 
     def record(self, *args, **kwargs) -> None:
-        pass
+        """Drop the span."""
 
     def instant(self, *args, **kwargs) -> None:
-        pass
+        """Drop the instant event."""
 
     def ingest_dmesg(self, buffer, track: str = "dmesg") -> int:
+        """Ingest nothing; returns 0."""
         return 0
 
     def snapshot(self) -> Dict[str, Any]:
+        """An empty :meth:`Tracer.snapshot`."""
         return {"spans": [], "events": [], "dropped": 0}
 
     def ingest(self, snapshot: Dict[str, Any], track_prefix: str = "") -> None:
-        pass
+        """Drop the snapshot's records."""
 
     def find_spans(self, name: str, track: Optional[str] = None) -> List[SpanRecord]:
+        """No spans are ever recorded: always ``[]``."""
         return []
 
     def track(self, name: str):
+        """A do-nothing context manager."""
         return _NOOP_CONTEXT
 
     def span(self, name: str, clock, category: str = "", args=None):
+        """A do-nothing context manager; ``clock`` is not read."""
         return _NOOP_CONTEXT
 
     def __len__(self) -> int:

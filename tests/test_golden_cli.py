@@ -4,7 +4,8 @@ Each command runs at small parameters through :func:`repro.cli.main`
 and its stdout digest must match the pinned value exactly, so any
 refactor of the physics, I/O or runtime layers that moves a single
 printed digit fails here.  ``table3`` is left out (seconds even at a
-short deadline); the end-to-end benchmark pins it.
+short deadline); the end-to-end benchmark pins it.  One traced command
+also pins the bytes of its Chrome trace file.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.cli import main
 
 FIGURE2 = ["figure2", "--runtime", "0.2", "--seed", "7"]
 FIGURE2_DIGEST = "236ce20444ab4c44437a5b92050883053f5c5a6d8bf0d9f3babc2f49ee14214d"
+YCSB = ["ycsb", "--warmup", "1", "--attack", "1.5", "--recovery", "1", "--records", "150"]
 
 GOLDENS = [
     (FIGURE2, FIGURE2_DIGEST),
@@ -53,10 +55,7 @@ GOLDENS = [
         ["fleet", "--racks", "2", "--towers", "5", "--duration", "12", "--rate", "40"],
         "3e7b2bab42d464d7be7cff10fbb707027afcd1b325fad96f6e93caa3791e1eb9",
     ),
-    (
-        ["ycsb", "--warmup", "1", "--attack", "1.5", "--recovery", "1", "--records", "150"],
-        "09820dad603d9cd118f3d5c8aef7c32c4d279d16ad6437d73882c071aaf14479",
-    ),
+    (YCSB, "09820dad603d9cd118f3d5c8aef7c32c4d279d16ad6437d73882c071aaf14479"),
     (
         ["smart", "--runtime", "0.5"],
         "ddcf80af9fddb535097400240981563c344d624b32aad8cf561ae22ff36cba0e",
@@ -71,3 +70,11 @@ def test_stdout_digest(argv, digest, capsys):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_trace_file_digest(tmp_path, capsys):
+    # The file, not stdout: a traced ycsb also prints its series lines.
+    path = tmp_path / "trace.json"
+    assert main(YCSB + ["--trace", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "8cdcb1a92a100535e94d3fbf52e3b7be6c095f03d25d8471644f7df0c8b18f6d"

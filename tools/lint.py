@@ -50,6 +50,8 @@ DOCSTRING_SCOPE = [
     Path("src") / "repro" / "core" / "fleet.py",
     Path("src") / "repro" / "workloads" / "fio.py",
     Path("src") / "repro" / "workloads" / "db_bench.py",
+    Path("src") / "repro" / "obs" / "trace.py",
+    Path("src") / "repro" / "obs" / "exporters.py",
 ]
 
 #: Deepcheck's rule-violation corpus is linted by deepcheck's own
