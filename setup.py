@@ -21,7 +21,7 @@ setup(
     python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy"],
+    install_requires=[],
     extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
     entry_points={"console_scripts": ["deepnote = repro.cli:main"]},
 )

@@ -22,7 +22,6 @@ from .spl import (
 from .signals import CompositeSignal, FrequencySweep, Silence, SineTone, Signal
 from .source import Amplifier, SignalChain, UnderwaterSpeaker
 from .propagation import PropagationModel, TankModel, spherical_spreading_db
-from .spectrum import Spectrum, analyze, dominant_tone
 from .ambient import AmbientNoise
 from .arrays import SpeakerArray
 from .piston import CircularPiston
@@ -55,9 +54,6 @@ __all__ = [
     "PropagationModel",
     "TankModel",
     "spherical_spreading_db",
-    "Spectrum",
-    "analyze",
-    "dominant_tone",
     "AmbientNoise",
     "SpeakerArray",
     "CircularPiston",

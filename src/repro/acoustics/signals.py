@@ -4,18 +4,17 @@ The paper drives its underwater speaker with sine waves produced by GNU
 Radio on a laptop.  This module is the equivalent software source: pure
 tones, linear/logarithmic frequency sweeps (the paper sweeps 100 Hz to
 16.9 kHz, narrowing to 50 Hz steps near vulnerable bands), and composite
-multi-tone signals.  Signals can be sampled to numpy arrays for
-inspection and report their instantaneous frequency/amplitude for the
-coupling model.
+multi-tone signals.  Signals can be sampled to flat ``array('d')``
+buffers for inspection and report their instantaneous
+frequency/amplitude for the coupling model.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError, UnitError
 
@@ -47,22 +46,26 @@ class Signal:
         """Relative amplitude envelope in [0, 1] at time ``t``."""
         raise NotImplementedError
 
-    def sample(self, sample_rate_hz: float, duration: "float | None" = None) -> np.ndarray:
-        """Render the waveform to a numpy array at ``sample_rate_hz``.
+    def sample(self, sample_rate_hz: float, duration: "float | None" = None) -> array:
+        """Render the waveform to an ``array('d')`` at ``sample_rate_hz``.
 
         Uses phase accumulation so sweeps are continuous in phase.
+        ``duration`` defaults to the signal's own, so an endless tone
+        needs an explicit one.
         """
-        if sample_rate_hz <= 0.0:
-            raise UnitError(f"sample rate must be positive: {sample_rate_hz}")
+        if not 0.0 < sample_rate_hz < math.inf:  # also rejects NaN
+            raise UnitError(f"sample rate must be positive and finite: {sample_rate_hz}")
         total = self.duration if duration is None else duration
+        if not 0.0 < total < math.inf:
+            raise UnitError(f"sample duration must be positive and finite: {total}")
         n = max(1, int(round(total * sample_rate_hz)))
         dt = 1.0 / sample_rate_hz
-        out = np.empty(n, dtype=np.float64)
+        out = array("d")
         phase = 0.0
         for i in range(n):
             t = i * dt
             freq = self.frequency_at(t)
-            out[i] = self.envelope_at(t) * math.sin(phase)
+            out.append(self.envelope_at(t) * math.sin(phase))
             phase += 2.0 * math.pi * freq * dt
         return out
 

@@ -9,6 +9,7 @@ the rows of Table 3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Protocol, runtime_checkable
 
@@ -120,8 +121,8 @@ class AvailabilityMonitor:
         the health timeline / metrics when attached) — "survived" and
         "ran out of budget" are different findings.
         """
-        if not deadline_s > 0.0:  # also rejects NaN
-            raise ConfigurationError(f"deadline must be positive: {deadline_s}")
+        if not 0.0 < deadline_s < math.inf:  # also rejects NaN
+            raise ConfigurationError(f"deadline must be positive and finite: {deadline_s}")
         tel = self._obs
         tracer = tel.tracer if tel is not None else NULL_TRACER
         start = self.clock.now

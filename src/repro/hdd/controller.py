@@ -18,16 +18,15 @@ vibration is evaluated once per vibration state; a time-varying one
 (a ``resample`` callback) is re-sampled before every attempt.
 :meth:`DriveController.run_sequential` is the closed form of a healthy
 sequential run of commands: with every attempt certain to succeed, the
-per-command walk is an arithmetic series that one ``cumsum`` reproduces
-bit for bit.
+per-command walk is an arithmetic series that one left-to-right pass
+over the completion times reproduces bit for bit, with no RNG draws.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError, DriveTimeout, MediumError
 from repro.obs import telemetry as obs
@@ -39,9 +38,9 @@ from .servo import OpKind, VibrationInput
 
 __all__ = ["RetryPolicy", "IOResult", "DriveController"]
 
-#: Backstop for the closed-form command-count search: a healthy FIO run
-#: is a few thousand commands; anything needing more slots than this is
-#: a pathological (runtime, service-time) pair better issued one by one.
+#: Backstop for the closed-form walk: a healthy FIO run is tens of
+#: thousands of commands; a walk longer than this is a pathological
+#: (runtime, service-time) pair better issued one by one.
 _MAX_CLOSED_FORM_OPS = 50_000_000
 
 
@@ -323,7 +322,7 @@ class DriveController:
         runtime_s: float,
         vibration: VibrationInput,
         parked: bool = False,
-    ) -> "Optional[np.ndarray]":
+    ) -> "Optional[array]":
         """Closed form of back-to-back sequential commands under a static state.
 
         Stands for issuing :meth:`execute` on ``lba``, ``lba + sectors``,
@@ -331,14 +330,14 @@ class DriveController:
         of virtual time has elapsed.  When every attempt succeeds
         (success probability >= 1) that walk is an arithmetic series:
         command ``k`` completes at ``T[k] = T[k-1] + base`` with one
-        near-track service time after the first command.  One ``cumsum``
-        reproduces the scalar ``+=`` chain bit for bit (it accumulates
-        strictly left to right), ``searchsorted`` finds the command
-        count, and the clock, command counter and head position are
-        committed exactly as the per-command walk leaves them, with zero
-        RNG draws (the walk never calls ``chance`` at p >= 1).
+        near-track service time after the first command.  One pass adds
+        the service times left to right, as the scalar ``+=`` chain
+        does, so every completion time and latency is bit-identical to
+        it; the clock, command counter and head position are committed
+        exactly as the per-command walk leaves them, with zero RNG draws
+        (the walk never calls ``chance`` at p >= 1).
 
-        Returns the per-command latencies as a float64 array, or None,
+        Returns the per-command latencies as an ``array('d')``, or None,
         committing nothing, when the closed form does not hold: a
         degraded or stalled state, attempt tracing, a walk longer than
         ``max_commands`` (a sequential cursor would wrap and seek), or a
@@ -361,27 +360,24 @@ class DriveController:
         if not (0.0 < base <= host_timeout_s and 0.0 < base0 <= host_timeout_s):
             return None
 
-        # Completion times T[k] = start + base0 + (k-1)*base.
-        start = self.clock.now
-        slots = int(runtime_s / base) + 2
-        while True:
-            if slots > _MAX_CLOSED_FORM_OPS:
-                return None
-            steps = np.empty(slots + 1, dtype=np.float64)
-            steps[0] = start
-            steps[1] = base0
-            steps[2:] = base
-            times = np.cumsum(steps)
-            elapsed = times - start
-            if elapsed[-1] >= runtime_s:
+        start = now = self.clock.now
+        latencies = array("d")
+        append = latencies.append
+        step = base0
+        for _ in range(min(max_commands, _MAX_CLOSED_FORM_OPS)):
+            if not now - start < runtime_s:
                 break
-            slots *= 2
-        completed = int(np.searchsorted(elapsed, runtime_s, side="left"))
-        if completed > max_commands:
-            return None
+            done = now + step
+            append(done - now)
+            now = done
+            step = base
+        else:
+            if now - start < runtime_s:
+                return None  # the walk would issue more commands than allowed
 
-        self.clock.advance_to(float(times[completed]))
+        completed = len(latencies)
+        self.clock.advance_to(now)
         self.commands += completed
         last_lba = lba + (completed - 1) * sectors
         self.current_track, _ = geometry.locate(last_lba + sectors - 1)
-        return np.diff(times[: completed + 1])
+        return latencies

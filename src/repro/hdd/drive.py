@@ -13,8 +13,9 @@ store above observe real persistence semantics; payload-less writes
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.errors import ConfigurationError, DriveTimeout, MediumError, UnitError
 from repro.rng import ReproRandom, make_rng
@@ -26,9 +27,6 @@ from .controller import DriveController, IOResult, RetryPolicy
 from .profiles import DriveProfile, make_barracuda_profile
 from .sector_store import SectorStore
 from .servo import OpKind, VibrationInput
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    import numpy as np
 
 __all__ = ["DriveStats", "HardDiskDrive"]
 
@@ -245,7 +243,7 @@ class HardDiskDrive:
 
     def run_sequential(
         self, op: OpKind, lba: int, sectors: int, max_commands: int, runtime_s: float
-    ) -> "Optional[np.ndarray]":
+    ) -> "Optional[array]":
         """Closed form of a healthy sequential run of ``sectors``-sized I/Os.
 
         Stands for calling :meth:`read` / :meth:`write` on ``lba``,
@@ -253,10 +251,10 @@ class HardDiskDrive:
         less than ``runtime_s`` virtual seconds have elapsed, and leaves
         the clock, statistics and buffers exactly as those calls would
         (see :meth:`DriveController.run_sequential`).  Returns the
-        per-command latencies, or None with nothing committed when the
-        run has to be issued command by command: a vibration schedule or
-        telemetry is installed, reads must return stored data, or some
-        attempt could fault.
+        per-command latencies as an ``array('d')``, or None with nothing
+        committed when the run has to be issued command by command: a
+        vibration schedule or telemetry is installed, reads must return
+        stored data, or some attempt could fault.
         """
         self._check_range(lba, sectors * max_commands)
         if self._schedule is not None or self._obs is not None:

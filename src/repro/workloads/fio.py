@@ -215,11 +215,15 @@ class FioTester:
                 completed = len(closed)
                 result.completed_ops = completed
                 result.bytes_moved = completed * job.block_bytes
-                # cumsum adds left to right, like the loop's ``+=``.
-                result.total_latency_s = float(closed.cumsum()[-1])
-                result.max_latency_s = float(closed.max())
+                # Left to right, like the loop's ``+=``: not ``sum()``,
+                # which compensates on Python >= 3.12, nor ``math.fsum``.
+                total_latency = 0.0
+                for latency in closed:
+                    total_latency += latency
+                result.total_latency_s = total_latency
+                result.max_latency_s = max(closed)
                 result.busy_time_s = clock.elapsed_since(start)
-                result.latencies_s.frombytes(closed.tobytes())
+                result.latencies_s = closed
                 return result
         runtime_s = job.runtime_s
         elapsed_since = clock.elapsed_since

@@ -38,6 +38,25 @@ class TestSineTone:
         )
         assert 9 <= crossings <= 11
 
+    @pytest.mark.parametrize(
+        "rate_hz, duration",
+        [
+            (8000.0, None),  # the tone's own duration is endless
+            (8000.0, math.inf),
+            (8000.0, math.nan),
+            (8000.0, 0.0),
+            (8000.0, -1.0),
+            (math.inf, 0.1),
+            (math.nan, 0.1),
+            (0.0, 0.1),
+        ],
+        ids=["endless", "inf", "nan", "zero", "negative",
+             "rate-inf", "rate-nan", "rate-zero"],
+    )
+    def test_sample_rejects_non_positive_or_non_finite_input(self, rate_hz, duration):
+        with pytest.raises(UnitError):
+            SineTone(650.0).sample(rate_hz, duration)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(UnitError):
             SineTone(0.0)

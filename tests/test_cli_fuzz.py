@@ -42,14 +42,43 @@ def _flag(name: str, value: float) -> str:
 
 
 @st.composite
-def _predict(draw):
-    values = [
-        draw(_values(100.0, 650.0, 1500.0)),
-        draw(_values(0.01, 0.05, 0.12)),
-        draw(_values(120.0, 140.0)),
-    ]
-    names = ("--frequency", "--distance", "--level")
-    return ["predict", *map(_flag, names, values)], values
+def _numeric(draw, command, flags, fixed=()):
+    """``command`` with each of ``flags`` (name -> cheap finite values) fuzzed."""
+    values = [draw(_values(*finite)) for finite in flags.values()]
+    return [command, *fixed, *map(_flag, flags, values)], values
+
+
+_predict = _numeric(
+    "predict",
+    {
+        "--frequency": (100.0, 650.0, 1500.0),
+        "--distance": (0.01, 0.05, 0.12),
+        "--level": (120.0, 140.0),
+    },
+)
+_table1 = _numeric("table1", {"--runtime": (0.01,)})
+_table2 = _numeric("table2", {"--duration": (0.01,)})
+_table3 = _numeric("table3", {"--deadline": (1.0,)})
+_ycsb = _numeric(
+    "ycsb",
+    {
+        "--warmup": (0.5, 1.0),
+        "--attack": (0.5, 1.5),
+        "--recovery": (0.5, 1.0),
+        "--frequency": (650.0, 1200.0),
+        "--level": (130.0, 140.0),
+        "--distance": (0.05, 0.12),
+    },
+    fixed=("--records", "10"),
+)
+_smart = _numeric(
+    "smart",
+    {
+        "--frequency": (650.0, 1200.0),
+        "--distance": (0.05, 0.12),
+        "--runtime": (0.05,),
+    },
+)
 
 
 @st.composite
@@ -137,12 +166,17 @@ def _run(argv):
 
 
 @settings(
-    max_examples=150,
+    max_examples=300,
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(st.one_of(_predict(), _rack(), _fleet(), _figure2()))
+@given(
+    st.one_of(
+        _predict, _rack(), _fleet(), _figure2(),
+        _table1, _table2, _table3, _ycsb, _smart,
+    )
+)
 def test_cli_exits_cleanly_or_rejects_with_a_typed_error(case):
     argv, values = case
     code, stdout, stderr = _run(argv)

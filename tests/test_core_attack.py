@@ -1,5 +1,7 @@
 """Attacker, environment, scenarios, coupling, sessions, monitor, defenses."""
 
+import math
+
 import pytest
 
 from repro.core.attack import AttackSession, FrequencySweepResult, SweepPoint
@@ -286,8 +288,9 @@ class TestMonitor:
 
     def test_deadline_validation(self):
         monitor = AvailabilityMonitor(VirtualClock())
-        with pytest.raises(ConfigurationError):
-            monitor.watch(self._CrashAfter(VirtualClock(), 1.0), deadline_s=0.0)
+        for deadline_s in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                monitor.watch(self._CrashAfter(VirtualClock(), 1.0), deadline_s=deadline_s)
 
 
 class TestDefenses:

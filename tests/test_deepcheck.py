@@ -183,6 +183,30 @@ class TestRuleEdges:
         source = 'import os\nFLAG = os.environ.get("REPRO_DEMO")\n'
         assert not rule_ids(findings_for(source, "tests/helper.py"))
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import pandas\n",
+            "import os, scipy.linalg as la\n",
+            "from scipy.special import jv\n",
+            "def f():\n    import pandas as pd\n    return pd\n",
+        ],
+        ids=["module", "mixed", "from_import", "lazy"],
+    )
+    def test_dc09_flags_third_party_imports(self, source):
+        findings = findings_for(source)
+        assert [f.rule for f in findings] == ["DC09"]
+
+    def test_dc09_stdlib_repro_relative_and_type_only_are_clean(self):
+        source = (
+            "import os.path\nimport typing\nfrom typing import TYPE_CHECKING\n"
+            "from repro.errors import UnitError\nfrom . import sibling\n"
+            "if TYPE_CHECKING:\n    import pandas\n"
+            "if typing.TYPE_CHECKING:\n    from scipy import special\n"
+        )
+        assert not rule_ids(findings_for(source))
+        assert not rule_ids(findings_for("import pandas\n", "tests/helper.py"))
+
 
 # --------------------------------------------------------------------------
 # Suppressions

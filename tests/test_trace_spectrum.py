@@ -1,14 +1,9 @@
-"""I/O trace capture/replay and spectral analysis."""
+"""I/O trace capture/replay."""
 
-import math
-
-import numpy as np
 import pytest
 
-from repro.acoustics.signals import CompositeSignal, SineTone
-from repro.acoustics.spectrum import analyze, dominant_tone
 from repro.core.attacker import AttackConfig
-from repro.errors import ConfigurationError, UnitError
+from repro.errors import ConfigurationError
 from repro.hdd.servo import OpKind
 from repro.workloads.trace import (
     IOTrace,
@@ -95,51 +90,3 @@ class TestTraceReplay:
         assert attacked.throughput_mbps < quiet.throughput_mbps
         assert attacked.total_latency_s > quiet.total_latency_s
 
-
-class TestSpectrum:
-    def test_dominant_tone_of_pure_sine(self):
-        tone = SineTone(650.0, duration=0.5)
-        samples = tone.sample(8000.0)
-        frequency, amplitude = dominant_tone(samples, 8000.0)
-        assert frequency == pytest.approx(650.0, rel=0.01)
-        assert amplitude == pytest.approx(1.0, rel=0.1)
-
-    def test_dominant_tone_of_mixture_picks_strongest(self):
-        t = np.arange(0, 0.5, 1 / 8000.0)
-        mixture = 1.0 * np.sin(2 * np.pi * 650.0 * t) + 0.3 * np.sin(
-            2 * np.pi * 1200.0 * t
-        )
-        frequency, _ = dominant_tone(mixture, 8000.0)
-        assert frequency == pytest.approx(650.0, rel=0.01)
-
-    def test_band_spl_of_known_pressure(self):
-        # 10 Pa RMS at 650 Hz should read ~140 dB re 1 uPa in-band.
-        t = np.arange(0, 0.5, 1 / 8000.0)
-        samples = 10.0 * math.sqrt(2.0) * np.sin(2 * np.pi * 650.0 * t)
-        spectrum = analyze(samples, 8000.0)
-        assert spectrum.band_spl_db(600.0, 700.0) == pytest.approx(140.0, abs=0.5)
-
-    def test_out_of_band_energy_is_low(self):
-        tone = SineTone(650.0, duration=0.5)
-        spectrum = analyze(tone.sample(8000.0), 8000.0)
-        assert spectrum.band_rms(2000.0, 3000.0) < 0.01
-
-    def test_min_frequency_excludes_dc(self):
-        t = np.arange(0, 0.25, 1 / 4000.0)
-        samples = 5.0 + 0.5 * np.sin(2 * np.pi * 300.0 * t)  # big DC offset
-        frequency, _ = dominant_tone(samples, 4000.0, min_frequency_hz=50.0)
-        assert frequency == pytest.approx(300.0, rel=0.02)
-
-    def test_validation(self):
-        with pytest.raises(UnitError):
-            analyze(np.zeros(4), 8000.0)
-        with pytest.raises(UnitError):
-            analyze(np.zeros(100), 0.0)
-
-    def test_composite_sweep_spreads_energy(self):
-        signal = CompositeSignal(
-            [SineTone(300.0, duration=0.25), SineTone(900.0, duration=0.25)]
-        )
-        spectrum = analyze(signal.sample(8000.0), 8000.0)
-        assert spectrum.band_rms(250.0, 350.0) > 0.1
-        assert spectrum.band_rms(850.0, 950.0) > 0.1

@@ -271,6 +271,17 @@ def _rig_state(drive):
     )
 
 
+def _walk_state(drive):
+    """What a declined closed form must leave alone."""
+    controller = drive.controller
+    return (
+        drive.clock.now,
+        dict(vars(drive.stats)),
+        controller.commands,
+        controller.current_track,
+    )
+
+
 def _result_state(result):
     return (
         result.completed_ops,
@@ -288,7 +299,10 @@ class TestClosedFormFio:
     """The closed-form evaluator must be rig-state identical to the
     scalar issue loop — and must only engage where it is exact."""
 
-    def _compare(self, vibration=None, modes=(IOMode.SEQ_WRITE, IOMode.SEQ_READ)):
+    def _compare(
+        self, vibration=None, modes=(IOMode.SEQ_WRITE, IOMode.SEQ_READ), **job_fields
+    ):
+        fields = {"runtime_s": 0.35, "name": "parity", **job_fields}
         states = []
         for enabled in (True, False):
             drive, tester = _rig()
@@ -297,7 +311,7 @@ class TestClosedFormFio:
             run_states = []
             with _closed_form(enabled):
                 for mode in modes:
-                    job = FioJob(mode=mode, runtime_s=0.35, name="parity")
+                    job = FioJob(mode=mode, **fields)
                     result = tester.run(job)
                     run_states.append((_result_state(result), _rig_state(drive)))
             states.append(run_states)
@@ -359,6 +373,63 @@ class TestClosedFormFio:
         drive = HardDiskDrive(profile=BARRACUDA_500GB, rng=make_rng(7))
         assert drive.run_sequential(OpKind.READ, 0, 8, 1000, 0.1) is None
         assert drive.run_sequential(OpKind.WRITE, 0, 8, 1000, 0.1) is not None
+
+    def _walk_length(self):
+        drive, _ = _rig()
+        return len(drive.run_sequential(OpKind.WRITE, 0, 8, 100_000, 0.35))
+
+    def test_walk_longer_than_max_commands_declines_and_matches(self):
+        count = self._walk_length()
+        drive, _ = _rig()
+        assert drive.run_sequential(OpKind.WRITE, 0, 8, count, 0.35) is not None
+        drive, _ = _rig()
+        before = _walk_state(drive)
+        assert drive.run_sequential(OpKind.WRITE, 0, 8, count - 1, 0.35) is None
+        assert _walk_state(drive) == before
+        # A region of fewer blocks than the runtime issues: the cursor
+        # wraps and seeks back, so the run goes command by command.
+        runs = self._compare(region_sectors=8 * (count // 3))
+        assert all(state[0][0] > count // 3 for state in runs)
+
+    def test_runtime_inside_one_service_time_completes_one_command(self):
+        drive, _ = _rig()
+        latencies = drive.run_sequential(OpKind.WRITE, 0, 8, 1000, 1e-9)
+        assert len(latencies) == 1
+        assert drive.controller.commands == 1 and drive.stats.writes == 1
+        assert drive.clock.now == latencies[0]
+        runs = self._compare(runtime_s=1e-9)
+        assert all(state[0][0] == 1 for state in runs)
+
+    def test_runtime_landing_on_a_completion_stops_there(self):
+        drive, _ = _rig()
+        count = len(drive.run_sequential(OpKind.WRITE, 0, 8, 1000, 0.01))
+        runtime_s = drive.clock.now  # the rig starts at 0: the last completion
+        drive, _ = _rig()
+        assert len(drive.run_sequential(OpKind.WRITE, 0, 8, 1000, runtime_s)) == count
+        self._compare(runtime_s=runtime_s)
+
+    def test_head_stays_on_the_track_of_the_last_block(self):
+        spt = BARRACUDA_500GB.geometry.sectors_per_track_at(0)
+        count = self._walk_length()
+        start = (count * 8 // spt + 2) * spt - count * 8  # the walk ends a track
+        drive, _ = _rig()
+        assert len(drive.run_sequential(OpKind.WRITE, start, 8, 100_000, 0.35)) == count
+        self._compare(modes=(IOMode.SEQ_WRITE,), region_start_lba=start)
+
+    def test_backstop_declines_and_commits_nothing(self, monkeypatch):
+        from repro.hdd import controller
+
+        count = self._walk_length()
+        monkeypatch.setattr(controller, "_MAX_CLOSED_FORM_OPS", count)
+        drive, _ = _rig()
+        assert drive.run_sequential(OpKind.WRITE, 0, 8, 100_000, 0.35) is not None
+        monkeypatch.setattr(controller, "_MAX_CLOSED_FORM_OPS", count - 1)
+        drive, tester = _rig()
+        before = _walk_state(drive)
+        assert drive.run_sequential(OpKind.WRITE, 0, 8, 100_000, 0.35) is None
+        assert _walk_state(drive) == before
+        result = tester.run(FioJob(mode=IOMode.SEQ_WRITE, runtime_s=0.35))
+        assert result.completed_ops == count  # issued command by command
 
 
 class TestExperimentParity:

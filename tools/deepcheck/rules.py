@@ -1,4 +1,4 @@
-"""The deepcheck rule catalog (DC01–DC08).
+"""The deepcheck rule catalog (DC01–DC09).
 
 Every rule encodes one invariant the reproduction's headline claims
 depend on, with the scope where the invariant holds.  Rules work purely
@@ -20,7 +20,8 @@ Scopes
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+import sys
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .engine import FileContext, Finding
 
@@ -647,6 +648,71 @@ class NoEnvFlags(Rule):
             )
 
 
+# --------------------------------------------------------------------------
+# DC09 — the simulator imports the standard library and itself only
+# --------------------------------------------------------------------------
+
+#: Top-level standard-library names (Python >= 3.10).  Older interpreters
+#: do not publish the list, and DC09 then has nothing to check against.
+_STDLIB_MODULES = getattr(sys, "stdlib_module_names", None)
+
+
+def _type_checking_only(tree: ast.Module) -> Set[int]:
+    """ids of the nodes under ``if TYPE_CHECKING:`` (never run)."""
+    skipped: Set[int] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.If):
+            continue
+        test = node.test
+        name = test.attr if isinstance(test, ast.Attribute) else getattr(test, "id", None)
+        if name != "TYPE_CHECKING":
+            continue
+        for child in node.body:
+            skipped.update(id(sub) for sub in ast.walk(child))
+    return skipped
+
+
+class StdlibOnly(Rule):
+    id = "DC09"
+    name = "stdlib-only"
+    rationale = (
+        "The simulator runs on the standard library alone: `pip install` "
+        "pulls in nothing, every process starts without loading a "
+        "third-party package, and no float result depends on another "
+        "library's summation order.  An import of anything but `repro` "
+        "or the standard library, module-level or lazy inside a "
+        "function, brings a dependency back; imports under "
+        "`if TYPE_CHECKING:` never run and are allowed."
+    )
+
+    def applies(self, relpath: str) -> bool:
+        return _STDLIB_MODULES is not None and relpath.startswith(SRC_PREFIX)
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        skipped = _type_checking_only(ctx.tree)
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+                modules = [node.module]
+            else:
+                continue  # not an import, or a package-relative one
+            if id(node) in skipped:
+                continue
+            for module in modules:
+                top = module.split(".", 1)[0]
+                if top == "repro" or top in _STDLIB_MODULES:
+                    continue
+                yield _finding(
+                    ctx,
+                    self,
+                    node,
+                    f"import of third-party `{module}` — the simulator "
+                    "depends on the standard library only; write it with "
+                    "the stdlib or keep it out of src/repro",
+                )
+
+
 ALL_RULES: Tuple[Rule, ...] = (
     NoWallClock(),
     NoUnseededRng(),
@@ -656,6 +722,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     FloatMergeOrder(),
     UnitSuffixSanity(),
     NoEnvFlags(),
+    StdlibOnly(),
 )
 
 
