@@ -1,10 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: help test smoke lint deepcheck bench trace-smoke dashboard-smoke fleet-smoke doctest docs docs-check
+.PHONY: help test smoke lint deepcheck bench trace-smoke dashboard-smoke fleet-smoke e2e-smoke doctest docs docs-check
 
 help:       ## list targets with their one-line descriptions
-	@awk -F':.*##' '/^[a-z-]+:.*##/ {printf "  %-12s %s\n", $$1, $$2}' $(MAKEFILE_LIST)
+	@awk -F':.*##' '/^[a-z0-9-]+:.*##/ {printf "  %-12s %s\n", $$1, $$2}' $(MAKEFILE_LIST)
 
 test:       ## full test suite
 	$(PYTHON) -m pytest -q
@@ -48,3 +48,7 @@ fleet-smoke: ## small sharded fleet campaign + series validation
 	$(PYTHON) -m repro.cli fleet --racks 2 --towers 5 --duration 12 \
 		--rate 40 --workers 2 --series-out fleet-series.jsonl > /dev/null
 	$(PYTHON) tools/validate_trace.py fleet-series.jsonl
+
+e2e-smoke:  ## 1 s traced e2ebench runs of both KV workloads: digests, pinned counts, wrapper coverage
+	$(PYTHON) e2ebench/run.py --workload kv-read --seconds 1 --trace 1
+	$(PYTHON) e2ebench/run.py --workload kv-readwrite --seconds 1 --trace 1

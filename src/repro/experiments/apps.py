@@ -17,6 +17,7 @@ the three crash times across ~80-81 s (each blocked write then takes
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.errors import ConfigurationError, DatabaseClosed
@@ -49,8 +50,10 @@ class Ext4Victim:
         step_interval_s: float = 0.25,
         rng: Optional[ReproRandom] = None,
     ) -> None:
-        if step_interval_s <= 0.0:
-            raise ConfigurationError("step interval must be positive")
+        if not (0.0 < step_interval_s < math.inf):  # also rejects NaN
+            raise ConfigurationError(
+                f"step interval must be positive and finite: {step_interval_s}"
+            )
         self.rng = rng if rng is not None else make_rng().fork("ext4app")
         self.drive = drive if drive is not None else HardDiskDrive(rng=self.rng.fork("drive"))
         self.device = BlockDevice(self.drive, name="sda")
@@ -92,10 +95,15 @@ class DVRVictim:
         watchdog_segments: int = 3,
         rng: Optional[ReproRandom] = None,
     ) -> None:
-        if segment_interval_s <= 0.0 or segment_bytes <= 0:
-            raise ConfigurationError("segment parameters must be positive")
-        if watchdog_segments < 1:
-            raise ConfigurationError("watchdog needs at least one segment")
+        if not (0.0 < segment_interval_s < math.inf and 0 < segment_bytes < math.inf):
+            raise ConfigurationError(
+                f"segment parameters must be positive and finite: "
+                f"{segment_interval_s}, {segment_bytes}"
+            )
+        if not (1 <= watchdog_segments < math.inf):
+            raise ConfigurationError(
+                f"watchdog segments must be finite and at least one: {watchdog_segments}"
+            )
         self.rng = rng if rng is not None else make_rng().fork("dvr")
         self.drive = drive if drive is not None else HardDiskDrive(rng=self.rng.fork("drive"))
         self.device = BlockDevice(self.drive, name="sda")
@@ -152,8 +160,11 @@ class RocksDBVictim:
         write_rate_ops: float = 1700.0,
         rng: Optional[ReproRandom] = None,
     ) -> None:
-        if step_interval_s <= 0.0 or write_rate_ops <= 0.0:
-            raise ConfigurationError("intervals and rates must be positive")
+        if not (0.0 < step_interval_s < math.inf and 0.0 < write_rate_ops < math.inf):
+            raise ConfigurationError(
+                f"intervals and rates must be positive and finite: "
+                f"{step_interval_s}, {write_rate_ops}"
+            )
         self.rng = rng if rng is not None else make_rng().fork("rocksapp")
         self.drive = drive if drive is not None else HardDiskDrive(rng=self.rng.fork("drive"))
         self.device = BlockDevice(self.drive, name="sda")

@@ -13,6 +13,7 @@ signature) and refuses further writes.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -58,10 +59,15 @@ class Options:
     create_if_missing: bool = True
 
     def __post_init__(self) -> None:
-        if self.write_buffer_size <= 0:
-            raise ConfigurationError("write buffer must be positive")
-        if self.cpu_put_s < 0.0 or self.cpu_get_s < 0.0:
-            raise ConfigurationError("cpu costs must be non-negative")
+        for name in ("write_buffer_size", "wal_sync_every_bytes", "l0_compaction_trigger",
+                     "level_base_bytes", "level_multiplier", "target_file_bytes"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):  # also rejects NaN
+                raise ConfigurationError(f"{name} must be positive and finite: {value}")
+        for name in ("cpu_put_s", "cpu_get_s"):
+            cost = getattr(self, name)
+            if not (0.0 <= cost < math.inf):
+                raise ConfigurationError(f"{name} must be finite and non-negative: {cost}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,12 @@ entry's key start and key end offsets into the data section.  They are
 built the first time a lookup lands in a block, cost 8 bytes per entry
 of a touched block, and never decode an entry: only the matching
 entries' sequence, kind and value are read.
+
+A table never changes, so a reader memoizes the newest version it found
+for a key and a repeated lookup returns it before the range check.
+Only found keys are stored, so the memo never holds more entries than
+the table has distinct keys; lookups through a snapshot neither read
+nor fill it.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import struct
 import zlib
 from array import array
 from bisect import bisect_left
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, CorruptionError
 from repro.storage.fs.filesystem import SimFS
@@ -174,6 +180,8 @@ class SSTableReader:
         self._firsts = [bytes.fromhex(first) for first, _, _ in index]
         self._blocks = [(off, off + length) for _, off, length in index]
         self._key_offsets: List[Optional[Tuple[array, array]]] = [None] * len(index)
+        #: Newest (sequence, kind, value) found per key, for snapshot-free gets.
+        self._memo: Dict[bytes, Tuple[int, int, bytes]] = {}
         bloom_raw = body[footer["bloom_off"] : footer["bloom_off"] + footer["bloom_len"]]
         self._bloom = BloomFilter.from_bytes(bloom_raw)
         self.entries = int(footer["entries"])
@@ -196,7 +204,16 @@ class SSTableReader:
         return offsets
 
     def get(self, key: bytes, snapshot: Optional[int] = None) -> Optional[Tuple[int, int, bytes]]:
-        """Newest (sequence, kind, value) for ``key`` visible at snapshot."""
+        """Newest (sequence, kind, value) for ``key`` visible at snapshot.
+
+        Without a snapshot a repeated lookup of a found key returns the
+        memoized answer and skips the range check, bloom probe and
+        search; a miss searches and memoizes what it found.
+        """
+        if snapshot is None:
+            hit = self._memo.get(key)
+            if hit is not None:
+                return hit
         if key < self.smallest or key > self.largest:
             return None
         if not self._bloom.may_contain(key):
@@ -229,7 +246,10 @@ class SSTableReader:
                 lo += 1
             block += 1
             if block == len(firsts) or firsts[block] != key:
-                return best
+                break
+        if best is not None and snapshot is None:
+            self._memo[key] = best
+        return best
 
     def iterate(self) -> Iterator[Tuple[bytes, int, int, bytes]]:
         """All entries in key order."""

@@ -11,6 +11,7 @@ dmesg, and the kernel panics — "unable to access all files, including
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from repro.errors import BlockIOError, ConfigurationError, KernelPanic, ReadOnlyFilesystem
@@ -40,8 +41,10 @@ class UbuntuServer:
         shell_interval_s: float = 1.0,
         rng: Optional[ReproRandom] = None,
     ) -> None:
-        if step_interval_s <= 0.0 or shell_interval_s <= 0.0:
-            raise ConfigurationError("intervals must be positive")
+        if not (0.0 < step_interval_s < math.inf and 0.0 < shell_interval_s < math.inf):
+            raise ConfigurationError(
+                f"intervals must be positive and finite: {step_interval_s}, {shell_interval_s}"
+            )
         self.rng = rng if rng is not None else make_rng().fork("ubuntu")
         self.drive = drive if drive is not None else HardDiskDrive(rng=self.rng.fork("drive"))
         self.device = BlockDevice(self.drive, name="sda")

@@ -53,6 +53,9 @@ class DbBenchConfig:
             raise ConfigurationError(
                 f"duration must be positive and finite: {self.duration_s}"
             )
+        limit = self.write_rate_limit_ops
+        if limit is not None and not (0.0 < limit < math.inf):
+            raise ConfigurationError(f"write rate limit must be positive and finite: {limit}")
 
 
 @dataclass

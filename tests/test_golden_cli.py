@@ -3,9 +3,10 @@
 Each command runs at small parameters through :func:`repro.cli.main`
 and its stdout digest must match the pinned value exactly, so any
 refactor of the physics, I/O or runtime layers that moves a single
-printed digit fails here.  ``table3`` is left out (seconds even at a
-short deadline); the end-to-end benchmark pins it.  One traced command
-also pins the bytes of its Chrome trace file.
+printed digit fails here.  ``table3`` runs to a 1 s watch deadline,
+which every victim survives; the end-to-end benchmark pins the full
+run to the crashes.  One traced command also pins the bytes of its
+Chrome trace file.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ GOLDENS = [
     (
         ["smart", "--runtime", "0.5"],
         "ddcf80af9fddb535097400240981563c344d624b32aad8cf561ae22ff36cba0e",
+    ),
+    (
+        ["table3", "--deadline", "1"],
+        "45dbee90b9e24ccd6a1cae52b05a3720d9b4bb93ede8990a227ef8cda1041d1d",
     ),
 ]
 

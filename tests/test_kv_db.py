@@ -117,6 +117,20 @@ class TestFlushAndCompaction:
         db.flush()
         assert db.get(b"k") == b"new"
 
+    def test_memoized_older_version_is_shadowed(self, db):
+        """An SSTable reader memoizes the version it found.  A newer
+        table, then a compaction into a fresh table, must still win."""
+        db.put(b"k", b"old")
+        first = db.flush()
+        assert db.get(b"k") == b"old"
+        assert b"k" in db.readers[first.number]._memo
+        db.put(b"k", b"new")
+        db.flush()
+        assert db.get(b"k") == b"new"
+        assert db.compact_range() >= 1
+        assert first.number not in db.readers
+        assert db.get(b"k") == b"new"
+
     def test_flushed_table_bytes_are_pinned(self, db):
         """Golden lock on the memtable's byte accounting, the flush
         order (key ascending, newest first) and the SSTable bytes,

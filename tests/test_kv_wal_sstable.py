@@ -115,6 +115,21 @@ class TestSSTable:
         assert reader.get(b"k", snapshot=7)[2] == b"older"
         assert reader.get(b"k", snapshot=2) is None
 
+    def test_repeated_get_skips_the_bloom_probe(self, fs, monkeypatch):
+        reader = SSTableReader(fs, build_table(fs))
+        probed = []
+        may_contain = reader._bloom.may_contain
+        monkeypatch.setattr(reader._bloom, "may_contain",
+                            lambda key: probed.append(key) or may_contain(key))
+        for _ in range(3):
+            assert reader.get(b"key-00042")[2] == b"value-42" * 3
+            assert reader.get(b"key-00042", snapshot=100)[2] == b"value-42" * 3
+            assert reader.get(b"key-00042x") is None
+        # One probe for the first plain lookup; every snapshot lookup and
+        # every miss searches again.
+        assert probed == [b"key-00042"] + [b"key-00042", b"key-00042x"] * 3
+        assert list(reader._memo) == [b"key-00042"]
+
     def test_iterate_in_order(self, fs):
         reader = SSTableReader(fs, build_table(fs, n=100))
         keys = [key for key, *_ in reader.iterate()]
@@ -189,24 +204,54 @@ def _tables(draw):
     return keys, entries
 
 
+def _model_reader(fs, entries):
+    builder = SSTableBuilder(fs, "/model.sst")
+    for entry in entries:
+        builder.add(*entry)
+    builder.finish()
+    return SSTableReader(fs, "/model.sst", blob=builder.final_blob)
+
+
+def _probes(keys):
+    """Every key, a near miss after each, and both ends of the key space."""
+    return keys + [key + b"\x00" for key in keys] + [b"", b"\xff" * 5]
+
+
+_MODEL_SETTINGS = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+
 class TestSSTableModel:
-    @settings(
-        max_examples=100,
-        deadline=None,
-        derandomize=True,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
-    )
+    @_MODEL_SETTINGS
     @given(table=_tables(), data=st.data())
     def test_get_matches_a_full_scan(self, fs, table, data):
         keys, entries = table
-        builder = SSTableBuilder(fs, "/model.sst")
-        for entry in entries:
-            builder.add(*entry)
-        builder.finish()
-        reader = SSTableReader(fs, "/model.sst", blob=builder.final_blob)
-        probes = keys + [key + b"\x00" for key in keys] + [b"", b"\xff" * 5]
+        reader = _model_reader(fs, entries)
         snapshots = data.draw(st.lists(st.one_of(st.none(), st.integers(0, 42)),
                                        min_size=1, max_size=6))
         for snapshot in snapshots:
-            for key in probes:
+            for key in _probes(keys):
                 assert reader.get(key, snapshot) == _brute_force_get(reader, key, snapshot)
+
+    @_MODEL_SETTINGS
+    @given(table=_tables(), data=st.data())
+    def test_memoized_gets_match_a_full_scan(self, fs, table, data):
+        """Each key is looked up twice, the second time from the memo,
+        with a snapshot lookup after each: every answer equals the scan,
+        and a snapshot lookup neither fills nor changes the memo."""
+        keys, entries = table
+        reader = _model_reader(fs, entries)
+        snapshots = data.draw(st.lists(st.integers(0, 42), min_size=1, max_size=6))
+        for _ in range(2):
+            for i, key in enumerate(_probes(keys)):
+                assert reader.get(key) == _brute_force_get(reader, key, None)
+                memo = dict(reader._memo)
+                snapshot = snapshots[i % len(snapshots)]
+                assert reader.get(key, snapshot) == _brute_force_get(reader, key, snapshot)
+                assert reader._memo == memo
+        # Only found keys are kept: at most one entry per distinct key.
+        assert sorted(reader._memo) == keys
