@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: help test smoke lint deepcheck bench trace-smoke dashboard-smoke fleet-smoke e2e-smoke doctest docs docs-check
+.PHONY: help test smoke lint deepcheck reach bench trace-smoke dashboard-smoke fleet-smoke e2e-smoke doctest docs docs-check
 
 help:       ## list targets with their one-line descriptions
 	@awk -F':.*##' '/^[a-z0-9-]+:.*##/ {printf "  %-12s %s\n", $$1, $$2}' $(MAKEFILE_LIST)
@@ -19,8 +19,11 @@ deepcheck:  ## repo-specific invariant linter (docs/STATIC_ANALYSIS.md)
 	$(PYTHON) tools/deepcheck
 	$(PYTHON) tools/deepcheck --self-test
 
+reach:      ## every src/repro module runs under some command or example, or is allowlisted (~1 min)
+	$(PYTHON) tools/reach.py
+
 doctest:    ## run the docstring examples (units, SPL algebra, error taxonomy)
-	$(PYTHON) -m pytest -q --doctest-modules src/repro/units.py src/repro/acoustics/spl.py src/repro/acoustics/piston.py src/repro/errors.py
+	$(PYTHON) -m pytest -q --doctest-modules src/repro/units.py src/repro/acoustics/spl.py src/repro/errors.py
 
 docs:       ## regenerate docs/CLI.md from the argparse tree
 	$(PYTHON) tools/gen_cli_docs.py

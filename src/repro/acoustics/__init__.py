@@ -23,8 +23,6 @@ from .signals import CompositeSignal, FrequencySweep, Silence, SineTone, Signal
 from .source import Amplifier, SignalChain, UnderwaterSpeaker
 from .propagation import PropagationModel, TankModel, spherical_spreading_db
 from .ambient import AmbientNoise
-from .arrays import SpeakerArray
-from .piston import CircularPiston
 
 __all__ = [
     "AIR",
@@ -55,6 +53,4 @@ __all__ = [
     "TankModel",
     "spherical_spreading_db",
     "AmbientNoise",
-    "SpeakerArray",
-    "CircularPiston",
 ]

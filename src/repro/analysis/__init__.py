@@ -1,16 +1,11 @@
-"""Reporting helpers: ASCII tables, terminal plots, summary statistics."""
+"""Reporting helpers: ASCII tables and terminal plots."""
 
 from .tables import Table, format_mbps, format_latency_ms
 from .plots import ascii_chart
-from .stats import loss_fraction, mean, percentile, series_summary
 
 __all__ = [
     "Table",
     "format_mbps",
     "format_latency_ms",
     "ascii_chart",
-    "mean",
-    "percentile",
-    "loss_fraction",
-    "series_summary",
 ]

@@ -300,11 +300,6 @@ def _campaign_runner(
     )
     if journal_path is None and wants_resilience and args.cache_dir is not None:
         journal_path = os.path.join(args.cache_dir, "journal.jsonl")
-    if args.resume and journal_path is None:
-        raise SystemExit(
-            "deepnote: --resume needs a journal; pass --journal PATH "
-            "(or --cache-dir DIR, whose journal.jsonl is used)"
-        )
     campaign = (
         fingerprint(campaign_kind, list(campaign_parts))
         if journal_path is not None
@@ -585,9 +580,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     from repro.analysis.report import ReportOptions, build_report
 
+    _prepare_artifact_dirs([args.output])
     text = build_report(ReportOptions(quick=not args.full, seed=args.seed))
     path = pathlib.Path(args.output)
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     print(f"report written to {path} ({len(text.splitlines())} lines)")
     return 0

@@ -20,7 +20,6 @@ from .ablations import (
     run_water_conditions_ablation,
 )
 from .objectives import ObjectiveOutcome, run_objective_comparison
-from .sensitivity import run_level_sensitivity, run_seed_sensitivity
 
 __all__ = [
     "Ext4Victim",
@@ -29,8 +28,6 @@ __all__ = [
     "DVRVictim",
     "ObjectiveOutcome",
     "run_objective_comparison",
-    "run_seed_sensitivity",
-    "run_level_sensitivity",
     "run_drive_type_ablation",
     "run_figure2",
     "Figure2Result",

@@ -16,8 +16,8 @@ One subsystem for everything the repro can observe about itself:
 * :mod:`~repro.obs.telemetry` — the installable process-wide bundle
   components capture at construction;
 * :mod:`~repro.obs.exporters` — Chrome ``trace_event`` JSON (Perfetto),
-  JSONL event logs, Prometheus text dumps, series JSONL, and the
-  self-contained HTML dashboard;
+  Prometheus text dumps, series JSONL, and the self-contained HTML
+  dashboard;
 * :mod:`~repro.obs.dashboard` — the dashboard renderer itself (HTML +
   terminal sparklines);
 * :mod:`~repro.obs.incident` — the correlated crash-story report.
@@ -39,11 +39,9 @@ from .dashboard import (
 )
 from .exporters import (
     chrome_trace,
-    jsonl_lines,
     series_jsonl_lines,
     write_chrome_trace,
     write_dashboard_html,
-    write_jsonl,
     write_metrics_text,
     write_series_jsonl,
 )
@@ -97,8 +95,6 @@ __all__ = [
     "session",
     "chrome_trace",
     "write_chrome_trace",
-    "jsonl_lines",
-    "write_jsonl",
     "write_metrics_text",
     "series_jsonl_lines",
     "write_series_jsonl",

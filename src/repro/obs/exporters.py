@@ -1,6 +1,6 @@
 """Serialize recorded telemetry for external viewers.
 
-Five formats, all deterministic for a given tracer/registry state:
+Four formats, all deterministic for a given tracer/registry state:
 
 * **Chrome ``trace_event`` JSON** — loadable in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing``.  Virtual seconds
@@ -8,8 +8,6 @@ Five formats, all deterministic for a given tracer/registry state:
   row via ``thread_name`` metadata events.  The writer streams the
   document from the tracer's record tuples in bounded chunks, byte for
   byte what ``json.dump`` makes of :func:`chrome_trace`.
-* **JSONL event log** — one JSON object per line, spans and instants
-  interleaved in virtual-time order, for ``grep``/``jq`` forensics.
 * **Prometheus text dump** — the registry's exposition format, written
   to a file for the ``--metrics-out`` CLI flag.
 * **Series JSONL** — one JSON object per (series, window), sorted by
@@ -28,8 +26,6 @@ from typing import Any, Dict, Iterator, List, Tuple
 __all__ = [
     "chrome_trace",
     "write_chrome_trace",
-    "jsonl_lines",
-    "write_jsonl",
     "write_metrics_text",
     "series_jsonl_lines",
     "write_series_jsonl",
@@ -230,52 +226,6 @@ def write_chrome_trace(tracer, path: str) -> Tuple[int, int]:
             wrote = True
         handle.write("\n ]\n}\n" if wrote else "]\n}\n")
     return len(tracer._spans), len(tracer._events)
-
-
-def jsonl_lines(tracer) -> List[str]:
-    """Spans and instants as JSON lines, sorted by virtual start time.
-
-    Ties sort spans before instants, then by track and name, so the
-    log is reproducible across runs.
-    """
-    records: List[Dict[str, Any]] = []
-    for span in tracer.spans:
-        records.append(
-            {
-                "type": "span",
-                "name": span.name,
-                "cat": span.category,
-                "ts_s": span.start_s,
-                "end_s": span.end_s,
-                "dur_s": span.duration_s,
-                "track": span.track,
-                "status": span.status,
-                "args": span.args,
-            }
-        )
-    for instant in tracer.events:
-        records.append(
-            {
-                "type": "event",
-                "name": instant.name,
-                "cat": instant.category,
-                "ts_s": instant.ts_s,
-                "track": instant.track,
-                "args": instant.args,
-            }
-        )
-    records.sort(
-        key=lambda r: (r["ts_s"], 0 if r["type"] == "span" else 1, r["track"], r["name"])
-    )
-    return [json.dumps(record, sort_keys=True) for record in records]
-
-
-def write_jsonl(tracer, path: str) -> None:
-    """Write :func:`jsonl_lines` to ``path``, one record per line."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in jsonl_lines(tracer):
-            handle.write(line)
-            handle.write("\n")
 
 
 def write_metrics_text(registry, path: str) -> None:

@@ -43,10 +43,10 @@ class ResultCache:
         self.cache_dir = pathlib.Path(cache_dir)
         try:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as exc:
+        except OSError as exc:
             raise ConfigurationError(
-                f"cache dir is not a directory: {self.cache_dir}"
-            ) from exc
+                f"cannot use cache dir {self.cache_dir}: {exc}"
+            ) from None
         self.stats = ResultCacheStats()
 
     def _path(self, key: str) -> pathlib.Path:

@@ -66,15 +66,16 @@ class CampaignJournal:
             raise ConfigurationError("a journal needs a campaign fingerprint")
         self.path = pathlib.Path(path)
         self.campaign = campaign
-        self.resumed = False
         self._records: Dict[str, Dict[str, Any]] = {}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if resume and self.path.exists():
-            self._load()
-            self._handle = self.path.open("a", encoding="utf-8")
-            self.resumed = True
-        else:
-            self._handle = self.path.open("w", encoding="utf-8")
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self.resumed = resume and self.path.exists()
+            if self.resumed:
+                self._load()
+            self._handle = self.path.open("a" if self.resumed else "w", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigurationError(f"cannot open journal {self.path}: {exc}") from None
+        if not self.resumed:
             self._append(
                 {"format": _FORMAT, "version": _VERSION, "campaign": campaign}
             )

@@ -110,29 +110,6 @@ def _attempt_job(
     return fn(spec), None, None
 
 
-#: Target submissions per worker for the batched pool engine: enough
-#: chunks that a slow worker cannot stall the tail, few enough that
-#: pickling/IPC overhead stays amortized across many points.
-_BATCH_CHUNKS_PER_WORKER = 4
-
-
-def _batched_attempt_job(
-    fn: Callable[[Any], Any],
-    specs: Sequence[Any],
-    with_telemetry: bool,
-):
-    """A contiguous chunk of point attempts as one pool task.
-
-    A closed-form sweep point costs tens of microseconds, so per-point
-    ``pool.submit`` pickling dominates the wall clock on small grids.
-    Batching amortizes that overhead; each point still runs through
-    :func:`_attempt_job` (fault-free — the batched engine only runs
-    when no fault plan is installed), so per-point results and
-    telemetry snapshots are unchanged.
-    """
-    return [_attempt_job(fn, spec, None, with_telemetry) for spec in specs]
-
-
 def make_runner(
     workers: int = 1,
     cache_dir: Optional[str] = None,
@@ -170,7 +147,10 @@ def make_runner(
     if workers == 1 and cache_dir is None and not progress and not resilient:
         return None
     if resume and journal_path is None:
-        raise ConfigurationError("--resume needs a journal (--journal or --cache-dir)")
+        raise ConfigurationError(
+            "--resume needs a journal; pass --journal PATH, or --cache-dir DIR, "
+            "whose journal.jsonl is used"
+        )
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     journal = None
     if journal_path is not None:
@@ -565,12 +545,6 @@ class SweepRunner:
         pending: Sequence[int],
         context: _MapContext,
     ) -> None:
-        if self.retry is None and self.fault_plan is None:
-            # Legacy semantics (first exception propagates, no retries,
-            # no deadlines) — safe to trade the per-point state machine
-            # for chunked submissions that amortize pool overhead.
-            self._execute_pool_batched(fn, specs, pending, context)
-            return
         timeout_s = self.retry.point_timeout_s if self.retry is not None else None
         waiting: List[_PointState] = [
             _PointState(index, context.ordinals[index]) for index in pending
@@ -638,64 +612,6 @@ class SweepRunner:
                     pool, waiting = self._expire_timeouts(
                         pool, inflight, waiting, context, len(pending)
                     )
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _execute_pool_batched(
-        self,
-        fn: Callable[[Any], Any],
-        specs: Sequence[Any],
-        pending: Sequence[int],
-        context: _MapContext,
-    ) -> None:
-        """Pool execution with chunked job payloads (no retry layer).
-
-        Splits the pending indices into contiguous chunks and submits
-        each chunk as one :func:`_batched_attempt_job`.  Results are
-        completed per point in chunk order, so caching, journaling, and
-        telemetry snapshots behave exactly as with per-point submission;
-        a point exception propagates (legacy behavior), and a dead
-        worker surfaces as :class:`WorkerCrashed`.
-        """
-        chunk = max(
-            1, -(-len(pending) // (self.workers * _BATCH_CHUNKS_PER_WORKER))
-        )
-        batches = [
-            list(pending[offset : offset + chunk])
-            for offset in range(0, len(pending), chunk)
-        ]
-        pool = self._new_pool(len(batches))
-        try:
-            futures: Dict[concurrent.futures.Future, List[int]] = {}
-            for batch in batches:
-                try:
-                    future = pool.submit(
-                        _batched_attempt_job,
-                        fn,
-                        [specs[index] for index in batch],
-                        context.with_telemetry,
-                    )
-                except concurrent.futures.process.BrokenProcessPool as exc:
-                    raise WorkerCrashed(
-                        f"a campaign worker died after "
-                        f"{context.reporter.completed} of "
-                        f"{context.reporter.total} points "
-                        f"(pid {os.getpid()} lost its pool): {exc}"
-                    ) from exc
-                futures[future] = batch
-            for future in concurrent.futures.as_completed(list(futures)):
-                batch = futures[future]
-                try:
-                    outcomes = future.result()
-                except concurrent.futures.process.BrokenProcessPool as exc:
-                    raise WorkerCrashed(
-                        f"a campaign worker died after "
-                        f"{context.reporter.completed} of "
-                        f"{context.reporter.total} points "
-                        f"(pid {os.getpid()} lost its pool): {exc}"
-                    ) from exc
-                for index, (value, trace_snap, metric_snap) in zip(batch, outcomes):
-                    context.complete_ok(index, value, trace_snap, metric_snap)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 

@@ -14,14 +14,12 @@ Layered exactly like the victim software in the paper's Section 4.4:
 """
 
 from .block import BlockDevice, BlockStats
-from .cache import WriteBackCache
 from .faults import FaultInjector, FaultPlan
 from .raid import ArrayFailed, RaidArray, RaidLevel
 
 __all__ = [
     "BlockDevice",
     "BlockStats",
-    "WriteBackCache",
     "FaultInjector",
     "FaultPlan",
     "RaidArray",

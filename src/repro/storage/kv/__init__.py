@@ -13,7 +13,6 @@ from .memtable import MemTable
 from .wal import WALReader, WALWriter
 from .sstable import SSTableBuilder, SSTableReader
 from .version import FileMetadata, VersionEdit, VersionSet
-from .iterator import DBIterator
 from .db import DB, Options, Snapshot, WriteBatch
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "VersionEdit",
     "VersionSet",
     "DB",
-    "DBIterator",
     "Options",
     "Snapshot",
     "WriteBatch",

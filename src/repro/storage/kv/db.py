@@ -435,17 +435,6 @@ class DB:
             if kind == VALUE:
                 yield key, value
 
-    def iterator(self, snapshot=None) -> "DBIterator":
-        """A seekable, snapshot-consistent iterator over live keys."""
-        from .iterator import DBIterator
-
-        snapshot = self._resolve_snapshot(snapshot)
-        self._check_usable()
-        sources = [self.memtable.iterate()]
-        for meta in sorted(self.versions.all_files(), key=lambda m: m.number):
-            sources.append(self._reader(meta).iterate())
-        return DBIterator(sources, snapshot=snapshot)
-
     def range_scan(
         self, start: Optional[bytes] = None, end: Optional[bytes] = None
     ) -> Iterator[Tuple[bytes, bytes]]:

@@ -7,17 +7,12 @@ workload used for Table 2.
 """
 
 from .fio import FioJob, FioResult, FioTester, IOMode
-from .trace import IOTrace, TraceRecord, TraceReplayer, synthesize_trace
 
 __all__ = [
     "FioJob",
     "FioResult",
     "FioTester",
     "IOMode",
-    "IOTrace",
-    "TraceRecord",
-    "TraceReplayer",
-    "synthesize_trace",
     "DbBench",
     "DbBenchResult",
     "YcsbRunner",

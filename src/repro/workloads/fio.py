@@ -15,9 +15,8 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import List, MutableSequence, Optional
+from typing import List, MutableSequence, Optional, Sequence
 
-from repro.analysis.stats import percentile
 from repro.errors import ConfigurationError, DriveTimeout, MediumError
 from repro.hdd.drive import HardDiskDrive
 from repro.hdd.servo import OpKind
@@ -85,6 +84,24 @@ class FioJob:
     def sectors_per_block(self) -> int:
         """Sectors per access."""
         return self.block_bytes // SECTOR_SIZE
+
+
+def percentile(values: Sequence[float], pct: float) -> float:
+    """Linear-interpolation percentile, pct in [0, 100]."""
+    if not values:
+        raise ConfigurationError("percentile of empty sequence")
+    if not 0.0 <= pct <= 100.0:
+        raise ConfigurationError(f"percentile out of range: {pct}")
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = pct / 100.0 * (len(ordered) - 1)
+    low = math.floor(rank)
+    high = math.ceil(rank)
+    if low == high:
+        return ordered[low]
+    frac = rank - low
+    return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
 @dataclass

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.analysis.plots import ascii_chart
-from repro.analysis.stats import loss_fraction, mean, percentile, series_summary
 from repro.analysis.tables import Table, format_latency_ms, format_mbps
 from repro.errors import ConfigurationError
+from repro.workloads.fio import percentile
 
 
 class TestFormatting:
@@ -70,11 +70,6 @@ class TestAsciiChart:
 
 
 class TestStats:
-    def test_mean(self):
-        assert mean([1.0, 2.0, 3.0]) == 2.0
-        with pytest.raises(ConfigurationError):
-            mean([])
-
     def test_percentile_interpolates(self):
         values = [10.0, 20.0, 30.0, 40.0]
         assert percentile(values, 0) == 10.0
@@ -86,16 +81,3 @@ class TestStats:
             percentile([1.0], 150)
         with pytest.raises(ConfigurationError):
             percentile([], 50)
-
-    def test_loss_fraction_clamps(self):
-        assert loss_fraction(0.0, 20.0) == 1.0
-        assert loss_fraction(10.0, 20.0) == 0.5
-        assert loss_fraction(25.0, 20.0) == 0.0
-        with pytest.raises(ConfigurationError):
-            loss_fraction(1.0, 0.0)
-
-    def test_series_summary_keys(self):
-        summary = series_summary([3.0, 1.0, 2.0])
-        assert summary["min"] == 1.0
-        assert summary["max"] == 3.0
-        assert summary["median"] == 2.0

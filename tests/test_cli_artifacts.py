@@ -1,11 +1,12 @@
 """Artifact flags at the CLI boundary.
 
-``--trace``, ``--metrics-out``, ``--series-out``, ``--dashboard-out``
-and ``--incident-out`` share one policy: the parent directory is made
-before the command runs, and a path that cannot be written is a
-one-line ``ConfigurationError`` (exit 2) instead of a traceback after
-the run.  The ``--trace`` path streams from the tracer's buffers and
-never builds a span view.
+``--trace``, ``--metrics-out``, ``--series-out``, ``--dashboard-out``,
+``--incident-out`` and ``report --output`` share one policy: the parent
+directory is made before the command runs, and a path that cannot be
+written is a one-line ``ConfigurationError`` (exit 2) instead of a
+traceback after the run.  ``--journal`` and ``--cache-dir`` fail the
+same way when the runner opens them.  The ``--trace`` path streams
+from the tracer's buffers and never builds a span view.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.obs import trace as obs_trace
 
 RACK = ["rack", "--bays", "1"]
 YCSB = ["ycsb", "--warmup", "1", "--attack", "1.5", "--recovery", "1", "--records", "150"]
+FIGURE2 = ["figure2", "--runtime", "0.1"]
 
 
 @pytest.mark.parametrize(
@@ -36,6 +38,8 @@ def test_missing_parent_directory_is_created(tmp_path, capsys, flag):
         RACK + ["--series-out"],
         RACK + ["--dashboard-out"],
         ["table3", "--incident-out"],
+        ["report", "--output"],
+        FIGURE2 + ["--journal"],
     ],
     ids=lambda argv: argv[-1],
 )
@@ -48,6 +52,21 @@ def test_parent_that_is_a_file_exits_2_before_the_run(tmp_path, capsys, argv):
     (line,) = err.splitlines()
     assert line.startswith("deepnote: ConfigurationError: ")
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["report", "--output"], FIGURE2 + ["--journal"], FIGURE2 + ["--cache-dir"]],
+    ids=lambda argv: argv[-1],
+)
+def test_path_the_os_refuses_exits_2_before_the_run(tmp_path, capsys, argv):
+    # A directory name longer than any filesystem's 255-byte limit.
+    refused = tmp_path / ("x" * 300) / "artifact"
+    assert main(argv + [str(refused)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("deepnote: ConfigurationError: ")
 
 
 def test_artifact_path_that_is_a_directory_exits_2(tmp_path, capsys):

@@ -66,6 +66,14 @@ class TestFigure2Driver:
         assert 600.0 in freqs and 700.0 in freqs  # brackets the 650 Hz tone
         assert 1300.0 in freqs
 
+    def test_figure2_csv_export(self):
+        result = run_figure2(frequencies_hz=[650.0, 3000.0], fio_runtime_s=0.2)
+        csv = result.to_csv("write")
+        lines = csv.strip().splitlines()
+        assert lines[0].startswith("frequency_hz,")
+        assert len(lines) == 3
+        assert lines[1].startswith("650.0,")
+
 
 class TestTable2Driver:
     def test_shape_and_render(self):
@@ -175,3 +183,11 @@ class TestCLIBoundary:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("deepnote: ResumeMismatch: ")
+
+    def test_resume_without_a_journal_is_a_typed_line(self, capsys):
+        assert main(["figure2", "--runtime", "0.1", "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("deepnote: ConfigurationError: --resume needs a journal")

@@ -1,14 +1,11 @@
-"""fsck, the DB iterator, speaker arrays, and campaign planning."""
-
-import math
+"""fsck and campaign planning."""
 
 import pytest
 
-from repro.acoustics.arrays import SpeakerArray
 from repro.core.campaign import CampaignPlanner
 from repro.core.coupling import AttackCoupling
 from repro.core.scenario import Scenario
-from repro.errors import ConfigurationError, UnitError
+from repro.errors import ConfigurationError
 from repro.storage.fs.fsck import check
 from repro.storage.fs.inode import Extent
 
@@ -75,101 +72,6 @@ class TestFsck:
         fs.inodes.clear()
         report = check(fs)
         assert "root inode missing" in report.render()
-
-
-class TestDBIterator:
-    def test_iterates_in_order_across_sources(self, db):
-        for i in (3, 1, 2):
-            db.put(f"{i}".encode(), f"v{i}".encode())
-        db.flush()
-        db.put(b"0", b"v0")
-        keys = [k for k, _ in db.iterator()]
-        assert keys == [b"0", b"1", b"2", b"3"]
-
-    def test_newest_version_wins(self, db):
-        db.put(b"k", b"old")
-        db.flush()
-        db.put(b"k", b"new")
-        it = db.iterator()
-        assert it.key() == b"k" and it.value() == b"new"
-
-    def test_tombstones_hidden(self, db):
-        db.put(b"a", b"1")
-        db.put(b"b", b"2")
-        db.flush()
-        db.delete(b"a")
-        assert [k for k, _ in db.iterator()] == [b"b"]
-
-    def test_snapshot_iteration(self, db):
-        db.put(b"k", b"v1")
-        snapshot = db.versions.last_sequence
-        db.put(b"k", b"v2")
-        db.put(b"later", b"x")
-        it = db.iterator(snapshot=snapshot)
-        pairs = list(it)
-        assert pairs == [(b"k", b"v1")]
-
-    def test_seek(self, db):
-        for i in range(10):
-            db.put(f"{i:02d}".encode(), b"v")
-        it = db.iterator()
-        it.seek(b"05")
-        assert it.key() == b"05"
-        # Seek between keys lands on the next one; iterators are
-        # forward-only, so use a fresh one.
-        it = db.iterator()
-        it.seek(b"045")
-        assert it.key() == b"05"
-
-    def test_exhaustion(self, db):
-        db.put(b"only", b"v")
-        it = db.iterator()
-        it.next()
-        assert not it.valid
-        with pytest.raises(ConfigurationError):
-            it.key()
-
-
-class TestSpeakerArray:
-    def test_coherent_gain_6db_per_doubling(self):
-        assert SpeakerArray(count=2).coherent_gain_db() == pytest.approx(6.02, abs=0.01)
-        assert SpeakerArray(count=8).coherent_gain_db() == pytest.approx(18.06, abs=0.01)
-
-    def test_on_axis_directivity_is_unity(self):
-        array = SpeakerArray(count=6, spacing_m=0.5)
-        assert array.directivity(650.0, 0.0) == pytest.approx(1.0)
-
-    def test_off_axis_attenuation(self):
-        array = SpeakerArray(count=8, spacing_m=1.0)
-        off_axis = array.directivity(650.0, math.radians(40.0))
-        assert off_axis < 0.5
-
-    def test_beam_narrows_with_aperture(self):
-        small = SpeakerArray(count=2, spacing_m=0.5)
-        large = SpeakerArray(count=16, spacing_m=0.5)
-        assert large.beamwidth_deg(650.0) < small.beamwidth_deg(650.0)
-
-    def test_grating_lobes_at_wide_spacing(self):
-        array = SpeakerArray(count=4, spacing_m=2.0)
-        assert array.has_grating_lobes(650.0)  # lambda/2 = 1.14 m
-        assert not array.has_grating_lobes(300.0)
-
-    def test_received_level_combines_gain_and_pattern(self):
-        array = SpeakerArray(count=4, spacing_m=0.5)
-        on_axis = array.received_level_db(140.0, 650.0, 0.0)
-        assert on_axis == pytest.approx(152.0, abs=0.1)
-        assert array.received_level_db(140.0, 650.0, math.radians(60.0)) < on_axis
-
-    def test_single_element_is_omni(self):
-        array = SpeakerArray(count=1)
-        assert array.directivity(650.0, 1.0) == 1.0
-        assert array.beamwidth_deg(650.0) == 360.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SpeakerArray(count=0)
-        with pytest.raises(UnitError):
-            SpeakerArray(spacing_m=0.0)
 
 
 class TestCampaignPlanner:

@@ -1,4 +1,4 @@
-"""Exporter formats: Chrome trace_event JSON, JSONL, Prometheus text.
+"""Exporter formats: Chrome trace_event JSON and Prometheus text.
 
 The Chrome documents are additionally run through the same structural
 validator CI uses (``tools/validate_trace.py``), so the test suite and
@@ -214,26 +214,6 @@ class TestStreamingWriter:
         assert "".join(writes) == _json_dump_text(tracer)
         # Header, 4 thread names, 10 spans by 4, 1 instant, closing brackets.
         assert [text.count('"ph"') for text in writes] == [0, 4, 4, 4, 2, 1, 0]
-
-
-class TestJsonl:
-    def test_lines_sorted_by_virtual_time(self):
-        lines = [json.loads(line) for line in obs.jsonl_lines(_sample_tracer())]
-        assert [r["ts_s"] for r in lines] == sorted(r["ts_s"] for r in lines)
-        # The tie at t=0 puts both spans before any instant.
-        assert [r["type"] for r in lines] == ["span", "span", "span", "event"]
-
-    def test_span_records_carry_duration_and_status(self):
-        lines = [json.loads(line) for line in obs.jsonl_lines(_sample_tracer())]
-        commit = next(r for r in lines if r["name"] == "journal.commit")
-        assert commit["status"] == "error"
-        assert commit["dur_s"] == pytest.approx(0.5)
-
-    def test_write_jsonl(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        obs.write_jsonl(_sample_tracer(), str(path))
-        content = path.read_text().splitlines()
-        assert content == obs.jsonl_lines(_sample_tracer())
 
 
 class TestMetricsText:

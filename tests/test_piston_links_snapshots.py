@@ -1,73 +1,10 @@
-"""Piston source physics, hard links, pinned snapshots."""
-
-import math
+"""Hard links and pinned snapshots."""
 
 import pytest
 
-from repro.acoustics.piston import CircularPiston, bessel_j1
-from repro.errors import FileExists, FilesystemError, UnitError
+from repro.errors import FileExists, FilesystemError
 from repro.storage.kv.db import DB, Options, Snapshot
 from repro.rng import make_rng
-
-
-class TestCircularPiston:
-    def test_rayleigh_distance(self):
-        piston = CircularPiston(radius_m=0.10)
-        # a^2/lambda at 650 Hz (lambda ~2.28 m) ~ 4.4 mm.
-        assert piston.rayleigh_distance_m(650.0) == pytest.approx(0.0044, abs=0.0005)
-
-    def test_far_field_falls_like_one_over_r(self):
-        piston = CircularPiston(radius_m=0.10)
-        far = 50.0
-        ratio_1 = piston.on_axis_pressure_ratio(far, 650.0)
-        ratio_2 = piston.on_axis_pressure_ratio(2 * far, 650.0)
-        assert ratio_1 / ratio_2 == pytest.approx(2.0, rel=0.02)
-
-    def test_near_field_bounded_by_two(self):
-        piston = CircularPiston(radius_m=0.10)
-        for distance in (0.0, 0.001, 0.005, 0.01, 0.05):
-            assert 0.0 <= piston.on_axis_pressure_ratio(distance, 10_000.0) <= 2.0
-
-    def test_directivity_on_axis_unity(self):
-        piston = CircularPiston(radius_m=0.10)
-        assert piston.directivity(650.0, 0.0) == pytest.approx(1.0)
-
-    def test_low_frequency_is_omni(self):
-        piston = CircularPiston(radius_m=0.10)
-        # ka = 2 pi 650 / 1485 * 0.1 ~ 0.27: essentially omnidirectional.
-        assert piston.directivity(650.0, math.radians(60.0)) > 0.95
-        assert piston.beamwidth_deg(650.0) == 360.0
-
-    def test_high_frequency_beams(self):
-        piston = CircularPiston(radius_m=0.10)
-        assert piston.beamwidth_deg(50_000.0) < 30.0
-        assert piston.directivity(50_000.0, math.radians(20.0)) < 0.3
-
-    def test_point_source_error_small_in_far_field(self):
-        piston = CircularPiston(radius_m=0.10)
-        assert abs(piston.point_source_error_db(30.0, 650.0)) < 1.0
-
-    def test_validation(self):
-        with pytest.raises(UnitError):
-            CircularPiston(radius_m=0.0)
-        with pytest.raises(UnitError):
-            CircularPiston().on_axis_pressure_ratio(-1.0, 650.0)
-
-    def test_bessel_j1_pinned_values(self):
-        # Pinned to the values scipy.special.j1 returns, bit for bit.
-        assert bessel_j1(1.0) == 0.44005058574493355
-        assert bessel_j1(2.0) == 0.5767248077568734
-        # Elsewhere within an ulp or two of the series value.
-        assert bessel_j1(-1.0) == pytest.approx(-0.44005058574493355, abs=1e-15)
-        assert bessel_j1(5.0) == pytest.approx(-0.3275791375914653, abs=1e-15)
-        assert bessel_j1(10.0) == pytest.approx(0.04347274616886141, abs=1e-15)
-        assert bessel_j1(25.0) == pytest.approx(-0.1253502495802898, abs=1e-15)
-        # J1(0) and the first zero of J1 (rounding leaves ~1e-17).
-        assert bessel_j1(0.0) == pytest.approx(0.0, abs=1e-15)
-        assert bessel_j1(3.8317059702075125) == pytest.approx(0.0, abs=1e-15)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(UnitError):
-                bessel_j1(bad)
 
 
 class TestHardLinks:
@@ -152,12 +89,6 @@ class TestPinnedSnapshots:
         db.release_snapshot(snap)
         db.release_snapshot(snap)  # idempotent
         assert snap.sequence not in db._live_snapshots
-
-    def test_snapshot_iterator(self, db):
-        db.put(b"a", b"1")
-        snap = db.snapshot()
-        db.put(b"b", b"2")
-        assert list(db.iterator(snapshot=snap)) == [(b"a", b"1")]
 
     def test_deletes_respect_snapshots_through_compaction(self, fs):
         fs.mkdir("/sd")

@@ -1,96 +1,14 @@
-"""More property-based tests: traces, RAID, iterators, campaign math."""
+"""More property-based tests: RAID and campaign math."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.hdd.servo import OpKind
 from repro.rng import make_rng
 from repro.sim.clock import VirtualClock
-from repro.storage.kv.iterator import DBIterator
-from repro.storage.kv.memtable import TOMBSTONE, VALUE
-from repro.workloads.trace import IOTrace, TraceRecord
 
 _settings = settings(
     max_examples=50, suppress_health_check=[HealthCheck.too_slow], deadline=None
 )
-
-keys = st.binary(min_size=1, max_size=12)
-values = st.binary(max_size=24)
-
-
-class TestTraceProperties:
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-                st.booleans(),
-                st.integers(0, 1 << 30),
-                st.integers(1, 64),
-            ),
-            max_size=60,
-        )
-    )
-    @_settings
-    def test_text_roundtrip_any_trace(self, raw):
-        records = [
-            TraceRecord(t, OpKind.WRITE if w else OpKind.READ, lba, n)
-            for t, w, lba, n in sorted(raw, key=lambda r: r[0])
-        ]
-        trace = IOTrace(records)
-        assert IOTrace.loads(trace.dumps()).records == records
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 1 << 20), st.integers(1, 32)), max_size=40
-        )
-    )
-    @_settings
-    def test_bytes_requested_matches_sum(self, spec):
-        trace = IOTrace(
-            [TraceRecord(float(i), OpKind.READ, lba, n) for i, (lba, n) in enumerate(spec)]
-        )
-        assert trace.bytes_requested() == sum(n * 512 for _, n in spec)
-
-
-class TestIteratorProperties:
-    @given(
-        st.lists(st.tuples(st.booleans(), keys, values), min_size=1, max_size=80),
-        st.integers(1, 4),
-    )
-    @_settings
-    def test_merged_iteration_equals_model(self, ops, num_sources):
-        """Split a history across sources; merged view == dict model."""
-        model = {}
-        sources = [[] for _ in range(num_sources)]
-        for sequence, (is_delete, key, value) in enumerate(ops, start=1):
-            kind = TOMBSTONE if is_delete else VALUE
-            if is_delete:
-                model.pop(key, None)
-            else:
-                model[key] = value
-            sources[sequence % num_sources].append((key, sequence, kind, value))
-        streams = [
-            iter(sorted(entries, key=lambda e: (e[0], -e[1]))) for entries in sources
-        ]
-        pairs = list(DBIterator(streams))
-        assert pairs == sorted(model.items())
-
-    @given(
-        st.lists(st.tuples(keys, values), min_size=1, max_size=60),
-        st.integers(1, 60),
-    )
-    @_settings
-    def test_snapshot_iteration_sees_prefix(self, ops, cut):
-        cut = min(cut, len(ops))
-        model = {}
-        entries = []
-        for sequence, (key, value) in enumerate(ops, start=1):
-            entries.append((key, sequence, VALUE, value))
-            if sequence <= cut:
-                model[key] = value
-        stream = iter(sorted(entries, key=lambda e: (e[0], -e[1])))
-        pairs = list(DBIterator([stream], snapshot=cut))
-        assert pairs == sorted(model.items())
 
 
 class TestRaidProperties:

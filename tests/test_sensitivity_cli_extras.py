@@ -1,37 +1,6 @@
-"""Sensitivity sweeps and the extended CLI commands."""
-
-import pytest
+"""The extended CLI commands."""
 
 from repro.cli import main
-from repro.experiments.sensitivity import run_level_sensitivity, run_seed_sensitivity
-
-
-class TestSeedSensitivity:
-    @pytest.fixture(scope="class")
-    def sweep(self):
-        return run_seed_sensitivity(seeds=(1, 2, 3), fio_runtime_s=0.5)
-
-    def test_shape_holds_for_every_seed(self, sweep):
-        # Reads degraded-but-moving, writes nearly dead, at 10 cm.
-        for read in sweep.read_mbps:
-            assert 8.0 < read < 18.0
-        for write in sweep.write_mbps:
-            assert write < 1.0
-
-    def test_spread_is_modest(self, sweep):
-        assert sweep.read_spread_fraction() < 0.4
-
-    def test_summary_table_renders(self, sweep):
-        rendered = sweep.summary_table().render()
-        assert "read MB/s" in rendered and "median" in rendered
-
-
-class TestLevelSensitivity:
-    def test_cliff_not_a_lucky_level(self):
-        table = run_level_sensitivity(levels_db=(134.0, 140.0))
-        writes = [float(row[1]) for row in table.rows]
-        # Still a dead drive several dB below the paper's level.
-        assert all(w < 1.0 for w in writes)
 
 
 class TestExtendedCLI:
