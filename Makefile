@@ -31,8 +31,8 @@ docs:       ## regenerate docs/CLI.md from the argparse tree
 docs-check: ## CI gate: fail if docs/CLI.md is stale
 	$(PYTHON) tools/gen_cli_docs.py --check
 
-bench:      ## paper-scale benchmarks (writes results/*.txt)
-	$(PYTHON) -m pytest -q benchmarks
+bench:      ## regenerate every results/ file in one full-fidelity pass (seed 42)
+	$(PYTHON) tools/make_results.py
 
 trace-smoke: ## tiny traced sweeps (both detail levels) + trace schema validation
 	$(PYTHON) -m repro.cli figure2 --runtime 0.2 --seed 7 \

@@ -22,6 +22,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=[],
-    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"dev": ["pytest", "hypothesis"]},
     entry_points={"console_scripts": ["deepnote = repro.cli:main"]},
 )

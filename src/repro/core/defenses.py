@@ -174,7 +174,7 @@ def evaluate_defense(
 
     Returns the undefended and defended chassis displacements plus the
     insertion loss in dB and the thermal penalty, without running a full
-    workload — the ablation benchmarks build tables from this.
+    workload — the defense ablation builds its table from this.
     """
     base = scenario if scenario is not None else Scenario.scenario_2()
     defended = DefendedScenario(base, defense)

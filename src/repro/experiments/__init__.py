@@ -3,8 +3,9 @@
 Each experiment builds fresh victims, applies the attack through the
 calibrated coupling chain, and returns a structured result with a
 ``render()`` method that prints the same rows/series the paper reports.
-The pytest-benchmark targets under ``benchmarks/`` are thin wrappers
-around these drivers; the ``deepnote`` CLI exposes them interactively.
+The ``deepnote`` CLI exposes them interactively, ``tools/make_results.py``
+renders them into ``results/``, and ``tests/test_paper_shapes.py``
+asserts their shapes.
 """
 
 from .apps import DVRVictim, Ext4Victim, RocksDBVictim, UbuntuVictim

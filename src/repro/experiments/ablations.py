@@ -5,8 +5,8 @@
 * water conditions (temperature / salinity / depth),
 * candidate defenses (absorbers, isolators, firmware hardening).
 
-Each returns plain rows so benchmarks and the CLI can render or assert
-on them.
+Each returns plain rows so tests and the CLI can render or assert on
+them.
 """
 
 from __future__ import annotations

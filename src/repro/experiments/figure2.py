@@ -79,8 +79,8 @@ class Figure2Result:
         """CSV of the series (freq + one column per scenario).
 
         For plotting outside the library (matplotlib, gnuplot, a
-        spreadsheet); the benchmark harness archives the rendered text,
-        this gives downstream users the raw numbers.  Scenarios missing
+        spreadsheet); ``results/`` archives the rendered text, and this
+        gives downstream users the raw numbers.  Scenarios missing
         a frequency leave that cell empty.
         """
         names = list(self.sweeps)

@@ -1,6 +1,6 @@
 """The paper's reported numbers, transcribed for comparison.
 
-Benchmarks never assert equality against these (our substrate is a
+Tests never assert equality against these (our substrate is a
 simulator, not the authors' water tank); they assert the *shape*: who
 wins, by roughly what factor, and where the cliffs fall.  EXPERIMENTS.md
 tabulates paper-vs-measured from the same constants.

@@ -7,11 +7,11 @@ acoustic attack?*  RAID-0/1/5 arrays are implemented over member
 semantics — striping, mirroring, rotating parity, degraded-mode
 reconstruction, member failure tracking.
 
-The punchline (exercised by the ablation benchmarks): acoustic
-interference is a **common-mode fault**.  Every member in the same
-enclosure feels the same vibration, so all of them stall together and
-redundancy buys nothing — unlike independent mechanical failures, which
-RAID handles exactly as designed.
+The punchline (``tests/test_raid.py``, ``results/ablation_raid.txt``):
+acoustic interference is a **common-mode fault**.  Every member in the
+same enclosure feels the same vibration, so all of them stall together
+and redundancy buys nothing — unlike independent mechanical failures,
+which RAID handles exactly as designed.
 """
 
 from __future__ import annotations

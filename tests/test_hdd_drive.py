@@ -25,6 +25,13 @@ def partial_vibration(drive: HardDiskDrive, write_ratio: float) -> VibrationInpu
 
 
 class TestQuietOperation:
+    def test_stats_count_every_command(self, drive):
+        for i in range(2000):
+            drive.write(i * 8, 8)
+        for i in range(500):
+            drive.read(i * 8, 8)
+        assert (drive.stats.writes, drive.stats.reads) == (2000, 500)
+
     def test_read_returns_written_data(self, drive):
         payload = bytes(range(256)) * 16  # 4 KiB
         drive.write(100, 8, payload)

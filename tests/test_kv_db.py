@@ -180,6 +180,16 @@ class TestFlushAndCompaction:
         assert db.stats.flushes >= 1
         assert db.get(b"k0000") == b"x" * 64
 
+    def test_stats_count_puts_and_hits_across_flushes(self, fs):
+        fs.mkdir("/s")
+        db = DB.open(fs, "/s", options=Options(write_buffer_size=64 * 1024))
+        for i in range(2000):
+            db.put(f"key-{i:08d}".encode(), b"v" * 64)
+        for i in range(0, 2000, 4):
+            assert db.get(f"key-{i:08d}".encode()) == b"v" * 64
+        assert db.stats.flushes >= 2
+        assert (db.stats.puts, db.stats.gets, db.stats.get_hits) == (2000, 500, 500)
+
     def test_compaction_triggers_and_preserves_data(self, fs):
         fs.mkdir("/c")
         options = Options(

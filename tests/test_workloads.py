@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hdd.servo import VibrationInput
+from repro.rng import make_rng
 from repro.storage.kv.db import DB
 from repro.workloads.db_bench import DbBench, DbBenchConfig
 from repro.workloads.fio import FioJob, FioResult, FioTester, IOMode
@@ -100,6 +101,30 @@ class TestDbBench:
         result = bench.read_random(count=500)
         assert result.reads == 500
         assert result.bytes_moved > 0
+
+    @staticmethod
+    def flushed_bench(db):
+        """5,000 preloaded keys, all in one flushed table."""
+        bench = DbBench(db, DbBenchConfig(num_preload=5_000), rng=make_rng(5))
+        bench.fill_seq()
+        db.flush()
+        assert len(db.readers) == 1
+        return bench
+
+    def test_read_random_finds_every_key_of_a_flushed_table(self, db):
+        # First lookups: a memtable miss, then the table's bloom probe
+        # and key search.
+        result = self.flushed_bench(db).read_random(count=2000)
+        assert result.reads == 2000 and not result.aborted
+        assert result.bytes_moved == 2000 * (16 + 64)  # every key found
+
+    def test_read_random_finds_every_memoized_key(self, db):
+        bench = self.flushed_bench(db)
+        for key, _ in db.scan():
+            db.get(key)  # every key now answers from the reader's memo
+        result = bench.read_random(count=2000)
+        assert result.reads == 2000 and not result.aborted
+        assert result.bytes_moved == 2000 * (16 + 64)
 
     def test_readwhilewriting_mixes_ops(self, db):
         bench = DbBench(db, DbBenchConfig(num_preload=300, duration_s=0.05, readers=3))

@@ -38,7 +38,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGETS = ["src", "tests", "benchmarks", "tools", "examples"]
+TARGETS = ["src", "tests", "tools", "examples"]
 
 #: Packages whose public surface must be fully docstring-covered.  These
 #: are the modules that carry the simulation determinism/units contract;

@@ -1,74 +1,171 @@
 #!/usr/bin/env python3
-"""Regenerate every artefact in results/ plus the full report.
+"""Regenerate every artefact in results/ in one full-fidelity pass.
 
-CI entry point: after this script, results/ contains the rendered
-figure, all tables, the ablations, the CSV series, and REPORT.md — all
-seeded, so the diff against the committed artefacts shows real
-behavioural change only.
+CI entry point: ``make bench`` runs this script, and CI then fails on
+``git diff --exit-code results/``.  A single ``run_report`` at seed 42
+runs each experiment once; the figure, the tables, the CSV series, the
+ablations and REPORT.md are all rendered from it, so REPORT.md equals
+``deepnote report --full --seed 42`` byte for byte.  Nothing written
+depends on the host, so a diff against the committed artefacts shows
+real behavioural change only.
 
-Run:  python tools/make_results.py [--full]
+The extension studies below take the paper's Section 5 questions past
+its evaluation: does redundancy help (no, the attack is common mode),
+how much of a tower does one speaker take out, which YCSB mixes survive,
+and can a defender hear the attacker.  Only this script runs them;
+``tests/test_paper_shapes.py`` imports them to assert their shapes.
+
+Run:  PYTHONPATH=src python tools/make_results.py   (or ``make bench``)
 """
 
 from __future__ import annotations
 
-import argparse
 import pathlib
 import sys
+from typing import Dict, List, Tuple
+
+from repro.acoustics.ambient import AmbientNoise
+from repro.analysis.report import ReportOptions, render_report, run_report
+from repro.core.attacker import AttackConfig
+from repro.core.coupling import AttackCoupling
+from repro.core.fleet import DriveRack
+from repro.errors import BlockIOError
+from repro.experiments.ablations import run_drive_type_ablation
+from repro.hdd.drive import HardDiskDrive
+from repro.hdd.servo import VibrationInput
+from repro.rng import make_rng
+from repro.sim.clock import VirtualClock
+from repro.storage.block import BlockDevice
+from repro.storage.fs.filesystem import SimFS
+from repro.storage.kv.db import DB, Options
+from repro.storage.raid import ArrayFailed, RaidArray, RaidLevel
+from repro.units import BLOCK_4K
+from repro.workloads.ycsb import WORKLOADS, YcsbRunner
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
+def raid_common_mode() -> Tuple[bool, bool]:
+    """Whether a 3-bay RAID5 survives one dead member, and one speaker."""
+
+    def loaded_array() -> Tuple[DriveRack, RaidArray]:
+        rack = DriveRack(bays=3)
+        array = RaidArray.from_rack(rack, RaidLevel.RAID5)
+        for i in range(6):
+            array.write_block(i, bytes([i]) * BLOCK_4K)
+        return rack, array
+
+    # One independent mechanical failure: a single member stalls.
+    _, array = loaded_array()
+    drive = array.members[0].device.drive
+    servo = drive.profile.servo
+    mechanical = servo.hsa.response(650.0) * servo.head_gain * servo.rejection(650.0)
+    drive.set_vibration(VibrationInput(650.0, 2.0 * servo.servo_limit_m / mechanical))
+    survived = all(array.read_block(i) == bytes([i]) * BLOCK_4K for i in range(6))
+    independent = survived and array.online
+
+    # The acoustic attack: every member stalls at once.
+    rack, array = loaded_array()
+    rack.apply_attack(AttackConfig.paper_best())
+    try:
+        for i in range(6):
+            array.read_block(i)
+        attacked = array.online
+    except (ArrayFailed, BlockIOError):
+        attacked = False
+    return independent, attacked
+
+
+def rack_coverage() -> List[Tuple[int, int, int]]:
+    """(distance cm, bays write-disabled, bays stalled) of a 5-bay tower
+    under one 650 Hz / 140 dB speaker."""
+    rows = []
+    for cm in (1, 5, 10, 14, 20, 25):
+        rack = DriveRack(bays=5)
+        rack.apply_attack(AttackConfig(650.0, 140.0, cm / 100.0))
+        probabilities = rack.write_success_probabilities().values()
+        disabled = sum(1 for p in probabilities if p < 0.5)
+        rows.append((cm, disabled, len(rack.stalled_bays())))
+    return rows
+
+
+def ycsb_mixes() -> Dict[str, Tuple[float, float, float]]:
+    """YCSB A, B, C and F quiet and under attack at 12 cm: mix ->
+    (quiet ops/s, attacked ops/s, fraction retained)."""
+    rows = {}
+    for name in ("A", "B", "C", "F"):
+        rates = []
+        for attacked in (False, True):
+            rng = make_rng(7).fork(f"{name}/{attacked}")
+            drive = HardDiskDrive(clock=VirtualClock(), rng=rng.fork("d"))
+            fs = SimFS.mkfs(BlockDevice(drive), commit_interval_s=3600.0)
+            fs.mkdir("/db")
+            db = DB.open(fs, "/db", options=Options(wal_sync_every_bytes=64 * 1024))
+            runner = YcsbRunner(db, record_count=1000, rng=rng.fork("y"))
+            runner.load()
+            if attacked:
+                AttackCoupling.paper_setup().apply(drive, AttackConfig(650.0, 140.0, 0.12))
+            rates.append(runner.run(WORKLOADS[name], duration_s=0.5).ops_per_second)
+        rows[name] = (rates[0], rates[1], rates[1] / rates[0])
+    return rows
+
+
+def detection_ranges() -> Dict[str, float]:
+    """Hydrophone detection range (m) of the 140 dB / 650 Hz attack tone
+    at three ambient-noise sites."""
+    sites = {
+        "quiet site": AmbientNoise.quiet_site(),
+        "average": AmbientNoise(),
+        "busy harbor": AmbientNoise.harbor(),
+    }
+    return {name: site.detection_range_m(140.0, 650.0) for name, site in sites.items()}
+
+
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--full", action="store_true", help="full-fidelity run")
-    parser.add_argument("--seed", type=int, default=42)
-    args = parser.parse_args()
-
+    run = run_report(ReportOptions(quick=False, seed=42))
+    independent, attacked = raid_common_mode()
+    artefacts = {
+        "figure2.txt": run.figure2.render(),
+        "figure2_write.csv": run.figure2.to_csv("write"),
+        "figure2_read.csv": run.figure2.to_csv("read"),
+        "table1.txt": run.table1.render(),
+        "table2.txt": run.table2.render(),
+        "table3.txt": run.table3.render(),
+        "ablation_material.txt": run.material.render(),
+        "ablation_source_level.txt": run.source_level.render(),
+        "ablation_water.txt": run.water.render(),
+        "ablation_defense.txt": run.defenses.render(),
+        "ablation_drive_type.txt": run_drive_type_ablation().render(),
+        "objectives.txt": run.objectives.render(),
+        "ablation_raid.txt": "\n".join([
+            "Ablation: RAID5 vs failures",
+            f"independent member failure: array survives = {independent}",
+            f"acoustic attack (common mode): array survives = {attacked}",
+        ]),
+        "ablation_rack.txt": "\n".join(
+            ["Ablation: rack coverage vs distance (650 Hz, 140 dB)",
+             "distance_cm  bays_write_disabled  bays_stalled"]
+            + [f"{cm:>11}  {d:>19}  {s:>12}" for cm, d, s in rack_coverage()]
+        ),
+        "ablation_ycsb.txt": "\n".join(
+            ["Extension: YCSB mixes quiet vs attacked (650 Hz, 12 cm)",
+             "mix  quiet ops/s  attacked ops/s  retained"]
+            + [f"{name:<4} {quiet:>11.0f}  {hit:>14.0f}  {kept:>7.1%}"
+               for name, (quiet, hit, kept) in ycsb_mixes().items()]
+        ),
+        "ablation_detection.txt": "\n".join(
+            ["Ablation: hydrophone detection range of the 140 dB attack tone",
+             "site          detection range (m)   attack radius (m)"]
+            + [f"{name:<12}  {reach:>18.1f}   0.25"
+               for name, reach in detection_ranges().items()]
+        ),
+        "REPORT.md": render_report(run),
+    }
     RESULTS.mkdir(exist_ok=True)
-    fio_runtime = 2.0 if args.full else 0.5
-    duration = 1.0 if args.full else 0.5
-
-    from repro.analysis.report import ReportOptions, build_report
-    from repro.experiments.ablations import (
-        run_defense_ablation,
-        run_drive_type_ablation,
-        run_material_ablation,
-        run_source_level_ablation,
-        run_water_conditions_ablation,
-    )
-    from repro.experiments.figure2 import run_figure2
-    from repro.experiments.objectives import run_objective_comparison
-    from repro.experiments.table1 import run_table1
-    from repro.experiments.table2 import run_table2
-    from repro.experiments.table3 import run_table3
-
-    def save(name: str, text: str) -> None:
+    for name, text in artefacts.items():
         path = RESULTS / name
         path.write_text(text if text.endswith("\n") else text + "\n")
         print(f"wrote {path}")
-
-    figure2 = run_figure2(fio_runtime_s=fio_runtime, seed=args.seed)
-    save("figure2.txt", figure2.render())
-    save("figure2_write.csv", figure2.to_csv("write"))
-    save("figure2_read.csv", figure2.to_csv("read"))
-
-    save("table1.txt", run_table1(fio_runtime_s=fio_runtime, seed=args.seed).render())
-    save("table2.txt", run_table2(duration_s=duration, seed=args.seed).render())
-    save("table3.txt", run_table3(deadline_s=200.0).render())
-
-    save("ablation_material.txt", run_material_ablation().render())
-    save("ablation_source_level.txt", run_source_level_ablation().render())
-    save("ablation_water.txt", run_water_conditions_ablation().render())
-    save("ablation_defense.txt", run_defense_ablation().render())
-    save("ablation_drive_type.txt", run_drive_type_ablation().render())
-
-    *_, objective_table = run_objective_comparison(total_s=260.0, seed=args.seed)
-    save("objectives.txt", objective_table.render())
-
-    save(
-        "REPORT.md",
-        build_report(ReportOptions(quick=not args.full, seed=args.seed)),
-    )
     return 0
 
 
