@@ -9,7 +9,7 @@ before, during, and after the attack.
 Run:  python examples/quickstart.py
 """
 
-from repro import AttackConfig, AttackSession, IOMode
+from repro import AttackConfig, IOMode
 from repro.core.coupling import AttackCoupling
 from repro.core.scenario import Scenario
 from repro.hdd.drive import HardDiskDrive

@@ -17,35 +17,22 @@ Quickstart::
         print(point.frequency_hz, point.write_mbps, point.read_mbps)
 """
 
-from .core.attack import AttackSession, FrequencySweepResult, RangeTestResult
-from .core.attacker import AcousticAttacker, AttackConfig
-from .core.coupling import AttackCoupling
-from .core.environment import UnderwaterEnvironment
-from .core.monitor import AvailabilityMonitor, CrashReport
-from .core.scenario import Scenario
-from .hdd.drive import HardDiskDrive
-from .hdd.servo import OpKind, VibrationInput
-from .workloads.fio import FioJob, FioResult, FioTester, IOMode
+from . import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AttackSession",
-    "FrequencySweepResult",
-    "RangeTestResult",
-    "AcousticAttacker",
-    "AttackConfig",
-    "AttackCoupling",
-    "UnderwaterEnvironment",
-    "AvailabilityMonitor",
-    "CrashReport",
-    "Scenario",
-    "HardDiskDrive",
-    "OpKind",
-    "VibrationInput",
-    "FioJob",
-    "FioResult",
-    "FioTester",
-    "IOMode",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "core.attack": ("AttackSession", "FrequencySweepResult", "RangeTestResult"),
+        "core.attacker": ("AcousticAttacker", "AttackConfig"),
+        "core.coupling": ("AttackCoupling",),
+        "core.environment": ("UnderwaterEnvironment",),
+        "core.monitor": ("AvailabilityMonitor", "CrashReport"),
+        "core.scenario": ("Scenario",),
+        "hdd.drive": ("HardDiskDrive",),
+        "hdd.servo": ("OpKind", "VibrationInput"),
+        "workloads.fio": ("FioJob", "FioResult", "FioTester", "IOMode"),
+    },
+)
+__all__.append("__version__")

@@ -9,48 +9,41 @@ amplifier models, and propagation loss in open water and in the test
 tank.
 """
 
-from .medium import AIR, FRESH_WATER, NITROGEN, SEA_WATER, Medium, WaterConditions
-from .sound_speed import sound_speed_leroy, sound_speed_mackenzie, sound_speed_medwin
-from .absorption import absorption_ainslie_mccolm, absorption_fisher_simmons
-from .spl import (
-    pressure_to_spl,
-    spl_air_to_water,
-    spl_sum,
-    spl_to_pressure,
-    spl_water_to_air,
-)
-from .signals import CompositeSignal, FrequencySweep, Silence, SineTone, Signal
-from .source import Amplifier, SignalChain, UnderwaterSpeaker
-from .propagation import PropagationModel, TankModel, spherical_spreading_db
-from .ambient import AmbientNoise
+from repro import _lazy
 
-__all__ = [
-    "AIR",
-    "FRESH_WATER",
-    "NITROGEN",
-    "SEA_WATER",
-    "Medium",
-    "WaterConditions",
-    "sound_speed_medwin",
-    "sound_speed_mackenzie",
-    "sound_speed_leroy",
-    "absorption_fisher_simmons",
-    "absorption_ainslie_mccolm",
-    "pressure_to_spl",
-    "spl_to_pressure",
-    "spl_air_to_water",
-    "spl_water_to_air",
-    "spl_sum",
-    "Signal",
-    "SineTone",
-    "FrequencySweep",
-    "CompositeSignal",
-    "Silence",
-    "UnderwaterSpeaker",
-    "Amplifier",
-    "SignalChain",
-    "PropagationModel",
-    "TankModel",
-    "spherical_spreading_db",
-    "AmbientNoise",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "medium": (
+            "AIR",
+            "FRESH_WATER",
+            "NITROGEN",
+            "SEA_WATER",
+            "Medium",
+            "WaterConditions",
+        ),
+        "sound_speed": (
+            "sound_speed_medwin",
+            "sound_speed_mackenzie",
+            "sound_speed_leroy",
+        ),
+        "absorption": ("absorption_fisher_simmons", "absorption_ainslie_mccolm"),
+        "spl": (
+            "pressure_to_spl",
+            "spl_to_pressure",
+            "spl_air_to_water",
+            "spl_water_to_air",
+            "spl_sum",
+        ),
+        "signals": (
+            "Signal",
+            "SineTone",
+            "FrequencySweep",
+            "CompositeSignal",
+            "Silence",
+        ),
+        "source": ("UnderwaterSpeaker", "Amplifier", "SignalChain"),
+        "propagation": ("PropagationModel", "TankModel", "spherical_spreading_db"),
+        "ambient": ("AmbientNoise",),
+    },
+)

@@ -1,11 +1,11 @@
 """Reporting helpers: ASCII tables and terminal plots."""
 
-from .tables import Table, format_mbps, format_latency_ms
-from .plots import ascii_chart
+from repro import _lazy
 
-__all__ = [
-    "Table",
-    "format_mbps",
-    "format_latency_ms",
-    "ascii_chart",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "tables": ("Table", "format_mbps", "format_latency_ms"),
+        "plots": ("ascii_chart",),
+    },
+)

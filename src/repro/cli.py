@@ -269,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     smart.add_argument("--runtime", type=float, default=3.0)
 
     report = sub.add_parser("report", help="write a full Markdown report")
-    report.add_argument("--output", default="results/REPORT.md")
+    report.add_argument(
+        "--output", default="REPORT.md",
+        help="where to write the report (make bench writes results/REPORT.md)",
+    )
     report.add_argument("--full", action="store_true", help="full-fidelity run")
     report.add_argument("--seed", type=int, default=42)
 
@@ -410,7 +413,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     from repro.core.coupling import AttackCoupling
     from repro.core.scenario import Scenario
     from repro.hdd.profiles import BARRACUDA_500GB
-    from repro.hdd.servo import OpKind, VibrationInput
+    from repro.hdd.servo import OpKind
 
     scenario = {
         1: Scenario.scenario_1,

@@ -7,54 +7,32 @@ frequency to find vulnerable bands, varying distance to map the
 effective range, and prolonging the tone to crash the software stack.
 """
 
-from .calibration import CalibrationConstants, DEFAULT_CALIBRATION
-from .environment import UnderwaterEnvironment
-from .scenario import Scenario
-from .coupling import AttackCoupling
-from .attacker import AcousticAttacker, AttackConfig
-from .attack import AttackSession, FrequencySweepResult, RangeTestResult
-from .monitor import AvailabilityMonitor, CrashReport
-from .defenses import (
-    AbsorbentCoating,
-    Defense,
-    FirmwareNotchFilter,
-    VibrationIsolators,
-    evaluate_defense,
-)
-from .detector import (
-    AcousticAttackDetector,
-    AttackAlarm,
-    HydrophoneMonitor,
-    ThroughputAnomalyDetector,
-)
-from .fleet import DriveRack, RackSlot
-from .campaign import CampaignPlan, CampaignPlanner, TonePlan
+from repro import _lazy
 
-__all__ = [
-    "CalibrationConstants",
-    "DEFAULT_CALIBRATION",
-    "UnderwaterEnvironment",
-    "Scenario",
-    "AttackCoupling",
-    "AcousticAttacker",
-    "AttackConfig",
-    "AttackSession",
-    "FrequencySweepResult",
-    "RangeTestResult",
-    "AvailabilityMonitor",
-    "CrashReport",
-    "Defense",
-    "AbsorbentCoating",
-    "VibrationIsolators",
-    "FirmwareNotchFilter",
-    "evaluate_defense",
-    "AcousticAttackDetector",
-    "AttackAlarm",
-    "HydrophoneMonitor",
-    "ThroughputAnomalyDetector",
-    "DriveRack",
-    "RackSlot",
-    "CampaignPlan",
-    "CampaignPlanner",
-    "TonePlan",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "calibration": ("CalibrationConstants", "DEFAULT_CALIBRATION"),
+        "environment": ("UnderwaterEnvironment",),
+        "scenario": ("Scenario",),
+        "coupling": ("AttackCoupling",),
+        "attacker": ("AcousticAttacker", "AttackConfig"),
+        "attack": ("AttackSession", "FrequencySweepResult", "RangeTestResult"),
+        "monitor": ("AvailabilityMonitor", "CrashReport"),
+        "defenses": (
+            "Defense",
+            "AbsorbentCoating",
+            "VibrationIsolators",
+            "FirmwareNotchFilter",
+            "evaluate_defense",
+        ),
+        "detector": (
+            "AcousticAttackDetector",
+            "AttackAlarm",
+            "HydrophoneMonitor",
+            "ThroughputAnomalyDetector",
+        ),
+        "fleet": ("DriveRack", "RackSlot"),
+        "campaign": ("CampaignPlan", "CampaignPlanner", "TonePlan"),
+    },
+)

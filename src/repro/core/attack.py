@@ -32,14 +32,13 @@ from repro.hdd.drive import HardDiskDrive
 from repro.hdd.profiles import make_barracuda_profile
 from repro.obs import telemetry as obs
 from repro.obs.trace import NULL_TRACER
-from repro.rng import ReproRandom, make_rng
+from repro.rng import make_rng
 from repro.runtime.retry import PointFailure
 from repro.sim.clock import VirtualClock
 from repro.workloads.fio import FioJob, FioResult, FioTester, IOMode
 
 from .attacker import AttackConfig
 from .coupling import AttackCoupling
-from .scenario import Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.runtime import SweepRunner

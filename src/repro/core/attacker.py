@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from repro.acoustics.source import Amplifier, SignalChain, UnderwaterSpeaker
 from repro.acoustics.signals import SineTone

@@ -13,7 +13,7 @@ vessel costs cooling).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError, UnitError

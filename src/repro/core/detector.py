@@ -16,8 +16,8 @@ layer:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, List, Optional
 
 from repro.acoustics.spl import pressure_to_spl
 from repro.errors import ConfigurationError

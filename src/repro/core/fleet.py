@@ -33,6 +33,7 @@ from repro.hdd.profiles import make_barracuda_profile
 from repro.hdd.servo import OpKind, ServoSystem, VibrationInput
 from repro.obs import telemetry as obs
 from repro.obs.health import HealthTracker
+from repro.obs.metrics import SERVICE_LATENCY_BOUNDS_S
 from repro.rng import ReproRandom, make_rng
 from repro.sim.clock import VirtualClock
 from repro.sim.events import (
@@ -44,7 +45,6 @@ from repro.sim.events import (
 )
 from repro.storage.raid import RaidGroup, RaidLevel
 from repro.vibration.mount import StorageTower
-from repro.workloads.ycsb import SERVICE_LATENCY_BOUNDS_S
 
 __all__ = [
     "RackSlot",

@@ -10,7 +10,7 @@ the rows of Table 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Protocol, runtime_checkable
 
 from repro.errors import (

@@ -15,7 +15,7 @@ constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import UnitError

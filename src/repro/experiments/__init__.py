@@ -8,38 +8,23 @@ renders them into ``results/``, and ``tests/test_paper_shapes.py``
 asserts their shapes.
 """
 
-from .apps import DVRVictim, Ext4Victim, RocksDBVictim, UbuntuVictim
-from .figure2 import Figure2Result, run_figure2
-from .table1 import Table1Result, run_table1
-from .table2 import Table2Result, run_table2
-from .table3 import Table3Result, run_table3
-from .ablations import (
-    run_defense_ablation,
-    run_drive_type_ablation,
-    run_material_ablation,
-    run_source_level_ablation,
-    run_water_conditions_ablation,
-)
-from .objectives import ObjectiveOutcome, run_objective_comparison
+from repro import _lazy
 
-__all__ = [
-    "Ext4Victim",
-    "UbuntuVictim",
-    "RocksDBVictim",
-    "DVRVictim",
-    "ObjectiveOutcome",
-    "run_objective_comparison",
-    "run_drive_type_ablation",
-    "run_figure2",
-    "Figure2Result",
-    "run_table1",
-    "Table1Result",
-    "run_table2",
-    "Table2Result",
-    "run_table3",
-    "Table3Result",
-    "run_material_ablation",
-    "run_source_level_ablation",
-    "run_water_conditions_ablation",
-    "run_defense_ablation",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "apps": ("Ext4Victim", "UbuntuVictim", "RocksDBVictim", "DVRVictim"),
+        "figure2": ("run_figure2", "Figure2Result"),
+        "table1": ("run_table1", "Table1Result"),
+        "table2": ("run_table2", "Table2Result"),
+        "table3": ("run_table3", "Table3Result"),
+        "ablations": (
+            "run_drive_type_ablation",
+            "run_material_ablation",
+            "run_source_level_ablation",
+            "run_water_conditions_ablation",
+            "run_defense_ablation",
+        ),
+        "objectives": ("ObjectiveOutcome", "run_objective_comparison"),
+    },
+)

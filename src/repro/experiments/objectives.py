@@ -14,8 +14,8 @@ type and shows the schedule is what separates them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.analysis.tables import Table
 from repro.core.campaign import CampaignPlan, CampaignPlanner

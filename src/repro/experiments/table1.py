@@ -7,8 +7,8 @@ within the measurement window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.analysis.tables import Table, format_latency_ms, format_mbps
 from repro.core.attack import AttackSession, RangeTestResult

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import Table, format_mbps
 from repro.core.attacker import AttackConfig

@@ -9,7 +9,7 @@ output, plus the error signature itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.analysis.tables import Table
 from repro.core.attacker import AttackConfig
@@ -18,7 +18,6 @@ from repro.core.monitor import AvailabilityMonitor, CrashReport
 from repro.core.scenario import Scenario
 from repro.hdd.smart import SmartLog
 from repro.obs import telemetry as obs
-from repro.obs.incident import build_incident_report
 
 from .apps import Ext4Victim, RocksDBVictim, UbuntuVictim
 from .paper_data import ATTACK_LEVEL_DB, ATTACK_TONE_HZ, TABLE3_PAPER
@@ -72,6 +71,8 @@ class Table3Result:
         tracer holds the watch spans, crash instants, and ingested
         dmesg lines the timeline is built from.
         """
+        from repro.obs.incident import build_incident_report
+
         return build_incident_report(
             list(self.reports.items()),
             tracer=telemetry.tracer,

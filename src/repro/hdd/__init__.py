@@ -8,30 +8,18 @@ faulted operations and times out when the servo cannot track at all —
 the "no response" entries of Table 1.
 """
 
-from .geometry import DiskGeometry, Zone
-from .profiles import DriveProfile, BARRACUDA_500GB
-from .servo import ServoSystem, VibrationInput, OpKind
-from .shock import ShockSensor
-from .mechanics import SeekModel, SpindleMechanics
-from .controller import DriveController, IOResult, RetryPolicy
-from .drive import HardDiskDrive
-from .smart import SmartAttribute, SmartLog
+from repro import _lazy
 
-__all__ = [
-    "DiskGeometry",
-    "Zone",
-    "DriveProfile",
-    "BARRACUDA_500GB",
-    "ServoSystem",
-    "VibrationInput",
-    "OpKind",
-    "ShockSensor",
-    "SpindleMechanics",
-    "SeekModel",
-    "DriveController",
-    "RetryPolicy",
-    "IOResult",
-    "HardDiskDrive",
-    "SmartAttribute",
-    "SmartLog",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "geometry": ("DiskGeometry", "Zone"),
+        "profiles": ("DriveProfile", "BARRACUDA_500GB"),
+        "servo": ("ServoSystem", "VibrationInput", "OpKind"),
+        "shock": ("ShockSensor",),
+        "mechanics": ("SpindleMechanics", "SeekModel"),
+        "controller": ("DriveController", "RetryPolicy", "IOResult"),
+        "drive": ("HardDiskDrive",),
+        "smart": ("SmartAttribute", "SmartLog"),
+    },
+)

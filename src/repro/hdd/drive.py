@@ -23,7 +23,7 @@ from repro.sim.clock import VirtualClock
 from repro.units import SECTOR_SIZE
 from repro.obs import telemetry as obs
 
-from .controller import DriveController, IOResult, RetryPolicy
+from .controller import DriveController, IOResult
 from .profiles import DriveProfile, make_barracuda_profile
 from .sector_store import SectorStore
 from .servo import OpKind, VibrationInput

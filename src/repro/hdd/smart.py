@@ -10,8 +10,8 @@ misbehaviour is the acoustic attack's fingerprint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from repro.errors import ConfigurationError
 from repro.hdd.drive import HardDiskDrive

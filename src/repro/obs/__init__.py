@@ -31,77 +31,43 @@ Quick start::
     obs.write_chrome_trace(tel.tracer, "table3-trace.json")
 """
 
-from .dashboard import (
-    dashboard_payload,
-    render_dashboard_html,
-    render_text_summary,
-    sparkline,
-)
-from .exporters import (
-    chrome_trace,
-    series_jsonl_lines,
-    write_chrome_trace,
-    write_dashboard_html,
-    write_metrics_text,
-    write_series_jsonl,
-)
-from .health import HEALTH_STATES, HealthTracker, classify_probability
-from .incident import build_incident_report
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .slo import (
-    SloObjective,
-    SloReport,
-    attack_windows_from_tracer,
-    evaluate_slo,
-    parse_slo,
-)
-from .telemetry import Telemetry, enabled, get, install, session, tracer
-from .timeseries import MetricsSampler, SeriesRecorder, TimeSeries
-from .trace import NULL_TRACER, EventRecord, NullTracer, SpanRecord, Tracer
+from repro import _lazy
 
-__all__ = [
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "SpanRecord",
-    "EventRecord",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "DEFAULT_LATENCY_BUCKETS_S",
-    "TimeSeries",
-    "SeriesRecorder",
-    "MetricsSampler",
-    "SloObjective",
-    "SloReport",
-    "parse_slo",
-    "evaluate_slo",
-    "attack_windows_from_tracer",
-    "HealthTracker",
-    "HEALTH_STATES",
-    "classify_probability",
-    "Telemetry",
-    "get",
-    "install",
-    "enabled",
-    "tracer",
-    "session",
-    "chrome_trace",
-    "write_chrome_trace",
-    "write_metrics_text",
-    "series_jsonl_lines",
-    "write_series_jsonl",
-    "write_dashboard_html",
-    "dashboard_payload",
-    "render_dashboard_html",
-    "render_text_summary",
-    "sparkline",
-    "build_incident_report",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "trace": ("Tracer", "NullTracer", "NULL_TRACER", "SpanRecord", "EventRecord"),
+        "metrics": (
+            "MetricsRegistry",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "DEFAULT_LATENCY_BUCKETS_S",
+        ),
+        "timeseries": ("TimeSeries", "SeriesRecorder", "MetricsSampler"),
+        "slo": (
+            "SloObjective",
+            "SloReport",
+            "parse_slo",
+            "evaluate_slo",
+            "attack_windows_from_tracer",
+        ),
+        "health": ("HealthTracker", "HEALTH_STATES", "classify_probability"),
+        "telemetry": ("Telemetry", "get", "install", "enabled", "tracer", "session"),
+        "exporters": (
+            "chrome_trace",
+            "write_chrome_trace",
+            "write_metrics_text",
+            "series_jsonl_lines",
+            "write_series_jsonl",
+            "write_dashboard_html",
+        ),
+        "dashboard": (
+            "dashboard_payload",
+            "render_dashboard_html",
+            "render_text_summary",
+            "sparkline",
+        ),
+        "incident": ("build_incident_report",),
+    },
+)

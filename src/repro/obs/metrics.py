@@ -34,6 +34,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS_S",
+    "SERVICE_LATENCY_BOUNDS_S",
 ]
 
 #: Fixed latency bucket bounds (seconds): sub-millisecond cache hits up
@@ -56,6 +57,18 @@ DEFAULT_LATENCY_BUCKETS_S: Tuple[float, ...] = (
     30.0,
     75.0,
 )
+
+#: Service-op latency buckets: the KV fast path completes in tens of
+#: microseconds, far below the drive-level default buckets, so the
+#: service histogram prepends a sub-millisecond decade — otherwise a
+#: 10x retry-driven latency inflation hides inside the first bucket.
+SERVICE_LATENCY_BOUNDS_S: Tuple[float, ...] = (
+    0.00001,
+    0.000025,
+    0.00005,
+    0.0001,
+    0.00025,
+) + DEFAULT_LATENCY_BUCKETS_S
 
 Labels = Tuple[Tuple[str, str], ...]
 

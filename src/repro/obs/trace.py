@@ -23,7 +23,7 @@ point's rig gets its own labelled row in the exported trace.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError

@@ -18,26 +18,17 @@ keeps running them when the hardware (or the operator) misbehaves:
 * :class:`ProgressReporter` — points/s and ETA reporting.
 """
 
-from .cache import ResultCache, ResultCacheStats
-from .faultinject import FaultAction, FaultPlan, apply_fault
-from .fingerprint import canonical, fingerprint
-from .journal import CampaignJournal
-from .progress import ProgressReporter
-from .retry import PointFailure, RetryPolicy
-from .runner import SweepRunner, make_runner
+from repro import _lazy
 
-__all__ = [
-    "CampaignJournal",
-    "FaultAction",
-    "FaultPlan",
-    "PointFailure",
-    "ProgressReporter",
-    "ResultCache",
-    "ResultCacheStats",
-    "RetryPolicy",
-    "SweepRunner",
-    "apply_fault",
-    "canonical",
-    "fingerprint",
-    "make_runner",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "cache": ("ResultCache", "ResultCacheStats"),
+        "faultinject": ("FaultAction", "FaultPlan", "apply_fault"),
+        "fingerprint": ("canonical", "fingerprint"),
+        "journal": ("CampaignJournal",),
+        "progress": ("ProgressReporter",),
+        "retry": ("PointFailure", "RetryPolicy"),
+        "runner": ("SweepRunner", "make_runner"),
+    },
+)

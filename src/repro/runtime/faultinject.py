@@ -38,7 +38,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import (
     CampaignAborted,

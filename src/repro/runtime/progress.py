@@ -14,19 +14,7 @@ import sys
 import time
 from typing import Callable, Optional, TextIO
 
-__all__ = ["ProgressReporter", "wall_clock"]
-
-
-def wall_clock() -> float:
-    """Monotonic wall-time read for driver-level code.
-
-    The one sanctioned wall-clock accessor for code outside ``runtime/``
-    (report footers, CLI progress): importing this instead of reading
-    :mod:`time` directly keeps deepcheck's DC01 scope airtight —
-    simulation modules never touch the wall clock, and every legitimate
-    wall-time consumer is findable from here.
-    """
-    return time.monotonic()
+__all__ = ["ProgressReporter"]
 
 #: Sentinel distinguishing "default to stderr" from an explicit None.
 _STDERR = object()

@@ -37,10 +37,9 @@ ETA as the campaign advances.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     CampaignAborted,
@@ -52,11 +51,18 @@ from repro.errors import (
 from repro.obs import telemetry as obs
 from repro.obs.telemetry import Telemetry
 
-from .cache import ResultCache
 from .faultinject import FaultAction, FaultPlan, apply_fault
-from .journal import CampaignJournal
 from .progress import ProgressReporter, _STDERR
 from .retry import FAILURE_ERROR, FAILURE_FAULT, FAILURE_TIMEOUT, PointFailure, RetryPolicy
+
+if TYPE_CHECKING:
+    # The pool (``--workers > 1``), the cache (``--cache-dir``) and the
+    # journal (``--journal``) are imported where they are used, so a
+    # serial run without them loads none of these modules.
+    import concurrent.futures
+
+    from .cache import ResultCache
+    from .journal import CampaignJournal
 
 __all__ = ["SweepRunner", "make_runner"]
 
@@ -151,11 +157,17 @@ def make_runner(
             "--resume needs a journal; pass --journal PATH, or --cache-dir DIR, "
             "whose journal.jsonl is used"
         )
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    cache = None
+    if cache_dir is not None:
+        from .cache import ResultCache
+
+        cache = ResultCache(cache_dir)
     journal = None
     if journal_path is not None:
         if campaign is None:
             raise ConfigurationError("a journal needs a campaign fingerprint")
+        from .journal import CampaignJournal
+
         journal = CampaignJournal(journal_path, campaign=campaign, resume=resume)
     if retry is None and resilient:
         retry = RetryPolicy(
@@ -519,6 +531,8 @@ class SweepRunner:
     # -- pool engine ---------------------------------------------------------
 
     def _new_pool(self, pending_count: int) -> concurrent.futures.ProcessPoolExecutor:
+        import concurrent.futures
+
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=min(self.workers, pending_count)
         )
@@ -545,6 +559,8 @@ class SweepRunner:
         pending: Sequence[int],
         context: _MapContext,
     ) -> None:
+        import concurrent.futures
+
         timeout_s = self.retry.point_timeout_s if self.retry is not None else None
         waiting: List[_PointState] = [
             _PointState(index, context.ordinals[index]) for index in pending

@@ -4,28 +4,22 @@ The event-loop model — ordering, tie-breaking, the determinism
 contract, actor lifecycle — is documented in ``docs/SIMULATION.md``.
 """
 
-from .clock import VirtualClock
-from .events import (
-    LANE_ATTACK,
-    LANE_DEFAULT,
-    LANE_MONITOR,
-    LANE_REPAIR,
-    LANE_SERVICE,
-    Event,
-    EventQueue,
-    EventScheduler,
-    Simulator,
-)
+from repro import _lazy
 
-__all__ = [
-    "VirtualClock",
-    "Event",
-    "EventQueue",
-    "Simulator",
-    "EventScheduler",
-    "LANE_ATTACK",
-    "LANE_SERVICE",
-    "LANE_DEFAULT",
-    "LANE_REPAIR",
-    "LANE_MONITOR",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "clock": ("VirtualClock",),
+        "events": (
+            "Event",
+            "EventQueue",
+            "Simulator",
+            "EventScheduler",
+            "LANE_ATTACK",
+            "LANE_SERVICE",
+            "LANE_DEFAULT",
+            "LANE_REPAIR",
+            "LANE_MONITOR",
+        ),
+    },
+)

@@ -13,16 +13,13 @@ Layered exactly like the victim software in the paper's Section 4.4:
   write-ahead log sync failure kills the database.
 """
 
-from .block import BlockDevice, BlockStats
-from .faults import FaultInjector, FaultPlan
-from .raid import ArrayFailed, RaidArray, RaidLevel
+from repro import _lazy
 
-__all__ = [
-    "BlockDevice",
-    "BlockStats",
-    "FaultInjector",
-    "FaultPlan",
-    "RaidArray",
-    "RaidLevel",
-    "ArrayFailed",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "block": ("BlockDevice", "BlockStats"),
+        "faults": ("FaultInjector", "FaultPlan"),
+        "raid": ("RaidArray", "RaidLevel", "ArrayFailed"),
+    },
+)

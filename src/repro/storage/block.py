@@ -11,8 +11,8 @@ aborts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.errors import (
     BlockIOError,

@@ -11,7 +11,7 @@ contrast them with the attack's common-mode behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import BlockIOError, ConfigurationError

@@ -7,16 +7,13 @@ inodes with extent-based allocation, directories, and ordered-mode data
 writes.
 """
 
-from .inode import FileKind, Inode
-from .journal import Journal, JournalStats, Transaction
-from .filesystem import FileHandle, SimFS
+from repro import _lazy
 
-__all__ = [
-    "FileKind",
-    "Inode",
-    "Journal",
-    "JournalStats",
-    "Transaction",
-    "SimFS",
-    "FileHandle",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "inode": ("FileKind", "Inode"),
+        "journal": ("Journal", "JournalStats", "Transaction"),
+        "filesystem": ("SimFS", "FileHandle"),
+    },
+)

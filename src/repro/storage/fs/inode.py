@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List
 
 from repro.errors import ConfigurationError, FilesystemError
 

@@ -8,25 +8,16 @@ manifest/version set, and leveled compaction.
 ``db_bench``-style workloads live in :mod:`repro.workloads.db_bench`.
 """
 
-from .bloom import BloomFilter
-from .memtable import MemTable
-from .wal import WALReader, WALWriter
-from .sstable import SSTableBuilder, SSTableReader
-from .version import FileMetadata, VersionEdit, VersionSet
-from .db import DB, Options, Snapshot, WriteBatch
+from repro import _lazy
 
-__all__ = [
-    "BloomFilter",
-    "MemTable",
-    "WALWriter",
-    "WALReader",
-    "SSTableBuilder",
-    "SSTableReader",
-    "FileMetadata",
-    "VersionEdit",
-    "VersionSet",
-    "DB",
-    "Options",
-    "Snapshot",
-    "WriteBatch",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "bloom": ("BloomFilter",),
+        "memtable": ("MemTable",),
+        "wal": ("WALWriter", "WALReader"),
+        "sstable": ("SSTableBuilder", "SSTableReader"),
+        "version": ("FileMetadata", "VersionEdit", "VersionSet"),
+        "db": ("DB", "Options", "Snapshot", "WriteBatch"),
+    },
+)

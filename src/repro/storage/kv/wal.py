@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.errors import (
     BlockIOError,

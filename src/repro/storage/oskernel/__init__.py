@@ -9,20 +9,15 @@ crash happens with an indication of inability to access all files,
 including regular files and common Linux commands, such as ls".
 """
 
-from .dmesg import DmesgBuffer, DmesgEntry
-from .process import Process, ProcessState, ProcessTable
-from .kernel import Kernel
-from .shell import CommandResult, Shell
-from .server import UbuntuServer
+from repro import _lazy
 
-__all__ = [
-    "DmesgBuffer",
-    "DmesgEntry",
-    "Process",
-    "ProcessState",
-    "ProcessTable",
-    "Kernel",
-    "Shell",
-    "CommandResult",
-    "UbuntuServer",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "dmesg": ("DmesgBuffer", "DmesgEntry"),
+        "process": ("Process", "ProcessState", "ProcessTable"),
+        "kernel": ("Kernel",),
+        "shell": ("Shell", "CommandResult"),
+        "server": ("UbuntuServer",),
+    },
+)

@@ -9,7 +9,6 @@ Table 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import (

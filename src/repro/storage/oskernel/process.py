@@ -9,7 +9,7 @@ output").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError

@@ -9,7 +9,7 @@ touches the filesystem, so a dead drive makes every command fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.errors import (
     BlockIOError,

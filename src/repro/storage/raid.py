@@ -17,7 +17,7 @@ which RAID handles exactly as designed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.errors import BlockIOError, ConfigurationError, ReproError

@@ -9,32 +9,27 @@ waves induce mechanical vibrations in the HDD and container structure;
 these vibrations jostle the HDD's internal components").
 """
 
-from .materials import ALUMINUM, HARD_PLASTIC, STEEL, ACRYLIC, TITANIUM, Material
-from .transmission import (
-    PanelWall,
-    intensity_transmission_coefficient,
-    mass_law_tl_db,
-    pressure_transmission_coefficient,
-)
-from .modes import ModalResponse, VibrationMode
-from .enclosure import Enclosure
-from .mount import DirectPlacement, Mount, StorageTower
+from repro import _lazy
 
-__all__ = [
-    "Material",
-    "HARD_PLASTIC",
-    "ALUMINUM",
-    "STEEL",
-    "ACRYLIC",
-    "TITANIUM",
-    "PanelWall",
-    "intensity_transmission_coefficient",
-    "pressure_transmission_coefficient",
-    "mass_law_tl_db",
-    "VibrationMode",
-    "ModalResponse",
-    "Enclosure",
-    "Mount",
-    "DirectPlacement",
-    "StorageTower",
-]
+__all__, __getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "materials": (
+            "Material",
+            "HARD_PLASTIC",
+            "ALUMINUM",
+            "STEEL",
+            "ACRYLIC",
+            "TITANIUM",
+        ),
+        "transmission": (
+            "PanelWall",
+            "intensity_transmission_coefficient",
+            "pressure_transmission_coefficient",
+            "mass_law_tl_db",
+        ),
+        "modes": ("VibrationMode", "ModalResponse"),
+        "enclosure": ("Enclosure",),
+        "mount": ("Mount", "DirectPlacement", "StorageTower"),
+    },
+)

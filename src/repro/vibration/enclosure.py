@@ -10,7 +10,7 @@ mount and drive models chain onto.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.acoustics.medium import AIR, NITROGEN, Medium
 from repro.errors import UnitError

@@ -10,7 +10,7 @@ resonances, which is one reason the paper varies the scenarios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import UnitError

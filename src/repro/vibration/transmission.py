@@ -22,7 +22,7 @@ attack is feasible at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import UnitError
 

@@ -6,32 +6,19 @@ read/write at 4 KiB granularity, throughput and latency reporting);
 workload used for Table 2.
 """
 
-from .fio import FioJob, FioResult, FioTester, IOMode
+from repro import _lazy
 
-__all__ = [
-    "FioJob",
-    "FioResult",
-    "FioTester",
-    "IOMode",
-    "DbBench",
-    "DbBenchResult",
-    "YcsbRunner",
-    "YcsbWorkload",
-    "YcsbResult",
-    "ZipfianGenerator",
-    "WORKLOADS",
-]
-
-
-def __getattr__(name: str):
-    # db_bench and ycsb pull in the key-value store; import them lazily
-    # so FIO users don't pay for the whole LSM stack.
-    if name in ("DbBench", "DbBenchResult"):
-        from . import db_bench
-
-        return getattr(db_bench, name)
-    if name in ("YcsbRunner", "YcsbWorkload", "YcsbResult", "ZipfianGenerator", "WORKLOADS"):
-        from . import ycsb
-
-        return getattr(ycsb, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "fio": ("FioJob", "FioResult", "FioTester", "IOMode"),
+        "db_bench": ("DbBench", "DbBenchResult"),
+        "ycsb": (
+            "YcsbRunner",
+            "YcsbWorkload",
+            "YcsbResult",
+            "ZipfianGenerator",
+            "WORKLOADS",
+        ),
+    },
+)

@@ -9,20 +9,18 @@ rate (ops/s) are the two columns of Table 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import (
     BlockIOError,
     ConfigurationError,
     DatabaseClosed,
     DriveError,
-    KVStoreError,
-    ReproError,
     WALSyncError,
 )
 from repro.rng import ReproRandom, make_rng
-from repro.storage.kv.db import DB, WriteBatch
+from repro.storage.kv.db import DB
 
 __all__ = ["DbBenchConfig", "DbBenchResult", "DbBench"]
 

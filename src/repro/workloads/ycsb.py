@@ -29,21 +29,9 @@ from repro.errors import (
     WALSyncError,
 )
 from repro.obs import telemetry as obs
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_S
+from repro.obs.metrics import SERVICE_LATENCY_BOUNDS_S
 from repro.rng import ReproRandom, make_rng
 from repro.storage.kv.db import DB
-
-#: Service-op latency buckets: the KV fast path completes in tens of
-#: microseconds, far below the drive-level default buckets, so the
-#: service histogram prepends a sub-millisecond decade — otherwise a
-#: 10x retry-driven latency inflation hides inside the first bucket.
-SERVICE_LATENCY_BOUNDS_S = (
-    0.00001,
-    0.000025,
-    0.00005,
-    0.0001,
-    0.00025,
-) + DEFAULT_LATENCY_BUCKETS_S
 
 __all__ = [
     "ZipfianGenerator",

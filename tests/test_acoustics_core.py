@@ -1,7 +1,5 @@
 """Media, sound speed, absorption, and SPL algebra."""
 
-import math
-
 import pytest
 
 from repro.acoustics.absorption import (

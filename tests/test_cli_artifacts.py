@@ -11,9 +11,11 @@ from the tracer's buffers and never builds a span view.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.obs import trace as obs_trace
 
 RACK = ["rack", "--bays", "1"]
@@ -67,6 +69,14 @@ def test_path_the_os_refuses_exits_2_before_the_run(tmp_path, capsys, argv):
     assert out == ""
     (line,) = err.splitlines()
     assert line.startswith("deepnote: ConfigurationError: ")
+
+
+def test_report_default_output_is_outside_results():
+    # results/REPORT.md is the committed full-fidelity report that
+    # `make bench` writes; a plain quick `deepnote report` must not land on it.
+    root = Path(__file__).resolve().parents[1]
+    output = (root / build_parser().parse_args(["report"]).output).resolve()
+    assert not output.is_relative_to(root / "results")
 
 
 def test_artifact_path_that_is_a_directory_exits_2(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.attack import AttackSession, FrequencySweepResult, SweepPoint
 from repro.core.attacker import AcousticAttacker, AttackConfig
-from repro.core.calibration import CalibrationConstants, DEFAULT_CALIBRATION
+from repro.core.calibration import CalibrationConstants
 from repro.core.coupling import AttackCoupling
 from repro.core.defenses import (
     AbsorbentCoating,

@@ -377,3 +377,71 @@ class TestLintChain:
         )
         assert proc.returncode == 0, proc.stderr
         assert "generic checker = compileall" in proc.stderr
+
+
+class TestUnusedImports:
+    """The fallback stage's AST pass over fabricated sources."""
+
+    @staticmethod
+    def unused(source: str):
+        import ast
+
+        from lint import unused_imports
+
+        return unused_imports(ast.parse(source))
+
+    def test_unused_names_are_reported_with_their_line(self):
+        source = (
+            "import os\n"
+            "import json as js\n"
+            "from typing import Dict, List\n"
+            "\n"
+            "def f() -> None:\n"
+            "    from math import sqrt\n"
+            "    return os.sep\n"
+            "\n"
+            "x: Dict = {}\n"
+        )
+        assert self.unused(source) == [(2, "js"), (3, "List"), (6, "sqrt")]
+
+    def test_dotted_import_is_used_through_its_root(self):
+        assert self.unused("import os.path\n\nSEP = os.path.sep\n") == []
+
+    def test_future_imports_are_exempt(self):
+        assert self.unused("from __future__ import annotations\n") == []
+
+    def test_all_counts_as_a_use(self):
+        source = 'from json import dumps\n\n__all__ = ["dumps"]\n'
+        assert self.unused(source) == []
+
+    def test_string_annotations_count_as_a_use(self):
+        source = (
+            "from typing import Optional\n"
+            "from decimal import Decimal\n"
+            "from fractions import Fraction\n"
+            "\n"
+            'def f(x: "Decimal") -> Optional["Fraction"]:\n'
+            "    return None\n"
+        )
+        assert self.unused(source) == []
+
+    def test_type_checking_imports_count_only_when_annotated(self):
+        source = (
+            "from typing import TYPE_CHECKING\n"
+            "\n"
+            "if TYPE_CHECKING:\n"
+            "    from decimal import Decimal\n"
+            "    from fractions import Fraction\n"
+            "\n"
+            "def f(x: Decimal) -> None:\n"
+            "    pass\n"
+        )
+        assert self.unused(source) == [(5, "Fraction")]
+
+    def test_fallback_stage_fails_on_an_unused_import(self, tmp_path, monkeypatch, capsys):
+        import lint
+
+        (tmp_path / "mod.py").write_text("import os\n")
+        monkeypatch.setattr(lint, "ROOT", tmp_path)
+        assert lint.run_unused_imports(["mod.py"]) == 1
+        assert capsys.readouterr().out == "mod.py:1: 'os' imported but unused\n"

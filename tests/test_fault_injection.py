@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import BlockIOError, ConfigurationError, CorruptionError
-from repro.rng import make_rng
 from repro.storage.faults import FaultInjector, FaultPlan
 from repro.storage.fs.filesystem import SimFS
 from repro.storage.raid import RaidArray, RaidLevel

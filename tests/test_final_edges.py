@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.rng import make_rng
 from repro.storage.kv.db import DB, Options, Snapshot
 
 

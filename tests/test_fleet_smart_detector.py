@@ -13,7 +13,7 @@ from repro.core.detector import (
 from repro.core.fleet import DriveRack
 from repro.errors import ConfigurationError, DriveTimeout
 from repro.hdd.drive import HardDiskDrive
-from repro.hdd.servo import OpKind, VibrationInput
+from repro.hdd.servo import VibrationInput
 from repro.hdd.smart import COMMAND_TIMEOUT, SEEK_ERROR_RATE, SmartLog
 from repro.workloads.fio import FioJob, FioTester, IOMode
 

@@ -6,7 +6,7 @@ from repro.errors import ConfigurationError, DriveTimeout, MediumError, UnitErro
 from repro.hdd.controller import RetryPolicy
 from repro.hdd.drive import HardDiskDrive
 from repro.hdd.servo import OpKind, VibrationInput
-from repro.units import NM, SECTOR_SIZE
+from repro.units import SECTOR_SIZE
 
 
 def stall_vibration(drive: HardDiskDrive) -> VibrationInput:

@@ -15,7 +15,6 @@ import sys
 import pytest
 
 from repro.core.attack import AttackSession
-from repro.core.attacker import AttackConfig
 from repro.core.coupling import AttackCoupling
 from repro.core.monitor import AvailabilityMonitor
 from repro.core.scenario import Scenario

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import FileExists, FilesystemError
-from repro.storage.kv.db import DB, Options, Snapshot
-from repro.rng import make_rng
+from repro.storage.kv.db import DB, Options
 
 
 class TestHardLinks:

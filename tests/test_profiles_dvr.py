@@ -5,18 +5,15 @@ import pytest
 from repro.core.attacker import AttackConfig
 from repro.core.coupling import AttackCoupling
 from repro.core.monitor import AvailabilityMonitor
-from repro.errors import ConfigurationError, ProcessCrashed
+from repro.errors import ConfigurationError
 from repro.experiments.ablations import run_drive_type_ablation
 from repro.experiments.apps import DVRVictim
-from repro.hdd.drive import HardDiskDrive
 from repro.hdd.profiles import (
     make_barracuda_profile,
     make_enterprise_profile,
     make_laptop_profile,
 )
 from repro.hdd.servo import OpKind
-from repro.sim.clock import VirtualClock
-from repro.rng import make_rng
 
 
 class TestDriveProfiles:

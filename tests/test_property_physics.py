@@ -1,7 +1,5 @@
 """Property-based tests: physics invariants of the coupling chain."""
 
-import math
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

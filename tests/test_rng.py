@@ -1,7 +1,5 @@
 """Deterministic RNG behaviour."""
 
-import pytest
-
 from repro.rng import DEFAULT_SEED, ReproRandom, make_rng
 
 

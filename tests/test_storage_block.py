@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import BlockIOError, ConfigurationError, UnitError
-from repro.hdd.servo import OpKind, VibrationInput
+from repro.hdd.servo import VibrationInput
 from repro.storage.block import BlockDevice
 from repro.units import BLOCK_4K
 

@@ -5,9 +5,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hdd.servo import VibrationInput
 from repro.rng import make_rng
-from repro.storage.kv.db import DB
 from repro.workloads.db_bench import DbBench, DbBenchConfig
-from repro.workloads.fio import FioJob, FioResult, FioTester, IOMode
+from repro.workloads.fio import FioJob, FioTester, IOMode
 
 
 def stall(drive):

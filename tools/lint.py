@@ -6,7 +6,8 @@ first available — or the one forced with ``--checker``:
 
 1. ``ruff check`` — fast and broad;
 2. ``pyflakes`` — undefined names, unused imports;
-3. ``compileall`` — bare syntax check, always available.
+3. ``compileall`` — syntax check plus a standard-library AST pass that
+   fails on unused imports (:func:`unused_imports`), always available.
 
 Stage 2 runs ``deepcheck`` (tools/deepcheck), the AST-based invariant
 linter enforcing determinism, clock, RNG, and telemetry discipline (see
@@ -137,9 +138,72 @@ def run_generic(checker: str) -> int:
             compileall.compile_dir(str(ROOT / t), quiet=1, force=True)
             for t in targets
         )
-        return 0 if ok else 1
+        return max(0 if ok else 1, run_unused_imports(_python_files(targets)))
     print(f"lint: unknown checker {checker!r}", file=sys.stderr)
     return 2
+
+
+def _annotation_names(annotation: ast.AST) -> set[str]:
+    """Names an annotation mentions, including inside string annotations."""
+    names: set[str] = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                names |= _annotation_names(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) for every name an import binds that the file never uses.
+
+    A name counts as used when it is read anywhere in the file, is
+    listed in a module-level ``__all__``, or appears in an annotation,
+    string annotations included (so ``if TYPE_CHECKING:`` imports used
+    only in annotations pass).  ``from __future__`` imports are exempt.
+    """
+    imported: list[tuple[int, str]] = []
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported.append((node.lineno, alias.asname or alias.name))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            used |= {
+                e.value for e in node.value.elts
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            }
+    return sorted((line, name) for line, name in imported if name not in used)
+
+
+def run_unused_imports(files: list[str]) -> int:
+    status = 0
+    for rel in files:
+        tree = ast.parse((ROOT / rel).read_text(encoding="utf-8"), filename=rel)
+        for lineno, name in unused_imports(tree):
+            print(f"{rel}:{lineno}: {name!r} imported but unused")
+            status = 1
+    return status
 
 
 def _docstring_scope_files() -> list[Path]:
