@@ -52,7 +52,8 @@ fleet-smoke: ## small sharded fleet campaign + series validation
 		--rate 40 --workers 2 --series-out fleet-series.jsonl > /dev/null
 	$(PYTHON) tools/validate_trace.py fleet-series.jsonl
 
-e2e-smoke:  ## 1 s traced e2ebench runs of both KV workloads and cli-quick: digests, pinned counts, wrapper coverage
+e2e-smoke:  ## 1 s traced e2ebench runs of every workload (both KV, cli-quick, traced-sweep): digests, pinned counts, wrapper coverage
 	$(PYTHON) e2ebench/run.py --workload kv-read --seconds 1 --trace 1
 	$(PYTHON) e2ebench/run.py --workload kv-readwrite --seconds 1 --trace 1
 	$(PYTHON) e2ebench/run.py --workload cli-quick --seconds 1 --trace 1
+	$(PYTHON) e2ebench/run.py --workload traced-sweep --seconds 1 --trace 1

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro import vecphys
 from repro.core.attacker import AttackConfig
 from repro.core.coupling import AttackCoupling
 from repro.core.environment import UnderwaterEnvironment
@@ -36,15 +35,15 @@ from repro.obs.health import HealthTracker
 from repro.obs.metrics import SERVICE_LATENCY_BOUNDS_S
 from repro.rng import ReproRandom, make_rng
 from repro.sim.clock import VirtualClock
-from repro.sim.events import (
-    LANE_ATTACK,
-    LANE_MONITOR,
-    LANE_REPAIR,
-    LANE_SERVICE,
-    EventScheduler,
-)
-from repro.storage.raid import RaidGroup, RaidLevel
 from repro.vibration.mount import StorageTower
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.sim.events import EventScheduler
+    from repro.storage.raid import RaidGroup, RaidLevel
+
+# A plain rack report runs no sweep, event loop or RAID group, so
+# ``repro.vecphys``, ``repro.sim.events`` and ``repro.storage.raid``
+# are imported where a sweep or a fleet campaign first needs them.
 
 __all__ = [
     "RackSlot",
@@ -272,6 +271,8 @@ class DriveRack:
         freqs = [float(f) for f in frequencies]
         servo = self._shared_servo()
         if servo is not None:
+            from repro import vecphys
+
             try:
                 surface = vecphys.fleet_surface(self.couplings, base, freqs, servo=servo)
             except ConfigurationError:
@@ -358,15 +359,9 @@ class DriveRack:
 # virtual-clock seconds, frequencies Hz, source levels dB re 1 uPa @ 1 m,
 # distances metres, rates requests/second.
 
-_RAID_LEVELS: Dict[str, Optional[RaidLevel]] = {
-    "none": None,
-    "raid0": RaidLevel.RAID0,
-    "raid1": RaidLevel.RAID1,
-    "raid5": RaidLevel.RAID5,
-}
-
-#: Minimum bays per tower for each RAID layout (mirrors RaidArray).
-_RAID_MINIMUM = {RaidLevel.RAID0: 2, RaidLevel.RAID1: 2, RaidLevel.RAID5: 3}
+#: Minimum bays per tower for each ``FleetSpec.raid`` layout (mirrors
+#: RaidArray); "none" is independent disks.
+_RAID_MINIMUM_BAYS: Dict[str, int] = {"none": 1, "raid0": 2, "raid1": 2, "raid5": 3}
 
 
 @dataclass(frozen=True)
@@ -498,14 +493,14 @@ class FleetSpec:
             raise ConfigurationError(
                 f"bays must be in [1, {StorageTower.BAYS}]: {self.bays}"
             )
-        if self.raid not in _RAID_LEVELS:
+        if self.raid not in _RAID_MINIMUM_BAYS:
             raise ConfigurationError(
-                f"raid must be one of {'/'.join(sorted(_RAID_LEVELS))}: {self.raid!r}"
+                f"raid must be one of {'/'.join(sorted(_RAID_MINIMUM_BAYS))}: {self.raid!r}"
             )
-        level = _RAID_LEVELS[self.raid]
-        if level is not None and self.bays < _RAID_MINIMUM[level]:
+        minimum = _RAID_MINIMUM_BAYS[self.raid]
+        if self.bays < minimum:
             raise ConfigurationError(
-                f"{self.raid} needs at least {_RAID_MINIMUM[level]} bays, got {self.bays}"
+                f"{self.raid} needs at least {minimum} bays, got {self.bays}"
             )
         if self.duration_s <= 0.0:
             raise ConfigurationError(f"duration must be positive: {self.duration_s}")
@@ -535,7 +530,11 @@ class FleetSpec:
     @property
     def raid_level(self) -> Optional[RaidLevel]:
         """The parsed RAID layout (None for independent disks)."""
-        return _RAID_LEVELS[self.raid]
+        if self.raid == "none":
+            return None
+        from repro.storage.raid import RaidLevel
+
+        return RaidLevel(self.raid)
 
     @property
     def drive_count(self) -> int:
@@ -647,6 +646,8 @@ class FleetRack:
         # attack.on/off tracer instants and health rollups read as
         # rack-level signals.
         self.reference.name = self.name
+        from repro.storage.raid import RaidGroup
+
         self.groups: List[RaidGroup] = [
             RaidGroup(spec.raid_level, spec.bays, name=f"{self.name}/g{tower}")
             for tower in range(spec.towers_per_rack)
@@ -686,6 +687,8 @@ class FleetRack:
             if group.member_failed(bay) and self._p_write[bay] > 0.0
         )
         if to_rebuild:
+            from repro.sim.events import LANE_REPAIR
+
             self.scheduler.schedule(
                 self.spec.rebuild_s,
                 lambda pairs=to_rebuild: self._complete_rebuild(pairs),
@@ -842,6 +845,8 @@ class FleetSim:
         rack_indices: Optional[Sequence[int]] = None,
         scheduler: Optional[EventScheduler] = None,
     ) -> None:
+        from repro.sim.events import EventScheduler
+
         self.spec = spec
         if rack_indices is None:
             indices = list(range(spec.racks))
@@ -870,6 +875,8 @@ class FleetSim:
 
     def _schedule(self) -> None:
         """Queue every campaign event, rack by rack in index order."""
+        from repro.sim.events import LANE_ATTACK, LANE_MONITOR, LANE_SERVICE
+
         spec = self.spec
         for rack in self.racks:
             for window in spec.attacks:

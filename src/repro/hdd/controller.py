@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError, DriveTimeout, MediumError
 from repro.obs import telemetry as obs
@@ -37,6 +37,13 @@ from .profiles import DriveProfile
 from .servo import OpKind, VibrationInput
 
 __all__ = ["RetryPolicy", "IOResult", "DriveController"]
+
+#: Module-level aliases for the per-command path: reading an enum
+#: member through its class costs more than the rest of an op check,
+#: and ``tuple.__new__`` builds an :class:`IOResult` without the
+#: Python-level ``__new__`` a NamedTuple call runs.
+_WRITE = OpKind.WRITE
+_tuple_new = tuple.__new__
 
 #: Backstop for the closed-form walk: a healthy FIO run is tens of
 #: thousands of commands; a walk longer than this is a pathological
@@ -58,9 +65,12 @@ class RetryPolicy:
             raise ConfigurationError("retry penalty must be positive")
 
 
-@dataclass(frozen=True)
-class IOResult:
-    """Outcome of one completed drive command."""
+class IOResult(NamedTuple):
+    """Outcome of one completed drive command.
+
+    A named tuple: every command builds one, and a frozen dataclass
+    would pay an ``object.__setattr__`` per field.
+    """
 
     op: OpKind
     lba: int
@@ -112,6 +122,7 @@ class DriveController:
         self._p_write: Optional[float] = None
         self._service_read: dict = {}
         self._service_write: dict = {}
+        self._locate = profile.geometry.locate
 
     #: How often a stalled command re-samples the vibration state: real
     #: drives retry servo acquisition continuously; a quarter second of
@@ -241,7 +252,7 @@ class DriveController:
         deadline = start + profile.host_timeout_s
         if resample is not None:
             vibration, parked = resample()
-        is_write = op is OpKind.WRITE
+        is_write = op is _WRITE
         # The cache hit of _success_p, inline: it is every command's path.
         success_p = self._p_write if is_write else self._p_read
         if success_p is None or vibration is not self._p_vibration or parked != self._p_parked:
@@ -250,8 +261,18 @@ class DriveController:
             success_p = self._await_servo(op, lba, sectors, deadline, resample)
             now = clock.now
 
-        track, _ = profile.geometry.locate(lba)
-        base = self._service_s(is_write, sectors * 512, track)
+        locate = self._locate
+        track = locate(lba)[0]
+        nbytes = sectors * 512
+        # The memoized zero-seek time of _service_s, read inline: a
+        # sequential command never seeks.
+        base = (
+            (self._service_write if is_write else self._service_read).get(nbytes)
+            if -1 <= track - self.current_track <= 1
+            else None
+        )
+        if base is None:
+            base = self._service_s(is_write, nbytes, track)
         if now + base > deadline:
             raise self._time_out(
                 deadline, f"{op.value} at LBA {lba} retried past the host timeout"
@@ -302,16 +323,9 @@ class DriveController:
                     break
 
         if sectors > 1:
-            track, _ = profile.geometry.locate(lba + sectors - 1)
+            track = locate(lba + sectors - 1)[0]
         self.current_track = track
-        return IOResult(
-            op=op,
-            lba=lba,
-            sectors=sectors,
-            latency_s=now - start,
-            attempts=attempts,
-            completed_at=now,
-        )
+        return _tuple_new(IOResult, (op, lba, sectors, now - start, attempts, now))
 
     def run_sequential(
         self,

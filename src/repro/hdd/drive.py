@@ -30,6 +30,12 @@ from .servo import OpKind, VibrationInput
 
 __all__ = ["DriveStats", "HardDiskDrive"]
 
+#: The ops as module constants: the per-command path never reads an
+#: enum member through its class, which costs more than the rest of
+#: the op dispatch.
+_READ = OpKind.READ
+_WRITE = OpKind.WRITE
+
 
 @dataclass
 class DriveStats:
@@ -65,6 +71,11 @@ class HardDiskDrive:
         self.vibration = VibrationInput.none()
         self.parked = False
         self.stats = DriveStats()
+        # ``stats`` mirrors the controller's retry, medium-error and
+        # timeout counts as of the last read or write to return or
+        # raise.  One that succeeds on its first attempt changes none of
+        # them, so it copies them only if flush() ran a command since.
+        self._counters_stale = False
         self._store = SectorStore()
         self._schedule: Optional[Callable[[float], Optional[VibrationInput]]] = None
         # Telemetry is captured at construction: with nothing installed
@@ -176,29 +187,35 @@ class HardDiskDrive:
         Returns the timing result and the data (zero-filled where never
         written).  Raises DriveTimeout/MediumError under attack.
         """
-        self._check_range(lba, sectors)
+        if sectors <= 0 or lba < 0 or lba + sectors > self._total_sectors:
+            self._check_range(lba, sectors)
         tel = self._obs
         start = self.clock.now if tel is not None else 0.0
-        outcome = "ok"
         try:
-            result = self._execute(OpKind.READ, lba, sectors)
-        except DriveTimeout:
-            outcome = "timeout"
+            if self._schedule is None:
+                result = self.controller.execute(
+                    _READ, lba, sectors, self.vibration, self.parked
+                )
+            else:
+                result = self._execute(_READ, lba, sectors)
+        except BaseException as exc:
+            self._command_failed(tel, "read", start, sectors, exc)
             raise
-        except MediumError:
-            outcome = "medium_error"
-            raise
-        finally:
-            # One sync covers both outcomes: the error paths leave via
-            # the exception, the success path falls through before any
-            # further controller activity.
+        if result.attempts > 1 or self._counters_stale:
             self._sync_counters()
-            if tel is not None:
-                self._record_command(tel, "read", start, sectors, outcome)
-        self.stats.reads += 1
-        self.stats.sectors_read += sectors
+        if tel is not None:
+            span_name, ops_total, sectors_total, latency = self._tel_handles.get(
+                "read"
+            ) or self._new_handles(tel, "read")
+            tel.tracer.record(span_name, start, result.completed_at, "drive")
+            ops_total.inc()
+            sectors_total.inc(sectors)
+            latency.observe(result.latency_s)
+        stats = self.stats
+        stats.reads += 1
+        stats.sectors_read += sectors
         if not self.store_data:
-            return result, self._zeros(sectors)
+            return result, self._zero_blocks.get(sectors) or self._zeros(sectors)
         return result, self._store.read(lba, sectors)
 
     def _zeros(self, sectors: int) -> bytes:
@@ -214,7 +231,8 @@ class HardDiskDrive:
         ``data``, when given, must be exactly ``sectors * 512`` bytes and
         is retained for later reads.
         """
-        self._check_range(lba, sectors)
+        if sectors <= 0 or lba < 0 or lba + sectors > self._total_sectors:
+            self._check_range(lba, sectors)
         if data is not None and len(data) != sectors * SECTOR_SIZE:
             raise ConfigurationError(
                 f"payload of {len(data)} bytes does not match "
@@ -222,21 +240,29 @@ class HardDiskDrive:
             )
         tel = self._obs
         start = self.clock.now if tel is not None else 0.0
-        outcome = "ok"
         try:
-            result = self._execute(OpKind.WRITE, lba, sectors)
-        except DriveTimeout:
-            outcome = "timeout"
+            if self._schedule is None:
+                result = self.controller.execute(
+                    _WRITE, lba, sectors, self.vibration, self.parked
+                )
+            else:
+                result = self._execute(_WRITE, lba, sectors)
+        except BaseException as exc:
+            self._command_failed(tel, "write", start, sectors, exc)
             raise
-        except MediumError:
-            outcome = "medium_error"
-            raise
-        finally:
+        if result.attempts > 1 or self._counters_stale:
             self._sync_counters()
-            if tel is not None:
-                self._record_command(tel, "write", start, sectors, outcome)
-        self.stats.writes += 1
-        self.stats.sectors_written += sectors
+        if tel is not None:
+            span_name, ops_total, sectors_total, latency = self._tel_handles.get(
+                "write"
+            ) or self._new_handles(tel, "write")
+            tel.tracer.record(span_name, start, result.completed_at, "drive")
+            ops_total.inc()
+            sectors_total.inc(sectors)
+            latency.observe(result.latency_s)
+        stats = self.stats
+        stats.writes += 1
+        stats.sectors_written += sectors
         if self.store_data and data is not None:
             self._store.write(lba, data)
         return result
@@ -289,45 +315,65 @@ class HardDiskDrive:
         """
         self._refresh_from_schedule()
         if self.parked or self.success_probability(OpKind.WRITE) <= 0.0:
+            self._counters_stale = True
             self._execute(OpKind.WRITE, 0, 1)
 
     def _sync_counters(self) -> None:
-        self.stats.retries = self.controller.retries
-        self.stats.medium_errors = self.controller.medium_errors
-        self.stats.timeouts = self.controller.timeouts
+        controller = self.controller
+        stats = self.stats
+        stats.retries = controller.retries
+        stats.medium_errors = controller.medium_errors
+        stats.timeouts = controller.timeouts
+        self._counters_stale = False
 
-    def _record_command(
-        self, tel, op_label: str, start_s: float, sectors: int, outcome: str
+    def _new_handles(self, tel, op_label: str) -> tuple:
+        """Resolve the span label and the three metric instruments of
+        ``op_label`` on its first recorded command; later commands reuse
+        them without rebuilding label keys or probing the registry."""
+        metrics = tel.metrics
+        handles = self._tel_handles[op_label] = (
+            "drive." + op_label,
+            metrics.counter("drive_ops_total", op=op_label),
+            metrics.counter("drive_sectors_total", op=op_label),
+            metrics.histogram("drive_op_latency_s", op=op_label),
+        )
+        return handles
+
+    def _command_failed(
+        self, tel, op_label: str, start_s: float, sectors: int, exc: BaseException
     ) -> None:
-        """Report one finished (or failed) command into the telemetry."""
+        """Sync the counters and record a command that raised ``exc``.
+
+        A timeout or medium error makes an ``error`` span and a
+        ``drive_errors_total`` count; any other exception is recorded
+        like a completed command.
+        """
+        self._sync_counters()
+        if tel is None:
+            return
         end_s = self.clock.now
-        handles = self._tel_handles.get(op_label)
-        if handles is None:
-            # First command of this op: resolve the span label and the
-            # three metric instruments once; later commands reuse them
-            # without rebuilding label keys or probing the registry.
-            metrics = tel.metrics
-            handles = (
-                "drive." + op_label,
-                metrics.counter("drive_ops_total", op=op_label),
-                metrics.counter("drive_sectors_total", op=op_label),
-                metrics.histogram("drive_op_latency_s", op=op_label),
-            )
-            self._tel_handles[op_label] = handles
-        span_name, ops_total, sectors_total, latency = handles
+        if isinstance(exc, DriveTimeout):
+            kind = "timeout"
+        elif isinstance(exc, MediumError):
+            kind = "medium_error"
+        else:
+            kind = None
+        span_name, ops_total, sectors_total, latency = self._tel_handles.get(
+            op_label
+        ) or self._new_handles(tel, op_label)
         tel.tracer.record(
             span_name,
             start_s,
             end_s,
             category="drive",
-            status="ok" if outcome == "ok" else "error",
-            args=None if outcome == "ok" else {"error": outcome},
+            status="ok" if kind is None else "error",
+            args=None if kind is None else {"error": kind},
         )
         ops_total.inc()
         sectors_total.inc(sectors)
         latency.observe(end_s - start_s)
-        if outcome != "ok":
-            tel.metrics.counter("drive_errors_total", kind=outcome).inc()
+        if kind is not None:
+            tel.metrics.counter("drive_errors_total", kind=kind).inc()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

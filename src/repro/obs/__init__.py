@@ -55,7 +55,6 @@ __all__, __getattr__, __dir__ = _lazy.exports(
         "health": ("HealthTracker", "HEALTH_STATES", "classify_probability"),
         "telemetry": ("Telemetry", "get", "install", "enabled", "tracer", "session"),
         "exporters": (
-            "chrome_trace",
             "write_chrome_trace",
             "write_metrics_text",
             "series_jsonl_lines",

@@ -7,7 +7,8 @@ Four formats, all deterministic for a given tracer/registry state:
   map to microseconds; each tracer track becomes its own named thread
   row via ``thread_name`` metadata events.  The writer streams the
   document from the tracer's record tuples in bounded chunks, byte for
-  byte what ``json.dump`` makes of :func:`chrome_trace`.
+  byte what ``json.dump(indent=1, sort_keys=True)`` makes of it, and
+  never builds it as a dict.
 * **Prometheus text dump** — the registry's exposition format, written
   to a file for the ``--metrics-out`` CLI flag.
 * **Series JSONL** — one JSON object per (series, window), sorted by
@@ -24,7 +25,6 @@ import json
 from typing import Any, Dict, Iterator, List, Tuple
 
 __all__ = [
-    "chrome_trace",
     "write_chrome_trace",
     "write_metrics_text",
     "series_jsonl_lines",
@@ -50,59 +50,6 @@ def _track_ids(tracer) -> Dict[str, int]:
     names = {row[4] for row in tracer._spans} | {row[3] for row in tracer._events}
     ordered = (["main"] if "main" in names else []) + sorted(names - {"main"})
     return {name: tid for tid, name in enumerate(ordered, start=1)}
-
-
-def chrome_trace(tracer) -> Dict[str, Any]:
-    """The tracer's records as a Chrome ``trace_event`` document."""
-    tids = _track_ids(tracer)
-    events: List[Dict[str, Any]] = []
-    for name, tid in tids.items():
-        events.append(
-            {
-                "ph": "M",
-                "pid": _PID,
-                "tid": tid,
-                "name": "thread_name",
-                "args": {"name": name},
-            }
-        )
-    for span in tracer.spans:
-        event = {
-            "ph": "X",
-            "pid": _PID,
-            "tid": tids[span.track],
-            "name": span.name,
-            "cat": span.category or "span",
-            "ts": span.start_s * 1e6,
-            "dur": span.duration_s * 1e6,
-        }
-        args = dict(span.args) if span.args else {}
-        if span.status != "ok":
-            args["status"] = span.status
-        if args:
-            event["args"] = args
-        events.append(event)
-    for instant in tracer.events:
-        event = {
-            "ph": "i",
-            "pid": _PID,
-            "tid": tids[instant.track],
-            "name": instant.name,
-            "cat": instant.category or "event",
-            "ts": instant.ts_s * 1e6,
-            "s": "t",
-        }
-        if instant.args:
-            event["args"] = dict(instant.args)
-        events.append(event)
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "clock": "virtual",
-            "dropped_records": tracer.dropped,
-        },
-    }
 
 
 def _json_text(value: Any, level: int) -> str:
@@ -137,14 +84,16 @@ def _args_text(args: Dict[Any, Any]) -> str:
 
 
 def _event_chunks(tracer, tids: Dict[str, int]) -> Iterator[List[str]]:
-    """The text of every Chrome event, in :func:`chrome_trace` order: the
-    thread names in one list (one per track), then spans and instants
-    in lists of at most ``_CHUNK``.
+    """The text of every Chrome event, in document order: the thread
+    names in one list (one per track, by tid), then spans and instants
+    in recording order, in lists of at most ``_CHUNK``.
 
     Each event is the fixed template ``json.dump`` would print for it.
     The members that depend only on (name, category, track) are
-    formatted once per distinct triple, so a span without args costs
-    two float reprs and one f-string.  Times are floats (``* 1e6``
+    formatted once per distinct triple, and each distinct span duration
+    once per call (a traced sweep has a few dozen across hundreds of
+    thousands of spans), so a span without args costs one float repr,
+    two dict probes and one f-string.  Times are floats (``* 1e6``
     makes them so); any other ``args`` value goes through
     :func:`_json_text`.
     """
@@ -159,6 +108,7 @@ def _event_chunks(tracer, tids: Dict[str, int]) -> Iterator[List[str]]:
     non_finite = _NON_FINITE
     float_text = _float_text
     templates: Dict[tuple, tuple] = {}
+    durations: Dict[float, str] = {}
     spans = tracer._spans
     for begin in range(0, len(spans), _CHUNK):
         texts = []
@@ -175,17 +125,22 @@ def _event_chunks(tracer, tids: Dict[str, int]) -> Iterator[List[str]]:
                     f'   "pid": {_PID},\n   "tid": {tids[track]},\n   "ts": ',
                 )
             head, middle = template
-            dur = float_text((end_s - start_s) * 1e6)
+            duration = (end_s - start_s) * 1e6
+            dur = durations.get(duration)
+            if dur is None:
+                dur = float_text(duration)
+                dur = non_finite.get(dur, dur)
+                # 0.0 and -0.0 are one key but two texts, and a NaN
+                # equals no key: neither is shared.
+                if duration and duration == duration:
+                    durations[duration] = dur
             ts = float_text(start_s * 1e6)
             if args or status != "ok":
                 members = dict(args) if args else {}
                 if status != "ok":
                     members["status"] = status
                 head = f'\n   "args": {_args_text(members)},{head}'
-            append(
-                f"{{{head}{non_finite.get(dur, dur)}{middle}"
-                f"{non_finite.get(ts, ts)}\n  }}"
-            )
+            append(f"{{{head}{dur}{middle}{non_finite.get(ts, ts)}\n  }}")
         yield texts
 
     instants = tracer._events
@@ -204,14 +159,19 @@ def _event_chunks(tracer, tids: Dict[str, int]) -> Iterator[List[str]]:
 
 
 def write_chrome_trace(tracer, path: str) -> Tuple[int, int]:
-    """Write :func:`chrome_trace` JSON to ``path``; returns how many spans
-    and instant events it wrote.
+    """Write the tracer's Chrome ``trace_event`` JSON to ``path``; returns
+    how many spans and instant events it wrote.
 
-    The bytes are exactly ``json.dump(chrome_trace(tracer), indent=1,
-    sort_keys=True)`` plus a newline, but neither the document nor a
-    record view is ever built: events stream from the tracer's record
-    tuples, ``_CHUNK`` per ``write``, so memory stays flat however long
-    the trace.
+    The document is ``{"traceEvents": [...], "displayTimeUnit": "ms",
+    "otherData": {"clock": "virtual", "dropped_records": N}}``: one
+    ``thread_name`` metadata event per track ("main" first, the rest
+    sorted), then every span as a complete (``"X"``) event and every
+    instant as an ``"i"`` event, times in microseconds, a non-ok span
+    status folded into its ``args``.  The bytes are exactly
+    ``json.dump(document, indent=1, sort_keys=True)`` plus a newline,
+    but neither the document nor a record view is ever built: events
+    stream from the tracer's record tuples, ``_CHUNK`` per ``write``, so
+    memory stays flat however long the trace.
     """
     tids = _track_ids(tracer)
     with open(path, "w", encoding="utf-8") as handle:

@@ -312,9 +312,7 @@ class FioTester:
             )
             metrics.counter("fio_ops_total", mode=mode, outcome="error").inc(error_ops)
             metrics.counter("fio_bytes_total", mode=mode).inc(result.bytes_moved)
-            histogram = metrics.histogram("fio_op_latency_s", mode=mode)
-            for latency in latencies:
-                histogram.observe(latency)
+            metrics.histogram("fio_op_latency_s", mode=mode).observe_many(latencies)
         return result
 
     def run_suite(self, jobs: List[FioJob]) -> List[FioResult]:

@@ -5,8 +5,10 @@ and its stdout digest must match the pinned value exactly, so any
 refactor of the physics, I/O or runtime layers that moves a single
 printed digit fails here.  ``table3`` runs to a 1 s watch deadline,
 which every victim survives; the end-to-end benchmark pins the full
-run to the crashes.  One traced command also pins the bytes of its
-Chrome trace file.
+run to the crashes.  Traced commands also pin the bytes of the files
+they write: a ``ycsb`` Chrome trace, and the Chrome trace and
+Prometheus dump of a short Figure 2 sweep at both trace detail levels,
+which walks every drive command, timeouts and retries included.
 """
 
 from __future__ import annotations
@@ -83,3 +85,37 @@ def test_trace_file_digest(tmp_path, capsys):
     assert main(YCSB + ["--trace", str(path)]) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "8cdcb1a92a100535e94d3fbf52e3b7be6c095f03d25d8471644f7df0c8b18f6d"
+
+
+TRACED_FIGURE2 = ["figure2", "--runtime", "0.05", "--seed", "7"]
+
+
+@pytest.mark.parametrize(
+    "extra, digests",
+    [
+        (
+            [],
+            {
+                "trace.json": "68a8345a11d6f12de042d3ad1e3a457d54230243b6f5c61813cde8004a69b5e5",
+                "metrics.prom": "e6574edf552119d66b81c5a00d86609e4c557d0aa1e12d8d2f3533e0ea29ba2a",
+            },
+        ),
+        (
+            ["--trace-detail", "attempts"],
+            {
+                "trace.json": "ceeea71efd46731c7a95aadeeef83f05cc1b0d2f0f2887a0c2fde74f01734a17",
+            },
+        ),
+    ],
+    ids=["commands", "attempts"],
+)
+def test_traced_figure2_file_digests(extra, digests, tmp_path, capsys):
+    # 70 timeouts and 71 retries: the error spans, the drive_errors_total
+    # counts and the per-attempt spans of the command path.
+    argv = TRACED_FIGURE2 + extra + ["--trace", str(tmp_path / "trace.json")]
+    if "metrics.prom" in digests:
+        argv += ["--metrics-out", str(tmp_path / "metrics.prom")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

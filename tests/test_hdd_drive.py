@@ -120,6 +120,19 @@ class TestUnderAttack:
         with pytest.raises(DriveTimeout):
             drive.flush()
 
+    def test_flush_timeout_reaches_stats_at_the_next_command(self, drive):
+        # A flush syncs no counters itself; the next read or write copies
+        # them into stats, even one that succeeds on its first attempt.
+        drive.set_vibration(stall_vibration(drive))
+        with pytest.raises(DriveTimeout):
+            drive.flush()
+        assert (drive.controller.timeouts, drive.stats.timeouts) == (1, 0)
+        drive.set_vibration(None)
+        assert drive.write(0, 8).attempts == 1
+        assert drive.stats.timeouts == 1
+        assert drive.read(0, 8)[0].attempts == 1
+        assert vars(drive.stats)["timeouts"] == 1
+
     def test_flush_is_free_when_quiet(self, drive):
         before = drive.clock.now
         drive.flush()

@@ -84,9 +84,17 @@ class TestCommandModuleSets:
         assert _under(modules, "repro.storage", "repro.runtime") == []
 
     def test_rack_loads_no_kv_store(self, tmp_path):
+        # A plain rack report runs no sweep, event loop or RAID group.
         modules = _loaded(["rack"], tmp_path)
         assert "repro.core.fleet" in modules
         assert _under(modules, "repro.storage.kv") == []
+        assert _under(
+            modules,
+            "repro.vecphys",
+            "repro.sim.events",
+            "repro.storage.raid",
+            "repro.storage.block",
+        ) == []
 
     @pytest.mark.parametrize("command", ["figure2", "table1"])
     def test_serial_campaigns_load_no_storage_or_pool(self, command, tmp_path):

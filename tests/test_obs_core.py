@@ -8,8 +8,11 @@ disabled path must be indistinguishable from no telemetry at all.
 from __future__ import annotations
 
 import math
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.errors import ConfigurationError
@@ -146,7 +149,41 @@ class TestDmesgEvents:
         assert [e["name"] for e in events] == ["dmesg.info"]
 
 
+_BOUNDS = (0.1, 1.0, 10.0)
+#: Any float, with the edge cases drawn often: the bucket bounds
+#: themselves, both zeros, NaN and both infinities.
+_OBSERVATIONS = st.lists(
+    st.one_of(
+        st.floats(),
+        st.sampled_from([*_BOUNDS, 0.0, -0.0, math.nan, math.inf, -math.inf]),
+    ),
+    max_size=30,
+)
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
 class TestMetrics:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(before=_OBSERVATIONS, values=_OBSERVATIONS)
+    @example(before=[], values=[1e16, 1.0, -1e16])
+    @example(before=[0.1], values=[0.2, 0.3])
+    @example(before=[], values=[math.inf, -math.inf, -0.0])
+    def test_observe_many_equals_one_observe_each(self, before, values):
+        one_by_one = obs.Histogram(bounds=_BOUNDS)
+        batched = obs.Histogram(bounds=_BOUNDS)
+        for hist in (one_by_one, batched):
+            for value in before:
+                hist.observe(value)
+        for value in values:
+            one_by_one.observe(value)
+        batched.observe_many(values)
+        assert batched.counts == one_by_one.counts
+        assert batched.count == one_by_one.count
+        assert _bits(batched.sum) == _bits(one_by_one.sum)
+
     def test_counter_identity_and_totals(self):
         registry = obs.MetricsRegistry()
         registry.counter("ops", op="read").inc()

@@ -1,11 +1,11 @@
 """Exporter formats: Chrome trace_event JSON and Prometheus text.
 
-The Chrome documents are additionally run through the same structural
-validator CI uses (``tools/validate_trace.py``), so the test suite and
-the CI gate can never disagree about what a well-formed trace is.  The
-streaming writer is held byte for byte to ``json.dump`` of the
-:func:`~repro.obs.chrome_trace` document, on fixed and generated
-tracers.
+The written Chrome documents are additionally run through the same
+structural validator CI uses (``tools/validate_trace.py``), so the test
+suite and the CI gate can never disagree about what a well-formed trace
+is.  The streaming writer is held byte for byte to ``json.dump`` of
+:func:`_chrome_trace`, a reference document built here from the
+tracer's record views, on fixed and generated tracers.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import math
 import pathlib
 import sys
+from typing import Any, Dict, List
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -39,18 +40,25 @@ def _sample_tracer() -> obs.Tracer:
     return tracer
 
 
-class TestChromeTrace:
-    def test_document_passes_the_ci_validator(self):
-        assert validate_trace(obs.chrome_trace(_sample_tracer())) == []
+def _written(tracer, tmp_path) -> Dict[str, Any]:
+    """The document ``write_chrome_trace`` writes for ``tracer``."""
+    path = tmp_path / "trace.json"
+    obs.write_chrome_trace(tracer, str(path))
+    return json.loads(path.read_text())
 
-    def test_track_rows_are_stable(self):
-        doc = obs.chrome_trace(_sample_tracer())
+
+class TestChromeTrace:
+    def test_document_passes_the_ci_validator(self, tmp_path):
+        assert validate_trace(_written(_sample_tracer(), tmp_path)) == []
+
+    def test_track_rows_are_stable(self, tmp_path):
+        doc = _written(_sample_tracer(), tmp_path)
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         assert [m["args"]["name"] for m in meta] == ["main", "victim/Ext4"]
         assert [m["tid"] for m in meta] == [1, 2]
 
-    def test_times_are_microseconds(self):
-        doc = obs.chrome_trace(_sample_tracer())
+    def test_times_are_microseconds(self, tmp_path):
+        doc = _written(_sample_tracer(), tmp_path)
         watch = next(e for e in doc["traceEvents"] if e["name"] == "monitor.watch")
         assert watch["ts"] == 0.0
         assert watch["dur"] == pytest.approx(80.25e6)
@@ -58,13 +66,13 @@ class TestChromeTrace:
         assert crash["ph"] == "i"
         assert crash["ts"] == pytest.approx(80.25e6)
 
-    def test_error_status_lands_in_args(self):
-        doc = obs.chrome_trace(_sample_tracer())
+    def test_error_status_lands_in_args(self, tmp_path):
+        doc = _written(_sample_tracer(), tmp_path)
         commit = next(e for e in doc["traceEvents"] if e["name"] == "journal.commit")
         assert commit["args"] == {"tid": 7, "status": "error"}
 
-    def test_other_data_declares_virtual_clock(self):
-        doc = obs.chrome_trace(_sample_tracer())
+    def test_other_data_declares_virtual_clock(self, tmp_path):
+        doc = _written(_sample_tracer(), tmp_path)
         assert doc["otherData"]["clock"] == "virtual"
         assert doc["otherData"]["dropped_records"] == 0
 
@@ -74,15 +82,77 @@ class TestChromeTrace:
         assert path.read_text() == _json_dump_text(_sample_tracer())
         assert validate_trace(json.loads(path.read_text())) == []
 
-    def test_empty_tracer_is_still_valid(self):
-        doc = obs.chrome_trace(obs.Tracer())
+    def test_empty_tracer_is_still_valid(self, tmp_path):
+        doc = _written(obs.Tracer(), tmp_path)
         assert doc["traceEvents"] == []
         assert validate_trace(doc) == []
 
 
+def _chrome_trace(tracer) -> Dict[str, Any]:
+    """The tracer's records as a Chrome ``trace_event`` document, built
+    from the :class:`~repro.obs.SpanRecord` views: the reference that
+    the streaming writer's bytes are held to."""
+    names = {span.track for span in tracer.spans} | {e.track for e in tracer.events}
+    ordered = (["main"] if "main" in names else []) + sorted(names - {"main"})
+    tids = {name: tid for tid, name in enumerate(ordered, start=1)}
+    events: List[Dict[str, Any]] = [
+        {"ph": "M", "pid": 1, "tid": tid, "name": "thread_name", "args": {"name": name}}
+        for name, tid in tids.items()
+    ]
+    for span in tracer.spans:
+        event = {
+            "ph": "X",
+            "pid": 1,
+            "tid": tids[span.track],
+            "name": span.name,
+            "cat": span.category or "span",
+            "ts": span.start_s * 1e6,
+            "dur": span.duration_s * 1e6,
+        }
+        args = dict(span.args) if span.args else {}
+        if span.status != "ok":
+            args["status"] = span.status
+        if args:
+            event["args"] = args
+        events.append(event)
+    for instant in tracer.events:
+        event = {
+            "ph": "i",
+            "pid": 1,
+            "tid": tids[instant.track],
+            "name": instant.name,
+            "cat": instant.category or "event",
+            "ts": instant.ts_s * 1e6,
+            "s": "t",
+        }
+        if instant.args:
+            event["args"] = dict(instant.args)
+        events.append(event)
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {"clock": "virtual", "dropped_records": tracer.dropped},
+    }
+
+
 def _json_dump_text(tracer) -> str:
     """What ``write_chrome_trace`` must write: the ``json.dump`` bytes."""
-    return json.dumps(obs.chrome_trace(tracer), indent=1, sort_keys=True) + "\n"
+    return json.dumps(_chrome_trace(tracer), indent=1, sort_keys=True) + "\n"
+
+
+def _repeated_durations_tracer() -> obs.Tracer:
+    """Spans whose durations are 0.0, -0.0, NaN, NaN and one finite value
+    twice: equal floats that print differently, and floats equal to
+    nothing, next to one the writer may format once."""
+    tracer = obs.Tracer()
+    tracer.record("zero", 1.0, 1.0)
+    tracer.record("negative zero", 0.0, -0.0)
+    tracer.record("nan", 0.0, math.nan)
+    tracer.record("nan", 1.0, math.nan)
+    tracer.record("finite", 2.0, 2.5)
+    tracer.record("finite", 3.0, 3.5)
+    tracer.record("zero again", -0.0, 0.0)
+    return tracer
 
 
 #: Names, tracks and strings: JSON escapes, non-ASCII, the "main" track.
@@ -144,6 +214,7 @@ class TestStreamingWriter:
     )
     @given(_tracers())
     @example(tracer=obs.Tracer())
+    @example(tracer=_repeated_durations_tracer())
     def test_bytes_match_json_dump(self, tmp_path, tracer):
         path = tmp_path / "trace.json"
         try:
