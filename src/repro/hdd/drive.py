@@ -71,11 +71,6 @@ class HardDiskDrive:
         self.vibration = VibrationInput.none()
         self.parked = False
         self.stats = DriveStats()
-        # ``stats`` mirrors the controller's retry, medium-error and
-        # timeout counts as of the last read or write to return or
-        # raise.  One that succeeds on its first attempt changes none of
-        # them, so it copies them only if flush() ran a command since.
-        self._counters_stale = False
         self._store = SectorStore()
         self._schedule: Optional[Callable[[float], Optional[VibrationInput]]] = None
         # Telemetry is captured at construction: with nothing installed
@@ -201,7 +196,7 @@ class HardDiskDrive:
         except BaseException as exc:
             self._command_failed(tel, "read", start, sectors, exc)
             raise
-        if result.attempts > 1 or self._counters_stale:
+        if result.attempts > 1:
             self._sync_counters()
         if tel is not None:
             span_name, ops_total, sectors_total, latency = self._tel_handles.get(
@@ -250,7 +245,7 @@ class HardDiskDrive:
         except BaseException as exc:
             self._command_failed(tel, "write", start, sectors, exc)
             raise
-        if result.attempts > 1 or self._counters_stale:
+        if result.attempts > 1:
             self._sync_counters()
         if tel is not None:
             span_name, ops_total, sectors_total, latency = self._tel_handles.get(
@@ -315,16 +310,21 @@ class HardDiskDrive:
         """
         self._refresh_from_schedule()
         if self.parked or self.success_probability(OpKind.WRITE) <= 0.0:
-            self._counters_stale = True
-            self._execute(OpKind.WRITE, 0, 1)
+            try:
+                self._execute(OpKind.WRITE, 0, 1)
+            finally:
+                self._sync_counters()
 
     def _sync_counters(self) -> None:
+        """Copy the controller's retry, medium-error and timeout counts
+        into ``stats``, after every command that may have changed them: a
+        read or write that retried or raised, a flush that ran a command,
+        a closed-form run.  A first-attempt success changes none."""
         controller = self.controller
         stats = self.stats
         stats.retries = controller.retries
         stats.medium_errors = controller.medium_errors
         stats.timeouts = controller.timeouts
-        self._counters_stale = False
 
     def _new_handles(self, tel, op_label: str) -> tuple:
         """Resolve the span label and the three metric instruments of

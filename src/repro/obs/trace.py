@@ -211,31 +211,50 @@ class Tracer:
         """JSON-safe dump of everything recorded (for worker transport).
 
         The internal tuples already hold the snapshot's field order, so
-        this is a plain list copy — no attribute walks.
+        each list is a copy of the row tuples (``json.dumps`` writes a
+        tuple as an array) — no attribute walks, no per-row copies.
         """
         return {
-            "spans": [list(row) for row in self._spans],
-            "events": [list(row) for row in self._events],
+            "spans": list(self._spans),
+            "events": list(self._events),
             "dropped": self.dropped,
         }
 
     def ingest(self, snapshot: Dict[str, Any], track_prefix: str = "") -> None:
-        """Merge a :meth:`snapshot` from another tracer (append order)."""
-        for name, category, start_s, end_s, track, status, args in snapshot["spans"]:
-            self.record(
-                name,
-                start_s,
-                end_s,
-                category=category,
-                status=status,
-                args=args,
-                track=track_prefix + track,
-            )
-        for name, category, ts_s, track, args in snapshot["events"]:
-            self.instant(
-                name, ts_s, category=category, args=args, track=track_prefix + track
-            )
+        """Merge a :meth:`snapshot` from another tracer (append order).
+
+        Keeps and drops exactly what one :meth:`record` per span, then
+        one :meth:`instant` per event, would.  Rows of the right width
+        that are tuples already (a pickled snapshot's) are kept as they
+        are; any other row is unpacked into a new tuple, with the track
+        prefixed, so rows that went through JSON arrive as lists and are
+        stored as tuples, and a row of the wrong length raises
+        ``ValueError`` before anything is kept.
+        """
+        spans = snapshot["spans"]
+        events = snapshot["events"]
+        if track_prefix or not (_tuples_of(spans, 7) and _tuples_of(events, 5)):
+            spans = [
+                (name, category, start_s, end_s, track_prefix + track, status, args)
+                for name, category, start_s, end_s, track, status, args in spans
+            ]
+            events = [
+                (name, category, ts_s, track_prefix + track, args)
+                for name, category, ts_s, track, args in events
+            ]
+        self._append_rows(spans, events)
         self.dropped += snapshot.get("dropped", 0)
+
+    def _append_rows(self, spans: List[tuple], events: List[tuple]) -> None:
+        """Append span and event rows in bulk, bounded by ``max_records``
+        and counted in ``dropped`` exactly as one :meth:`record` per span,
+        then one :meth:`instant` per event, would leave them."""
+        room = max(self.max_records - len(self._spans) - len(self._events), 0)
+        kept_spans = spans[:room]
+        kept_events = events[: room - len(kept_spans)]
+        self._spans.extend(kept_spans)
+        self._events.extend(kept_events)
+        self.dropped += len(spans) - len(kept_spans) + len(events) - len(kept_events)
 
     # -- introspection -------------------------------------------------------
 
@@ -249,6 +268,11 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self._spans) + len(self._events)
+
+
+def _tuples_of(rows: List[Any], width: int) -> bool:
+    """Whether every row is a plain tuple of ``width`` fields."""
+    return set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {width}
 
 
 class NullTracer:

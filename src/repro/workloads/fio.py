@@ -15,7 +15,7 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import List, MutableSequence, Optional, Sequence
+from typing import List, MutableSequence, Optional
 
 from repro.errors import ConfigurationError, DriveTimeout, MediumError
 from repro.hdd.drive import HardDiskDrive
@@ -86,24 +86,6 @@ class FioJob:
         return self.block_bytes // SECTOR_SIZE
 
 
-def percentile(values: Sequence[float], pct: float) -> float:
-    """Linear-interpolation percentile, pct in [0, 100]."""
-    if not values:
-        raise ConfigurationError("percentile of empty sequence")
-    if not 0.0 <= pct <= 100.0:
-        raise ConfigurationError(f"percentile out of range: {pct}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = pct / 100.0 * (len(ordered) - 1)
-    low = math.floor(rank)
-    high = math.ceil(rank)
-    if low == high:
-        return ordered[low]
-    frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
-
-
 @dataclass
 class FioResult:
     """Aggregated outcome of one FIO run."""
@@ -153,26 +135,6 @@ class FioResult:
         """Mean latency in milliseconds (None = the paper's "-")."""
         latency = self.avg_latency_s
         return None if latency is None else latency * 1e3
-
-    def latency_percentile_ms(self, pct: float) -> Optional[float]:
-        """Completion-latency percentile in ms (fio's clat percentiles).
-
-        None in the no-response regime.
-        """
-        if not self.latencies_s:
-            return None
-        return percentile(self.latencies_s, pct) * 1e3
-
-    def latency_summary_ms(self) -> "Optional[dict]":
-        """p50/p95/p99/max in milliseconds, or None if nothing completed."""
-        if not self.latencies_s:
-            return None
-        return {
-            "p50": self.latency_percentile_ms(50.0),
-            "p95": self.latency_percentile_ms(95.0),
-            "p99": self.latency_percentile_ms(99.0),
-            "max": self.max_latency_s * 1e3,
-        }
 
 
 class FioTester:

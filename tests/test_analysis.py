@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.plots import ascii_chart
 from repro.analysis.tables import Table, format_latency_ms, format_mbps
 from repro.errors import ConfigurationError
-from repro.workloads.fio import percentile
 
 
 class TestFormatting:
@@ -68,16 +67,3 @@ class TestAsciiChart:
         with pytest.raises(ConfigurationError):
             ascii_chart({"a": [(0, 0)]}, width=4)
 
-
-class TestStats:
-    def test_percentile_interpolates(self):
-        values = [10.0, 20.0, 30.0, 40.0]
-        assert percentile(values, 0) == 10.0
-        assert percentile(values, 100) == 40.0
-        assert percentile(values, 50) == 25.0
-
-    def test_percentile_validation(self):
-        with pytest.raises(ConfigurationError):
-            percentile([1.0], 150)
-        with pytest.raises(ConfigurationError):
-            percentile([], 50)

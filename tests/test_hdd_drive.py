@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError, DriveTimeout, MediumError, UnitErro
 from repro.hdd.controller import RetryPolicy
 from repro.hdd.drive import HardDiskDrive
 from repro.hdd.servo import OpKind, VibrationInput
+from repro.hdd.smart import COMMAND_TIMEOUT, SmartLog
 from repro.units import SECTOR_SIZE
 
 
@@ -120,18 +121,19 @@ class TestUnderAttack:
         with pytest.raises(DriveTimeout):
             drive.flush()
 
-    def test_flush_timeout_reaches_stats_at_the_next_command(self, drive):
-        # A flush syncs no counters itself; the next read or write copies
-        # them into stats, even one that succeeds on its first attempt.
+    def test_failed_flush_syncs_stats_and_smart(self, drive):
+        # The failed flush itself copies the controller's counters, so
+        # stats and a SMART sample taken right after it see the timeout.
         drive.set_vibration(stall_vibration(drive))
         with pytest.raises(DriveTimeout):
             drive.flush()
-        assert (drive.controller.timeouts, drive.stats.timeouts) == (1, 0)
-        drive.set_vibration(None)
-        assert drive.write(0, 8).attempts == 1
-        assert drive.stats.timeouts == 1
-        assert drive.read(0, 8)[0].attempts == 1
-        assert vars(drive.stats)["timeouts"] == 1
+        controller = drive.controller
+        assert controller.timeouts == 1
+        assert (drive.stats.retries, drive.stats.medium_errors, drive.stats.timeouts) == (
+            controller.retries, controller.medium_errors, controller.timeouts
+        )
+        attribute = SmartLog(drive).attribute(COMMAND_TIMEOUT)
+        assert (attribute.name, attribute.raw_value) == ("Command_Timeout", 1)
 
     def test_flush_is_free_when_quiet(self, drive):
         before = drive.clock.now

@@ -7,6 +7,7 @@ disabled path must be indistinguishable from no telemetry at all.
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 
@@ -19,6 +20,54 @@ from repro.errors import ConfigurationError
 from repro.obs.telemetry import Telemetry
 from repro.sim.clock import VirtualClock
 from repro.storage.oskernel.dmesg import DmesgBuffer
+
+
+#: Tracer rows to record: spans and instants on two tracks.
+_ROWS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("span"),
+            st.sampled_from(["drive.read", "drive.write"]),
+            st.floats(0.0, 10.0),
+            st.sampled_from(["ok", "error"]),
+            st.one_of(st.none(), st.fixed_dictionaries({"n": st.integers(0, 3)})),
+            st.sampled_from(["main", "point/650Hz"]),
+        ),
+        st.tuples(
+            st.just("instant"),
+            st.sampled_from(["retry", "abort"]),
+            st.floats(0.0, 10.0),
+            st.just("ok"),
+            st.one_of(st.none(), st.fixed_dictionaries({"k": st.text(max_size=2)})),
+            st.sampled_from(["main", "dmesg"]),
+        ),
+    ),
+    max_size=6,
+)
+
+
+def _record_rows(tracer: obs.Tracer, rows) -> None:
+    for kind, name, start_s, status, args, track in rows:
+        if kind == "span":
+            tracer.record(
+                name, start_s, start_s + 0.5, category="drive", status=status,
+                args=args, track=track,
+            )
+        else:
+            tracer.instant(name, start_s, category="drive", args=args, track=track)
+
+
+def _ingest_one_call_per_row(tracer: obs.Tracer, snapshot, track_prefix: str) -> None:
+    """The reference merge: one ``record`` per span, then one ``instant``
+    per event, then the snapshot's own drops."""
+    for name, category, start_s, end_s, track, status, args in snapshot["spans"]:
+        tracer.record(
+            name, start_s, end_s, category=category, status=status, args=args,
+            track=track_prefix + track,
+        )
+    for name, category, ts_s, track, args in snapshot["events"]:
+        tracer.instant(name, ts_s, category=category, args=args, track=track_prefix + track)
+    tracer.dropped += snapshot.get("dropped", 0)
 
 
 class TestTracer:
@@ -95,6 +144,49 @@ class TestTracer:
         prefixed = obs.Tracer()
         prefixed.ingest(source.snapshot(), track_prefix="w0/")
         assert prefixed.spans[0].track == "w0/worker"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_ingest_equals_one_call_per_row(self, data):
+        source = obs.Tracer(max_records=data.draw(st.integers(1, 8)))
+        _record_rows(source, data.draw(_ROWS))
+        snapshot = source.snapshot()
+        if data.draw(st.booleans()):
+            snapshot = json.loads(json.dumps(snapshot))  # rows arrive as lists
+        present = data.draw(_ROWS)
+        # At and around the two boundaries: the spans fill the sink, or
+        # the spans and events together do.
+        boundary = len(present) + len(snapshot["spans"]) + data.draw(
+            st.sampled_from([0, len(snapshot["events"])])
+        )
+        max_records = max(1, boundary + data.draw(st.integers(-2, 2)))
+        track_prefix = data.draw(st.sampled_from(["", "w0/"]))
+        bulk, reference = obs.Tracer(max_records), obs.Tracer(max_records)
+        for sink in (bulk, reference):
+            _record_rows(sink, present)
+        bulk.ingest(snapshot, track_prefix=track_prefix)
+        _ingest_one_call_per_row(reference, snapshot, track_prefix)
+        assert bulk._spans == reference._spans
+        assert bulk._events == reference._events
+        assert bulk.dropped == reference.dropped
+
+    @pytest.mark.parametrize("as_lists", [False, True])
+    @pytest.mark.parametrize(
+        "spans, events",
+        [
+            ([("op", "", 0.0, 1.0, "main", "ok")], []),
+            ([], [("tick", "", 0.5, "main", None, "extra")]),
+        ],
+        ids=["short-span", "long-event"],
+    )
+    def test_ingest_rejects_a_row_of_the_wrong_length(self, spans, events, as_lists):
+        snapshot = {"spans": spans, "events": events, "dropped": 0}
+        if as_lists:
+            snapshot = json.loads(json.dumps(snapshot))
+        for sink in (obs.Tracer(), obs.Tracer(max_records=1)):
+            sink.record("full", 0.0, 1.0)
+            with pytest.raises(ValueError):
+                sink.ingest(snapshot)
 
     def test_ingest_dmesg_copies_lines_onto_track(self):
         clock = VirtualClock()
