@@ -22,8 +22,7 @@ Four formats, all deterministic for a given tracer/registry state:
 from __future__ import annotations
 
 import json
-import math
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 __all__ = [
     "write_chrome_trace",
@@ -100,14 +99,15 @@ def _event_chunks(tracer, tids: Dict[str, int]) -> Iterator[List[str]]:
     The members that depend only on (name, category, track) are
     formatted once per distinct triple, and each distinct span duration
     once per call (a traced sweep has a few dozen across hundreds of
-    thousands of spans).  Once the clock has stepped backwards, each
-    distinct start is formatted once per call too: every point of a
-    traced campaign restarts its rig at t = 0, so 93% of a traced
-    Figure 2's spans repeat an earlier start.  A span without args then
-    costs three dict probes and one f-string; on a single timeline, one
-    float repr, two dict probes and one f-string.  Times are floats
-    (``* 1e6`` makes them so); any other ``args`` value goes through
-    :func:`_json_text`.
+    thousands of spans).  Each distinct start is formatted once per
+    call too, up to ``_START_MEMO_CAP`` of them at a time: every point
+    of a traced campaign restarts its rig at t = 0, so 93% of a traced
+    Figure 2's spans repeat an earlier start, and on one timeline an
+    enclosing span, recorded after its children, often starts where
+    one of them did (22% of a traced ``ycsb``'s spans).  A span without
+    args whose start and duration were seen before costs three dict
+    probes and one f-string.  Times are floats (``* 1e6`` makes them
+    so); any other ``args`` value goes through :func:`_json_text`.
     """
     if tids:
         yield [
@@ -121,14 +121,7 @@ def _event_chunks(tracer, tids: Dict[str, int]) -> Iterator[List[str]]:
     float_text = _float_text
     templates: Dict[tuple, tuple] = {}
     durations: Dict[float, str] = {}
-    # Span starts repeat only once the clock has stepped backwards (a
-    # later point restarted its rig at t = 0).  Until then a start's
-    # text is reused only from the span just before it (``previous``
-    # starts as a NaN, which no start equals); from the first backwards
-    # step on, ``starts`` memoizes them.  As with durations, 0.0 and
-    # -0.0 (equal, printed apart) and NaN are never shared.
-    starts: Optional[Dict[float, str]] = None
-    previous = math.nan
+    starts: Dict[float, str] = {}
     spans = tracer._spans
     for begin in range(0, len(spans), _CHUNK):
         texts = []
@@ -154,21 +147,15 @@ def _event_chunks(tracer, tids: Dict[str, int]) -> Iterator[List[str]]:
                 # equals no key: neither is shared.
                 if duration and duration == duration:
                     durations[duration] = dur
-            if starts is not None:
-                ts = starts.get(start_s)
-                if ts is None:
-                    ts = float_text(start_s * 1e6)
-                    ts = non_finite.get(ts, ts)
-                    if start_s and start_s == start_s:
-                        if len(starts) >= _START_MEMO_CAP:
-                            starts.clear()
-                        starts[start_s] = ts
-            elif start_s != previous or not start_s:
+            ts = starts.get(start_s)
+            if ts is None:
                 ts = float_text(start_s * 1e6)
                 ts = non_finite.get(ts, ts)
-                if start_s < previous:
-                    starts = {}
-                previous = start_s
+                # As with durations, 0.0/-0.0 and NaN are never shared.
+                if start_s and start_s == start_s:
+                    if len(starts) >= _START_MEMO_CAP:
+                        starts.clear()
+                    starts[start_s] = ts
             if args or status != "ok":
                 members = dict(args) if args else {}
                 if status != "ok":

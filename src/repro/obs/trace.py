@@ -224,12 +224,14 @@ class Tracer:
         """Merge a :meth:`snapshot` from another tracer (append order).
 
         Keeps and drops exactly what one :meth:`record` per span, then
-        one :meth:`instant` per event, would.  Rows of the right width
-        that are tuples already (a pickled snapshot's) are kept as they
-        are; any other row is unpacked into a new tuple, with the track
-        prefixed, so rows that went through JSON arrive as lists and are
-        stored as tuples, and a row of the wrong length raises
-        ``ValueError`` before anything is kept.
+        one :meth:`instant` per event, would: the rows that fit under
+        ``max_records`` are appended in bulk, spans first, and the rest
+        are counted in ``dropped``, as is the snapshot's own ``dropped``.
+        Rows of the right width that are tuples already (a pickled
+        snapshot's) are kept as they are; any other row is unpacked into
+        a new tuple, with the track prefixed, so rows that went through
+        JSON arrive as lists and are stored as tuples, and a row of the
+        wrong length raises ``ValueError`` before anything is kept.
         """
         spans = snapshot["spans"]
         events = snapshot["events"]
@@ -242,19 +244,15 @@ class Tracer:
                 (name, category, ts_s, track_prefix + track, args)
                 for name, category, ts_s, track, args in events
             ]
-        self._append_rows(spans, events)
-        self.dropped += snapshot.get("dropped", 0)
-
-    def _append_rows(self, spans: List[tuple], events: List[tuple]) -> None:
-        """Append span and event rows in bulk, bounded by ``max_records``
-        and counted in ``dropped`` exactly as one :meth:`record` per span,
-        then one :meth:`instant` per event, would leave them."""
         room = max(self.max_records - len(self._spans) - len(self._events), 0)
         kept_spans = spans[:room]
         kept_events = events[: room - len(kept_spans)]
         self._spans.extend(kept_spans)
         self._events.extend(kept_events)
-        self.dropped += len(spans) - len(kept_spans) + len(events) - len(kept_events)
+        self.dropped += (
+            len(spans) - len(kept_spans) + len(events) - len(kept_events)
+            + snapshot.get("dropped", 0)
+        )
 
     # -- introspection -------------------------------------------------------
 

@@ -162,8 +162,8 @@ _EDGE_STARTS = [0.0, -0.0, 0.25, 0.0, 0.5, math.nan, -0.0, math.inf, 0.75, -math
 
 def _replayed_starts_tracer() -> obs.Tracer:
     """Two campaign points whose rigs both start at t = 0: the second
-    track replays the first's start times, once backwards steps have
-    switched the writer's start memo on."""
+    track replays the first's start times from the writer's start
+    memo."""
     tracer = obs.Tracer()
     for track in ("point/1", "point/2"):
         for start in _EDGE_STARTS:
@@ -171,22 +171,12 @@ def _replayed_starts_tracer() -> obs.Tracer:
     return tracer
 
 
-def _repeated_starts_tracer() -> obs.Tracer:
-    """One timeline that never steps backwards but repeats starts, NaN
-    and an int equal to a float among them."""
-    tracer = obs.Tracer()
-    for start in (0.0, 0.0, -0.0, 1.5, 1.5, 1.5, 2, 2.0, math.nan, math.nan, 3.0):
-        tracer.record("op", start, 4.0)
-    return tracer
-
-
 def _replay_beyond_memo_cap_tracer() -> obs.Tracer:
-    """After one backwards step, more distinct starts than the start
-    memo holds, so the writer clears it mid-replay; then a short replay
-    of starts from before and after the clear."""
+    """More distinct starts than the start memo holds, so the writer
+    clears it mid-trace; then a short replay of starts from before and
+    after the clear."""
     starts = [n / 1024 for n in range(exporters._START_MEMO_CAP + 2)]
     tracer = obs.Tracer()
-    tracer.record("x", starts[-1] + 1.0, starts[-1] + 2.0, track="a")
     for start in starts:
         tracer.record("x", start, start, track="b")
     for start in (0.0, starts[-1], -0.0, starts[1], starts[-2]):
@@ -255,7 +245,6 @@ class TestStreamingWriter:
     @example(tracer=obs.Tracer())
     @example(tracer=_repeated_durations_tracer())
     @example(tracer=_replayed_starts_tracer())
-    @example(tracer=_repeated_starts_tracer())
     @example(tracer=_replay_beyond_memo_cap_tracer())
     def test_bytes_match_json_dump(self, tmp_path, tracer):
         path = tmp_path / "trace.json"
