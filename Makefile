@@ -19,7 +19,7 @@ deepcheck:  ## repo-specific invariant linter (docs/STATIC_ANALYSIS.md)
 	$(PYTHON) tools/deepcheck
 	$(PYTHON) tools/deepcheck --self-test
 
-reach:      ## every src/repro module runs under some command or example, or is allowlisted (~1 min)
+reach:      ## every public src/repro function runs under some command or example, or is allowlisted (~1 min)
 	$(PYTHON) tools/reach.py
 
 doctest:    ## run the docstring examples (units, SPL algebra, error taxonomy)

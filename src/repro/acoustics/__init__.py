@@ -2,11 +2,10 @@
 
 Implements the physics that Section 2.2 of the paper relies on: acoustic
 media, sound speed in water (Medwin's equation), frequency-dependent
-absorption (Fisher & Simmons 1977; Ainslie & McColm 1998 as used by
-van Moll et al. 2009), sound pressure level algebra including the
-air-to-water +26 dB reference shift, signal generation, speaker and
-amplifier models, and propagation loss in open water and in the test
-tank.
+absorption (Ainslie & McColm 1998 as used by van Moll et al. 2009),
+sound pressure level algebra including the air-to-water +26 dB
+reference shift, signal generation, speaker and amplifier models, and
+propagation loss in open water and in the test tank.
 """
 
 from repro import _lazy
@@ -22,12 +21,8 @@ __all__, __getattr__, __dir__ = _lazy.exports(
             "Medium",
             "WaterConditions",
         ),
-        "sound_speed": (
-            "sound_speed_medwin",
-            "sound_speed_mackenzie",
-            "sound_speed_leroy",
-        ),
-        "absorption": ("absorption_fisher_simmons", "absorption_ainslie_mccolm"),
+        "sound_speed": ("sound_speed_medwin",),
+        "absorption": ("absorption_ainslie_mccolm",),
         "spl": (
             "pressure_to_spl",
             "spl_to_pressure",

@@ -3,7 +3,8 @@
 The paper cites Fisher & Simmons (1977) [15] for the absorption
 coefficient and van Moll, Ainslie & van Vossen (2009) [47] — who
 recommend the Ainslie & McColm (1998) formula — for the "0.038 dB/km at
-500 Hz in the Baltic at 50 m" example.  Both are implemented here.
+500 Hz in the Baltic at 50 m" example.  The simulation uses Ainslie &
+McColm.
 
 Absorption in sea water has three contributions:
 
@@ -23,13 +24,11 @@ from __future__ import annotations
 import math
 
 from repro.errors import UnitError
-from repro.units import depth_to_pressure_atm
 
 from .medium import WaterConditions
 
 __all__ = [
     "absorption_ainslie_mccolm",
-    "absorption_fisher_simmons",
     "absorption_for_conditions",
 ]
 
@@ -80,40 +79,6 @@ def absorption_ainslie_mccolm(
     )
     viscous = 0.00049 * f * f * math.exp(-(t / 27.0 + z_km / 17.0))
     return boric + magnesium + viscous
-
-
-def absorption_fisher_simmons(
-    frequency_hz: float,
-    temperature_c: float = 20.0,
-    depth_m: float = 0.0,
-) -> float:
-    """Fisher & Simmons (1977) absorption in dB/km (paper reference [15]).
-
-    Fitted for sea water of salinity 35 ppt and pH 8; depends on
-    temperature and pressure (depth).  We evaluate their three-term
-    expression with pressure in atmospheres.
-    """
-    f_khz = _check_frequency(frequency_hz)
-    f = f_khz * 1000.0  # this formula wants Hz
-    t = temperature_c
-    t_k = t + 273.15
-    p_atm = depth_to_pressure_atm(depth_m)
-
-    # Relaxation frequencies in Hz.
-    f1 = 1320.0 * t_k * math.exp(-1700.0 / t_k)
-    f2 = 1.55e7 * t_k * math.exp(-3052.0 / t_k)
-
-    # Coefficients (Np s^2 / m style fits, folded constants).
-    a1 = 8.95e-8 * (1.0 + 2.3e-2 * t - 5.1e-4 * t * t)
-    a2 = 4.88e-7 * (1.0 + 1.3e-2 * t) * (1.0 - 0.9e-3 * p_atm)
-    a3 = 4.76e-13 * (1.0 - 4.0e-2 * t + 5.9e-4 * t * t) * (1.0 - 3.8e-4 * p_atm)
-
-    alpha_db_per_m = (
-        a1 * f1 * f * f / (f1 * f1 + f * f)
-        + a2 * f2 * f * f / (f2 * f2 + f * f)
-        + a3 * f * f
-    )
-    return alpha_db_per_m * 1000.0
 
 
 def absorption_for_conditions(frequency_hz: float, conditions: WaterConditions) -> float:

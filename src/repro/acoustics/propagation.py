@@ -22,7 +22,7 @@ from repro.errors import UnitError
 from repro.units import KM
 
 from .absorption import absorption_for_conditions
-from .medium import Medium, WaterConditions
+from .medium import WaterConditions
 
 __all__ = ["spherical_spreading_db", "PropagationModel", "TankModel"]
 
@@ -51,11 +51,6 @@ class PropagationModel:
 
     conditions: WaterConditions = field(default_factory=WaterConditions.tank)
     reference_m: float = 0.01
-
-    @property
-    def medium(self) -> Medium:
-        """The water medium implied by the conditions."""
-        return Medium.water(self.conditions)
 
     def absorption_db_per_km(self, frequency_hz: float) -> float:
         """Absorption coefficient at ``frequency_hz`` for these conditions."""

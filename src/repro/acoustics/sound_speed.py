@@ -1,28 +1,17 @@
 """Speed of sound in water.
 
 The paper's Section 5 discusses how temperature, salinity, and depth all
-raise the speed of sound and hence can change the attack range.  We
-implement three standard empirical formulas so the experiments can probe
-that sensitivity:
-
-* :func:`sound_speed_medwin` — Medwin (1975), the "simple equation for
-  realistic parameters" the paper cites ([30]).
-* :func:`sound_speed_mackenzie` — Mackenzie (1981), a nine-term fit with
-  wider validity.
-* :func:`sound_speed_leroy` — Leroy et al. (2008) simplified form.
-
-All return metres per second.
+raise the speed of sound and hence can change the attack range.
+:func:`sound_speed_medwin` implements Medwin (1975), the "simple
+equation for realistic parameters" the paper cites ([30]), in metres per
+second.
 """
 
 from __future__ import annotations
 
 from repro.errors import UnitError
 
-__all__ = [
-    "sound_speed_medwin",
-    "sound_speed_mackenzie",
-    "sound_speed_leroy",
-]
+__all__ = ["sound_speed_medwin"]
 
 
 def _validate(temperature_c: float, salinity_ppt: float, depth_m: float) -> None:
@@ -51,63 +40,4 @@ def sound_speed_medwin(
         + 0.00029 * t * t * t
         + (1.34 - 0.010 * t) * (salinity_ppt - 35.0)
         + 0.016 * depth_m
-    )
-
-
-def sound_speed_mackenzie(
-    temperature_c: float, salinity_ppt: float = 0.0, depth_m: float = 0.0
-) -> float:
-    """Mackenzie (1981) nine-term equation, valid 2-30 C, 25-40 ppt, 0-8 km.
-
-    Outside the fitted salinity range (e.g. the paper's fresh-water tank)
-    the formula extrapolates smoothly; we allow that because the
-    experiments only compare trends between formulas.
-    """
-    _validate(temperature_c, salinity_ppt, depth_m)
-    t = temperature_c
-    s = salinity_ppt
-    d = depth_m
-    return (
-        1448.96
-        + 4.591 * t
-        - 5.304e-2 * t * t
-        + 2.374e-4 * t * t * t
-        + 1.340 * (s - 35.0)
-        + 1.630e-2 * d
-        + 1.675e-7 * d * d
-        - 1.025e-2 * t * (s - 35.0)
-        - 7.139e-13 * t * d * d * d
-    )
-
-
-def sound_speed_leroy(
-    temperature_c: float, salinity_ppt: float = 0.0, depth_m: float = 0.0, latitude_deg: float = 45.0
-) -> float:
-    """Leroy, Robinson & Goldsmith (2008) simplified equation.
-
-    Accurate to ~0.2 m/s over all oceans; depends weakly on latitude
-    through the gravity correction of the pressure term.
-    """
-    _validate(temperature_c, salinity_ppt, depth_m)
-    if not -90.0 <= latitude_deg <= 90.0:
-        raise UnitError(f"latitude out of range: {latitude_deg}")
-    t = temperature_c
-    s = salinity_ppt
-    z = depth_m
-    phi = latitude_deg
-    return (
-        1402.5
-        + 5.0 * t
-        - 5.44e-2 * t * t
-        + 2.1e-4 * t * t * t
-        + 1.33 * s
-        - 1.23e-2 * s * t
-        + 8.7e-5 * s * t * t
-        + 1.56e-2 * z
-        + 2.55e-7 * z * z
-        - 7.3e-12 * z * z * z
-        + 1.2e-6 * z * (phi - 45.0)
-        - 9.5e-13 * t * z * z * z
-        + 3e-7 * t * t * z
-        + 1.43e-5 * s * z
     )

@@ -116,11 +116,6 @@ class SignalChain:
         if not 0.0 <= self.drive_level <= 1.0:
             raise ConfigurationError(f"drive level must be in [0, 1]: {self.drive_level}")
 
-    @property
-    def reference_distance_m(self) -> float:
-        """Distance at which :meth:`source_level_db` is referenced."""
-        return self.speaker.reference_distance_m
-
     def source_level_db(self, t: float = 0.0) -> float:
         """Emitted level (dB re 1 uPa @ reference distance) at time ``t``.
 
@@ -133,10 +128,6 @@ class SignalChain:
         if vrms <= 0.0:
             return -math.inf
         return self.speaker.source_level_db(vrms, self.signal.frequency_at(t))
-
-    def frequency_at(self, t: float = 0.0) -> float:
-        """Instantaneous transmit frequency at time ``t``."""
-        return self.signal.frequency_at(t)
 
     @staticmethod
     def tone_at_level(frequency_hz: float, source_level_db: float) -> "SignalChain":

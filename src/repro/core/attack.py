@@ -8,9 +8,9 @@ chain, and runs the paper's campaigns:
   each frequency.
 * :meth:`range_test` — Section 4.2 / Table 1: hold 650 Hz, step the
   speaker away from the enclosure, measure throughput and latency.
-* :meth:`sustained_attack` — Section 4.4 precursor: apply one tone for
-  a fixed duration while a workload runs (crash campaigns build on this
-  via :mod:`repro.core.monitor`).
+
+Crash campaigns (Section 4.4) hold one tone while a victim runs; they
+live in :mod:`repro.core.monitor` and :mod:`repro.core.campaign`.
 
 Every campaign point builds a fresh rig from a label-derived RNG fork,
 so points are pure functions of ``(coupling, config, point, seed)`` and
@@ -622,28 +622,4 @@ class AttackSession:
         )
         result.points.extend(points)
         result.failures.extend(failures)
-        return result
-
-    def sustained_attack(
-        self, config: AttackConfig, duration_s: float, mode: IOMode = IOMode.SEQ_WRITE
-    ) -> FioResult:
-        """Apply one tone for ``duration_s`` while a workload runs."""
-        if duration_s <= 0.0:
-            raise ConfigurationError("duration must be positive")
-        tracer = self._tracer
-        with tracer.track(f"{self.coupling.scenario.name}/sustained"):
-            drive, tester = self._fresh_rig("sustained")
-            self.coupling.apply(drive, config)
-            job = FioJob(mode=mode, runtime_s=duration_s, name="sustained")
-            with tracer.span(
-                "attack.sustained",
-                drive.clock,
-                category="attack",
-                args={
-                    "frequency_hz": config.frequency_hz,
-                    "duration_s": duration_s,
-                },
-            ):
-                result = tester.run(job)
-        self._count_point("sustained")
         return result

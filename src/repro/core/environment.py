@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.acoustics.medium import Medium, WaterConditions
+from repro.acoustics.medium import WaterConditions
 from repro.acoustics.propagation import PropagationModel, TankModel
 from repro.acoustics.spl import spl_to_pressure
 from repro.errors import UnitError
@@ -41,11 +41,6 @@ class UnderwaterEnvironment:
         elif self.propagation.conditions is not self.conditions:
             # Keep the models consistent: the propagation conditions win.
             self.conditions = self.propagation.conditions
-
-    @property
-    def medium(self) -> Medium:
-        """The water medium implied by the conditions."""
-        return Medium.water(self.conditions)
 
     @staticmethod
     def tank() -> "UnderwaterEnvironment":

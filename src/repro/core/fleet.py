@@ -574,11 +574,6 @@ class RackOutcome:
         """Total host requests issued against this rack."""
         return self.ops_ok + self.ops_error
 
-    @property
-    def mean_latency_s(self) -> float:
-        """Mean served-request latency (0 when nothing was served)."""
-        return self.latency_sum_s / self.ops_ok if self.ops_ok else 0.0
-
     def to_payload(self) -> Dict[str, object]:
         """JSON-safe dict for the campaign journal (floats round-trip)."""
         return {

@@ -94,11 +94,6 @@ class HardDiskDrive:
         """Addressable 512-byte sectors."""
         return self.profile.geometry.total_sectors
 
-    @property
-    def capacity_bytes(self) -> int:
-        """Usable capacity in bytes."""
-        return self.profile.geometry.capacity_bytes
-
     def _check_range(self, lba: int, sectors: int) -> None:
         if sectors <= 0:
             raise ConfigurationError(f"sector count must be positive: {sectors}")

@@ -53,7 +53,7 @@ __all__, __getattr__, __dir__ = _lazy.exports(
             "attack_windows_from_tracer",
         ),
         "health": ("HealthTracker", "HEALTH_STATES", "classify_probability"),
-        "telemetry": ("Telemetry", "get", "install", "enabled", "tracer", "session"),
+        "telemetry": ("Telemetry", "get", "install", "session"),
         "exporters": (
             "write_chrome_trace",
             "write_metrics_text",

@@ -162,10 +162,6 @@ class WindowEval:
     latency: Dict[str, float]  # metric -> seconds (math.inf for overflow)
     violated: Tuple[str, ...]  # objective describe() strings, spec order
 
-    @property
-    def ok(self) -> bool:
-        return not self.violated
-
 
 @dataclass(frozen=True)
 class AttackWindowStats:

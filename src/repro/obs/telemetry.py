@@ -20,9 +20,9 @@ from typing import Iterator, Optional
 
 from .metrics import MetricsRegistry
 from .timeseries import SeriesRecorder
-from .trace import NULL_TRACER, Tracer
+from .trace import Tracer
 
-__all__ = ["Telemetry", "get", "install", "enabled", "tracer", "session"]
+__all__ = ["Telemetry", "get", "install", "session"]
 
 
 class Telemetry:
@@ -47,11 +47,6 @@ def get() -> Optional[Telemetry]:
     return _active
 
 
-def enabled() -> bool:
-    """True when a telemetry bundle is installed."""
-    return _active is not None
-
-
 def install(telemetry: Optional[Telemetry]) -> Optional[Telemetry]:
     """Install ``telemetry`` (None disables); returns the previous bundle.
 
@@ -62,15 +57,6 @@ def install(telemetry: Optional[Telemetry]) -> Optional[Telemetry]:
     previous = _active
     _active = telemetry
     return previous
-
-
-def tracer():
-    """The active tracer, or the shared no-op recorder when disabled.
-
-    For cold paths that want to record unconditionally without keeping
-    their own guard; hot paths should capture :func:`get` once instead.
-    """
-    return _active.tracer if _active is not None else NULL_TRACER
 
 
 @contextmanager

@@ -10,9 +10,9 @@ own :class:`~repro.sim.clock.VirtualClock`.
 
 Tracing is opt-in.  When no telemetry is installed components skip the
 recorder entirely (a single ``is not None`` check), and
-:data:`NULL_TRACER` gives callers that want an always-valid tracer a
-recorder whose every method is a no-op — the hot paths of PR 2 stay
-bit-identical and within their wall-time budget with telemetry off.
+:data:`NULL_TRACER` gives campaign code an always-valid ``track``/``span``
+pair that does nothing — the hot paths stay bit-identical and within
+their wall-time budget with telemetry off.
 
 Spans carry a ``track`` label (a Perfetto thread row).  Components
 record against the tracer's *current* track, which campaign code sets
@@ -72,8 +72,6 @@ class Tracer:
             (seek + settle + transfer or retry revolution) as its own
             span — much bigger traces, per-revolution resolution.
     """
-
-    enabled = True
 
     def __init__(self, max_records: int = 1_000_000, detail: str = "commands") -> None:
         if max_records <= 0:
@@ -220,30 +218,23 @@ class Tracer:
             "dropped": self.dropped,
         }
 
-    def ingest(self, snapshot: Dict[str, Any], track_prefix: str = "") -> None:
+    def ingest(self, snapshot: Dict[str, Any]) -> None:
         """Merge a :meth:`snapshot` from another tracer (append order).
 
         Keeps and drops exactly what one :meth:`record` per span, then
         one :meth:`instant` per event, would: the rows that fit under
         ``max_records`` are appended in bulk, spans first, and the rest
         are counted in ``dropped``, as is the snapshot's own ``dropped``.
-        Rows of the right width that are tuples already (a pickled
-        snapshot's) are kept as they are; any other row is unpacked into
-        a new tuple, with the track prefixed, so rows that went through
-        JSON arrive as lists and are stored as tuples, and a row of the
-        wrong length raises ``ValueError`` before anything is kept.
+        The rows are kept as they are, so each must be a tuple of its
+        record's width (a pickled snapshot's are); any other row raises
+        :class:`~repro.errors.ConfigurationError` before anything is kept.
         """
         spans = snapshot["spans"]
         events = snapshot["events"]
-        if track_prefix or not (_tuples_of(spans, 7) and _tuples_of(events, 5)):
-            spans = [
-                (name, category, start_s, end_s, track_prefix + track, status, args)
-                for name, category, start_s, end_s, track, status, args in spans
-            ]
-            events = [
-                (name, category, ts_s, track_prefix + track, args)
-                for name, category, ts_s, track, args in events
-            ]
+        if not (_tuples_of(spans, 7) and _tuples_of(events, 5)):
+            raise ConfigurationError(
+                "snapshot rows must be tuples of 7 (spans) and 5 (events) fields"
+            )
         room = max(self.max_records - len(self._spans) - len(self._events), 0)
         kept_spans = spans[:room]
         kept_events = events[: room - len(kept_spans)]
@@ -274,42 +265,12 @@ def _tuples_of(rows: List[Any], width: int) -> bool:
 
 
 class NullTracer:
-    """A recorder whose every method is a no-op.
+    """:class:`Tracer`'s two context managers, as no-ops.
 
-    Shares the :class:`Tracer` surface so code holding "a tracer" never
-    needs an enabled check; the shared :data:`NULL_TRACER` instance is
-    what :func:`repro.obs.tracer` hands out while telemetry is off.
+    Campaign code enters ``track`` and ``span`` unconditionally; while
+    telemetry is off it holds the shared :data:`NULL_TRACER` instead of
+    a :class:`Tracer`, and checks for a bundle before anything else.
     """
-
-    enabled = False
-    detail = "commands"
-    dropped = 0
-    spans: List[SpanRecord] = []
-    events: List[EventRecord] = []
-    current_track = "main"
-
-    _NOOP_CM = None  # filled in below; one shared reusable context manager
-
-    def record(self, *args, **kwargs) -> None:
-        """Drop the span."""
-
-    def instant(self, *args, **kwargs) -> None:
-        """Drop the instant event."""
-
-    def ingest_dmesg(self, buffer, track: str = "dmesg") -> int:
-        """Ingest nothing; returns 0."""
-        return 0
-
-    def snapshot(self) -> Dict[str, Any]:
-        """An empty :meth:`Tracer.snapshot`."""
-        return {"spans": [], "events": [], "dropped": 0}
-
-    def ingest(self, snapshot: Dict[str, Any], track_prefix: str = "") -> None:
-        """Drop the snapshot's records."""
-
-    def find_spans(self, name: str, track: Optional[str] = None) -> List[SpanRecord]:
-        """No spans are ever recorded: always ``[]``."""
-        return []
 
     def track(self, name: str):
         """A do-nothing context manager."""
@@ -318,9 +279,6 @@ class NullTracer:
     def span(self, name: str, clock, category: str = "", args=None):
         """A do-nothing context manager; ``clock`` is not read."""
         return _NOOP_CONTEXT
-
-    def __len__(self) -> int:
-        return 0
 
 
 class _NoopContext:

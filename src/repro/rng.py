@@ -43,18 +43,6 @@ class ReproRandom:
         """Uniform float in [0, 1)."""
         return self._rng.random()
 
-    def uniform(self, low: float, high: float) -> float:
-        """Uniform float in [low, high]."""
-        return self._rng.uniform(low, high)
-
-    def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """Normal variate."""
-        return self._rng.gauss(mu, sigma)
-
-    def expovariate(self, rate: float) -> float:
-        """Exponential variate with the given rate (1/mean)."""
-        return self._rng.expovariate(rate)
-
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high]."""
         return self._rng.randint(low, high)
@@ -62,14 +50,6 @@ class ReproRandom:
     def randbytes(self, n: int) -> bytes:
         """``n`` pseudo-random bytes."""
         return bytes(self._rng.getrandbits(8) for _ in range(n))
-
-    def choice(self, seq):
-        """Uniformly choose one element of ``seq``."""
-        return self._rng.choice(seq)
-
-    def shuffle(self, seq) -> None:
-        """Shuffle ``seq`` in place."""
-        self._rng.shuffle(seq)
 
     def chance(self, probability: float) -> bool:
         """Return True with the given probability (clamped to [0, 1])."""

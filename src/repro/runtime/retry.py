@@ -16,6 +16,7 @@ aborting the run.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -38,7 +39,8 @@ class RetryPolicy:
         max_retries: extra attempts after the first (0 = try once).
         point_timeout_s: wall-clock budget per attempt, enforced with
             ``workers > 1`` (an in-process attempt cannot be preempted);
-            None disables the timeout.
+            None disables the timeout.  At most ``threading.TIMEOUT_MAX``,
+            the longest wait the pool can block for.
         backoff_base_s: delay before the first retry.
         backoff_factor: multiplier applied per further retry.
         jitter_fraction: each delay is scaled by a deterministic factor
@@ -57,9 +59,12 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ConfigurationError(f"max_retries must be >= 0: {self.max_retries}")
-        if self.point_timeout_s is not None and not self.point_timeout_s > 0.0:
+        if self.point_timeout_s is not None and not (
+            0.0 < self.point_timeout_s <= threading.TIMEOUT_MAX  # also rejects NaN
+        ):
             raise ConfigurationError(
-                f"point timeout must be positive: {self.point_timeout_s}"
+                f"point timeout must be positive and at most {threading.TIMEOUT_MAX:.0f} s: "
+                f"{self.point_timeout_s}"
             )
         if self.backoff_base_s < 0.0 or self.backoff_factor < 1.0:
             raise ConfigurationError(

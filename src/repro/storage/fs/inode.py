@@ -9,7 +9,6 @@ directory updates exercise the same failure modes.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List
 
@@ -116,7 +115,3 @@ class Inode:
             nlink=int(raw["nlink"]),
             mtime=float(raw["mtime"]),
         )
-
-    def encoded_size(self) -> int:
-        """Bytes this inode occupies in its inode-table block."""
-        return len(json.dumps(self.to_dict()).encode())

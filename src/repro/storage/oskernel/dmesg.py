@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List
 
 from repro.errors import ConfigurationError
 from repro.sim.clock import VirtualClock
@@ -68,10 +68,6 @@ class DmesgBuffer:
         if n <= 0:
             return []
         return list(self._entries)[-n:]
-
-    def last(self) -> Optional[DmesgEntry]:
-        """The most recent entry, if any."""
-        return self._entries[-1] if self._entries else None
 
     @property
     def evicted(self) -> int:

@@ -66,14 +66,6 @@ class ProcessTable:
         self._procs[proc.pid] = proc
         return proc
 
-    def get(self, pid: int) -> Optional[Process]:
-        """Look a process up by pid."""
-        return self._procs.get(pid)
-
-    def by_name(self, name: str) -> List[Process]:
-        """All processes with the given name."""
-        return [p for p in self._procs.values() if p.name == name]
-
     def living(self) -> List[Process]:
         """Processes still alive."""
         return [p for p in self._procs.values() if p.alive]

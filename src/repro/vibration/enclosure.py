@@ -94,20 +94,3 @@ class Enclosure:
         """The paper's aluminum container (Scenario 3)."""
         wall = PanelWall(material=ALUMINUM, thickness_m=thickness_m, span_m=span_m)
         return Enclosure(name="metal container", wall=wall, fill_gas=AIR)
-
-    @staticmethod
-    def natick_vessel(material: Material = None, thickness_m: float = 0.012) -> "Enclosure":
-        """A Natick-style steel pressure vessel filled with nitrogen.
-
-        Used by the Section 5 ablations on real data-center structure.
-        """
-        from .materials import STEEL
-
-        wall = PanelWall(
-            material=material if material is not None else STEEL,
-            thickness_m=thickness_m,
-            span_m=1.0,
-        )
-        return Enclosure(
-            name="subsea vessel", wall=wall, fill_gas=NITROGEN, interior_span_m=2.0
-        )

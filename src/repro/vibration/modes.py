@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 from repro.errors import ConfigurationError, UnitError
 
@@ -97,44 +97,6 @@ class ModalResponse:
                 frequency_hz, mode.frequency_hz, mode.damping_ratio, mode.gain
             ) ** 2
         return math.sqrt(total_sq)
-
-    def peak(self, low_hz: float, high_hz: float, points: int = 400) -> Tuple[float, float]:
-        """Scan [low_hz, high_hz] and return (frequency, response) at the max."""
-        if not 0.0 < low_hz < high_hz:
-            raise UnitError("need 0 < low_hz < high_hz")
-        best_f, best_r = low_hz, 0.0
-        log_low, log_high = math.log(low_hz), math.log(high_hz)
-        for i in range(points):
-            f = math.exp(log_low + (log_high - log_low) * i / (points - 1))
-            r = self.response(f)
-            if r > best_r:
-                best_f, best_r = f, r
-        return best_f, best_r
-
-    def band_above(
-        self, threshold: float, low_hz: float, high_hz: float, points: int = 800
-    ) -> "List[Tuple[float, float]]":
-        """Frequency intervals where the response exceeds ``threshold``.
-
-        Used by the attack planner to predict vulnerable bands before
-        running a sweep.
-        """
-        if threshold <= 0.0:
-            raise UnitError(f"threshold must be positive: {threshold}")
-        log_low, log_high = math.log(low_hz), math.log(high_hz)
-        grid = [math.exp(log_low + (log_high - log_low) * i / (points - 1)) for i in range(points)]
-        bands: List[Tuple[float, float]] = []
-        start: "float | None" = None
-        for f in grid:
-            if self.response(f) >= threshold:
-                if start is None:
-                    start = f
-            elif start is not None:
-                bands.append((start, f))
-                start = None
-        if start is not None:
-            bands.append((start, grid[-1]))
-        return bands
 
     @staticmethod
     def head_stack_assembly() -> "ModalResponse":

@@ -145,19 +145,6 @@ class FioTester:
         self.rng = rng if rng is not None else make_rng().fork("fio")
         self._obs = obs.get()
 
-    def _next_lba(self, job: FioJob, cursor: int) -> int:
-        region_end = min(
-            job.region_start_lba + job.region_sectors, self.drive.total_sectors
-        )
-        span_blocks = (region_end - job.region_start_lba) // job.sectors_per_block
-        if span_blocks <= 0:
-            raise ConfigurationError("target region smaller than one block")
-        if job.mode.is_random:
-            index = self.rng.randint(0, span_blocks - 1)
-        else:
-            index = cursor % span_blocks
-        return job.region_start_lba + index * job.sectors_per_block
-
     def run(self, job: FioJob) -> FioResult:
         """Execute ``job`` for its runtime and return the aggregate result.
 

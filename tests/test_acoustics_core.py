@@ -2,17 +2,9 @@
 
 import pytest
 
-from repro.acoustics.absorption import (
-    absorption_ainslie_mccolm,
-    absorption_fisher_simmons,
-    absorption_for_conditions,
-)
+from repro.acoustics.absorption import absorption_ainslie_mccolm, absorption_for_conditions
 from repro.acoustics.medium import AIR, FRESH_WATER, NITROGEN, SEA_WATER, Medium, WaterConditions
-from repro.acoustics.sound_speed import (
-    sound_speed_leroy,
-    sound_speed_mackenzie,
-    sound_speed_medwin,
-)
+from repro.acoustics.sound_speed import sound_speed_medwin
 from repro.acoustics.spl import (
     AIR_WATER_REFERENCE_SHIFT_DB,
     pressure_to_spl,
@@ -74,22 +66,11 @@ class TestSoundSpeed:
     def test_depth_raises_speed(self):
         assert sound_speed_medwin(10.0, 35.0, 1000.0) > sound_speed_medwin(10.0, 35.0, 0.0)
 
-    def test_formulas_agree_in_oceanic_regime(self):
-        # Within a few m/s of each other for standard ocean water.
-        t, s, z = 13.0, 35.0, 100.0
-        medwin = sound_speed_medwin(t, s, z)
-        mackenzie = sound_speed_mackenzie(t, s, z)
-        leroy = sound_speed_leroy(t, s, z)
-        assert medwin == pytest.approx(mackenzie, abs=5.0)
-        assert medwin == pytest.approx(leroy, abs=5.0)
-
     def test_out_of_range_rejected(self):
         with pytest.raises(UnitError):
             sound_speed_medwin(100.0)
         with pytest.raises(UnitError):
-            sound_speed_mackenzie(10.0, salinity_ppt=-1.0)
-        with pytest.raises(UnitError):
-            sound_speed_leroy(10.0, latitude_deg=120.0)
+            sound_speed_medwin(10.0, salinity_ppt=-1.0)
 
 
 class TestAbsorption:
@@ -111,12 +92,6 @@ class TestAbsorption:
         fresh = absorption_for_conditions(1000.0, WaterConditions.tank())
         sea = absorption_for_conditions(1000.0, WaterConditions.natick_site())
         assert fresh < sea / 10
-
-    def test_fisher_simmons_comparable_to_ainslie(self):
-        for freq in (1_000.0, 10_000.0, 100_000.0):
-            fisher = absorption_fisher_simmons(freq, temperature_c=13.0)
-            ainslie = absorption_ainslie_mccolm(freq, temperature_c=13.0, salinity_ppt=35.0)
-            assert fisher == pytest.approx(ainslie, rel=1.5)
 
     def test_negligible_over_tank_distances(self):
         # 25 cm of water absorbs practically nothing at 650 Hz.

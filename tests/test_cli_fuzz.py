@@ -152,6 +152,10 @@ def _figure2(draw):
         faults, seconds = draw(_fault_plan())
         argv.append(faults)
         values += seconds
+    # Serial: the timeout is only validated, so nothing sleeps.
+    timeout = draw(_values(0.5, 1e10))
+    argv.append(_flag("--point-timeout", timeout))
+    values.append(timeout)
     return argv, values
 
 

@@ -7,11 +7,15 @@ Table 3 incident report tells the same crash story as the reports.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.core.attack import AttackSession
 from repro.core.scenario import Scenario
 from repro.experiments.figure2 import run_figure2
@@ -132,6 +136,47 @@ class TestWorkerMerge:
 
 def _double(x):
     return 2 * x
+
+
+class TestCommandMetricsDump:
+    """What ``figure2 --metrics-out`` keeps across ``--workers``.
+
+    The serial command runs without a runner, so it counts no campaign
+    points, and it keeps one running sum per histogram where the pool
+    merges per-point sums.  Everything else is equal line for line.  The
+    two sums differ only by float rounding, so their ``.9g`` texts may
+    differ by one in the ninth significant digit (they do in the
+    default-seed run), never by more.
+    """
+
+    @staticmethod
+    def _dump(tmp_path, workers):
+        metrics = tmp_path / f"metrics-{workers}.prom"
+        argv = [
+            "figure2", "--runtime", "0.05", "--seed", "7", "--workers", str(workers),
+            "--trace", str(tmp_path / f"trace-{workers}.json"),
+            "--metrics-out", str(metrics),
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return metrics.read_text().splitlines()
+
+    def test_only_point_counts_and_sum_rounding_differ(self, tmp_path):
+        serial, pooled = self._dump(tmp_path, 1), self._dump(tmp_path, 2)
+        points = [line for line in pooled if "campaign_points_total" in line]
+        assert len(points) == 7  # the TYPE line and one line per label
+        assert not any("campaign_points_total" in line for line in serial)
+        pooled = [line for line in pooled if line not in points]
+        assert len(pooled) == len(serial)
+        for one, two in zip(serial, pooled):
+            name, _, value = one.rpartition(" ")
+            if name.partition("{")[0].endswith("_sum"):
+                other_name, _, other = two.rpartition(" ")
+                assert other_name == name
+                unit = 10.0 ** (math.floor(math.log10(abs(float(value)) or 1.0)) - 8)
+                assert abs(float(other) - float(value)) <= unit * 1.0001
+            else:
+                assert two == one
 
 
 class TestTable3Incident:

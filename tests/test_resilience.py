@@ -7,6 +7,8 @@ recorded failure rows instead of aborting everyone else's measurements.
 """
 
 import json
+import math
+import threading
 
 import pytest
 
@@ -104,6 +106,20 @@ class TestRetryPolicy:
             RetryPolicy(jitter_fraction=1.5)
         with pytest.raises(ConfigurationError):
             RetryPolicy(backoff_factor=0.5)
+
+    @pytest.mark.parametrize(
+        "timeout_s",
+        [math.nan, math.inf, threading.TIMEOUT_MAX * 1.01, 1e300],
+        ids=["nan", "inf", "past-timeout-max", "1e300"],
+    )
+    def test_point_timeout_must_fit_a_pool_wait(self, timeout_s):
+        # concurrent.futures.wait overflows past threading.TIMEOUT_MAX.
+        with pytest.raises(ConfigurationError, match="point timeout"):
+            RetryPolicy(point_timeout_s=timeout_s)
+
+    def test_point_timeout_up_to_timeout_max_is_accepted(self):
+        policy = RetryPolicy(point_timeout_s=threading.TIMEOUT_MAX)
+        assert policy.point_timeout_s == threading.TIMEOUT_MAX
 
     def test_point_failure_round_trips_through_payload(self):
         failure = PointFailure(

@@ -1,26 +1,39 @@
 #!/usr/bin/env python3
-"""Reachability gate: every module in ``src/repro`` earns a caller.
+"""Reachability gate: every public function in ``src/repro`` earns a caller.
 
 Runs a fixed set of ``deepnote`` commands and every ``examples/*.py``
 in this process under ``sys.setprofile`` and records the
-``(file, qualname)`` of each ``src/repro`` function that runs.  Only
+``(module, qualname)`` of each ``src/repro`` function that runs.  Only
 code objects flagged ``CO_OPTIMIZED`` count, so module and class
 bodies executed at import do not; comprehensions do not either, since
 one inside a function runs only when its function does.
 
-A module is *reached* when one of its functions runs.  A module that
-defines no function (``experiments/paper_data.py``) is reached when it
-is imported.  ``__init__.py`` files are exempt.  Every campaign but one
-runs at the default ``--workers 1``.  The ``--workers 2`` one reaches
-the parent's side of the worker pool; its points run in worker
-processes, which the profiler does not see.  Every artifact goes to a
-temporary directory.
+Every ``def`` of the package is then gated by its qualname, as Python
+spells it (``SimFS.read_file``).  Exempt are functions nested in other
+functions (they run when their outer function does) and the methods of
+``typing.Protocol`` classes, which are declarations.  A function is
+*public* when no segment of its qualname starts with ``_``.  An
+unreached public function fails the gate unless an entry of
+:data:`ALLOWLIST` covers it: ``module.py`` covers the whole module and
+``module.py:Qual.name`` that function (and, for a class, its methods).
+The functions e2ebench wraps (``e2ebench/layers.py``'s ``TARGETS``)
+are covered too, since deleting one breaks the benchmark.  Unreached
+private functions are printed per module, but do not fail the gate.
+A module that defines no function (``experiments/paper_data.py``) is
+reached when it is imported.  ``__init__.py`` files are exempt.
 
-Exit status is 1 when a module is neither reached nor in
-:data:`ALLOWLIST`, or when an allowlist entry is reached or no longer
-exists (so the list cannot go stale); 0 otherwise.  One pass takes
-about a minute, which is why tier-1 does not run it (``make reach``
-and CI's ``full`` job do).
+An allowlist entry is stale, and fails the gate, when it names nothing
+that exists or when every public function it covers ran, so the list
+cannot outlive its reasons.
+
+Every campaign but one runs at the default ``--workers 1``.  The
+``--workers 2`` one reaches the parent's side of the worker pool; its
+points run in worker processes, which the profiler does not see.  Every
+artifact goes to a temporary directory.  One pass takes about a minute,
+which is why tier-1 does not run it (``make reach`` and CI's ``full``
+job do).
+
+Exit status is 1 when the gate fails, 0 otherwise.
 
 Usage:
     python tools/reach.py
@@ -30,29 +43,355 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import importlib.util
 import inspect
 import io
 import pathlib
 import runpy
 import sys
 import tempfile
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 EXAMPLES = ROOT / "examples"
+E2E_LAYERS = ROOT / "e2ebench" / "layers.py"
 
-#: Modules no command reaches that stay anyway, each with its reason.
+#: The reason every function e2ebench wraps is kept.
+WRAPPED = "e2ebench wraps it; deleting it needs a benchmark change first"
+
+
+def _reads(where: str) -> str:
+    """A test or tool observes another subject through the function."""
+    return f"{where} reads what it checks through it"
+
+
+def _only_tests(where: str) -> str:
+    """The function's own tests are its only callers."""
+    return (
+        f"its only callers are {where}; deleting it retires those tier-1 "
+        "tests, which ROADMAP.md queues for later changes"
+    )
+
+
+_RECOVERY = (
+    "a recovery path: tests/test_integration_recovery.py and the remount/"
+    "reopen tests run it to show committed data survives an attack; no "
+    "command restarts a stack"
+)
+_CALIBRATION = (
+    "tests/test_hdd_geometry.py and tests/test_golden_values.py check the "
+    "drive model's calibration through it"
+)
+_AIRBORNE = _only_tests(
+    "the airborne-path and mass-law tests in tests/test_vibration.py and "
+    "tests/test_acoustics_core.py::TestMedium"
+)
+_HOT_KV = (
+    "removing it edits the kind and sequence checks of DB.get, MemTable.get "
+    "and SSTableReader.get, the kv-read hot path, so it needs its own "
+    "measured change; tests/test_kv_db.py covers it"
+)
+
+#: Unreached public functions that stay anyway, each with its reason.
 ALLOWLIST: Dict[str, str] = {
-    "storage/fs/fsck.py": (
-        "the invariant checker tests/test_integration_recovery.py asserts "
-        "after a post-attack remount (committed data survives, fsck comes "
-        "back clean)"
+    "acoustics/medium.py:Medium.impedance": _AIRBORNE,
+    "acoustics/medium.py:Medium.wavelength": _only_tests(
+        "tests/test_acoustics_core.py::TestMedium"
+    ),
+    "acoustics/propagation.py:PropagationModel.max_range_for_level": _only_tests(
+        "tests/test_acoustics_signals.py::TestPropagation"
+    ),
+    "acoustics/signals.py:CompositeSignal": _only_tests(
+        "tests/test_acoustics_signals.py::TestCompositeAndSilence"
+    ),
+    "acoustics/signals.py:FrequencySweep": _only_tests(
+        "tests/test_acoustics_signals.py::TestSweep"
+    ),
+    "acoustics/signals.py:Signal": _only_tests(
+        "tests/test_acoustics_signals.py::TestSineTone (sample) and "
+        "tests/test_coverage_gaps.py::TestSourceBits"
+    ),
+    "acoustics/signals.py:Silence": _only_tests(
+        "tests/test_coverage_gaps.py::TestSourceBits"
+    ),
+    "acoustics/source.py:Amplifier.with_gain": _only_tests(
+        "tests/test_coverage_gaps.py::TestSourceBits"
+    ),
+    "acoustics/source.py:SignalChain.tone_at_level": _only_tests(
+        "tests/test_acoustics_signals.py::TestSourceChain"
+    ),
+    "acoustics/spl.py:spl_air_to_water": _only_tests(
+        "tests/test_acoustics_core.py::TestSPL"
+    ),
+    "acoustics/spl.py:spl_sum": _only_tests(
+        "tests/test_acoustics_core.py::TestSPL and tests/test_vecphys.py"
+    ),
+    "acoustics/spl.py:spl_water_to_air": _only_tests(
+        "tests/test_acoustics_core.py::TestSPL"
+    ),
+    "core/attack.py:FrequencySweepResult.vulnerable_band": _reads(
+        "tests/test_core_attack.py (a measured sweep's band) and "
+        "tests/test_paper_shapes.py"
+    ),
+    "core/attack.py:RangeTestResult.max_effective_distance_m": _reads(
+        "tests/test_core_attack.py (the range test's distance cliff)"
+    ),
+    "core/coupling.py:AttackCoupling.offtrack_ratio": _reads(
+        "tests/test_core_attack.py::TestCoupling and TestDefenses"
+    ),
+    "core/fleet.py:BaySweepPoint.stalled": _only_tests(
+        "tests/test_fleet_parity.py::TestRackParity::test_sweep_rows_flatten_bay_major"
+    ),
+    "core/fleet.py:DriveRack.drives": _reads(
+        "tests/test_fleet_smart_detector.py (a rack's drives) and tests/test_raid.py"
+    ),
+    "core/fleet.py:DriveRack.sweep_rows": _only_tests(
+        "tests/test_fleet_parity.py::TestRackParity::test_sweep_rows_flatten_bay_major"
+    ),
+    "core/monitor.py:AvailabilityMonitor.average_time_to_crash_s": _only_tests(
+        "tests/test_core_attack.py::TestMonitor"
+    ),
+    "experiments/apps.py:DVRVictim": _only_tests(
+        "tests/test_profiles_dvr.py::TestDVRVictim and tests/test_config_bounds.py "
+        "(16 tests)"
+    ),
+    "experiments/objectives.py:ObjectiveOutcome.completion_fraction": _reads(
+        "tests/test_objectives.py (the two objectives' progress)"
+    ),
+    "hdd/drive.py:HardDiskDrive.flush": (
+        "its only caller is BlockDevice.flush, which e2ebench wraps"
+    ),
+    "hdd/drive.py:HardDiskDrive.offtrack_ratio": _only_tests(
+        "tests/test_hdd_drive.py::TestUnderAttack::test_offtrack_ratio_reporting"
+    ),
+    "hdd/geometry.py:DiskGeometry.capacity_bytes": _CALIBRATION,
+    "hdd/geometry.py:DiskGeometry.sectors_per_track_at": _CALIBRATION,
+    "hdd/geometry.py:DiskGeometry.track_distance": _CALIBRATION,
+    "hdd/mechanics.py:SeekModel.average_seek_s": _CALIBRATION,
+    "hdd/mechanics.py:SpindleMechanics.average_rotational_latency_s": _CALIBRATION,
+    "hdd/mechanics.py:SpindleMechanics.sector_time_s": _CALIBRATION,
+    "hdd/profiles.py:DriveProfile.sequential_read_mbps": _CALIBRATION,
+    "hdd/profiles.py:DriveProfile.sequential_write_mbps": _CALIBRATION,
+    "hdd/sector_store.py:SectorStore.resident_bytes": _reads(
+        "tests/test_perf_engine.py::TestSectorStore (the page store's footprint)"
+    ),
+    "hdd/servo.py:ServoSystem.is_stalled": _reads(
+        "tests/test_hdd_servo.py (the stall region) and tests/test_vecphys.py"
+    ),
+    "hdd/smart.py:SmartLog.attribute": _reads(
+        "the SMART tests in tests/test_fleet_smart_detector.py and "
+        "tests/test_hdd_drive.py"
+    ),
+    "obs/health.py:HealthTracker.mark_crashed": _only_tests(
+        "tests/test_obs_slo_dashboard.py and an AvailabilityMonitor built with "
+        "a tracker, which no command builds"
+    ),
+    "obs/health.py:HealthTracker.mark_truncated": _only_tests(
+        "tests/test_obs_slo_dashboard.py and an AvailabilityMonitor built with "
+        "a tracker, which no command builds"
+    ),
+    "obs/health.py:HealthTracker.rack_state": _reads(
+        "tests/test_obs_slo_dashboard.py::TestHealthRollups"
+    ),
+    "obs/health.py:HealthTracker.unit_state": _reads(
+        "tests/test_obs_slo_dashboard.py::TestHealthRollups"
+    ),
+    "obs/metrics.py:Gauge": _only_tests(
+        "tests/test_obs_core.py::TestMetrics::test_gauge_set_and_add and "
+        "tests/test_obs_timeseries.py::TestMetricsSampler"
+    ),
+    "obs/metrics.py:Histogram.percentile": _only_tests(
+        "tests/test_obs_core.py::TestMetrics (three percentile tests)"
+    ),
+    "obs/metrics.py:MetricsRegistry.counter_total": _reads(
+        "tests/test_obs_core.py and tests/test_obs_pipeline.py"
+    ),
+    "obs/metrics.py:MetricsRegistry.counter_value": _reads(
+        "every telemetry test (tests/test_obs_*.py, tests/test_resilience.py, "
+        "tests/test_runtime.py, tests/test_sim_events.py)"
+    ),
+    "obs/metrics.py:MetricsRegistry.description": _reads(
+        "tests/test_obs_slo_dashboard.py::TestMonitorTruncation"
+    ),
+    "obs/metrics.py:MetricsRegistry.gauge": _only_tests(
+        "tests/test_obs_core.py::TestMetrics and "
+        "tests/test_obs_timeseries.py::TestMetricsSampler"
+    ),
+    "obs/timeseries.py:HistWindow": _only_tests(
+        "tests/test_obs_timeseries.py::TestHistSeries and TestSnapshotMerge "
+        "(histogram series, which no command records)"
+    ),
+    "obs/timeseries.py:MetricsSampler": _only_tests(
+        "tests/test_obs_timeseries.py::TestMetricsSampler"
+    ),
+    "obs/timeseries.py:SeriesRecorder.observe": _only_tests(
+        "tests/test_obs_timeseries.py::TestHistSeries and TestSnapshotMerge "
+        "(histogram series, which no command records)"
+    ),
+    "obs/timeseries.py:ValueWindow.mean": _reads(
+        "tests/test_obs_timeseries.py::TestWindowing"
+    ),
+    "obs/trace.py:Tracer.current_track": _reads("tests/test_obs_core.py::TestTracer"),
+    "obs/trace.py:Tracer.find_spans": _reads(
+        "tests/test_obs_core.py and tests/test_obs_pipeline.py"
+    ),
+    "rng.py:ReproRandom.randbytes": _only_tests("tests/test_rng.py::TestChance"),
+    "runtime/cache.py:ResultCache.clear": _only_tests(
+        "tests/test_runtime.py::TestResultCache::test_len_and_clear"
+    ),
+    "runtime/journal.py:CampaignJournal.close": (
+        "tests/test_resilience.py closes the journals it opens with it"
+    ),
+    "runtime/runner.py:SweepRunner.close": (
+        "tests/test_resilience.py closes the runners it opens with it"
+    ),
+    "runtime/runner.py:SweepRunner.last_reporter": _reads(
+        "tests/test_resilience.py (a run's point counts)"
+    ),
+    "sim/events.py:Event.cancel": (
+        "EventQueue.pop skips cancelled events on the sim.step hot path of "
+        "cli-quick, so removing it edits that loop; tests/test_sim.py and "
+        "tests/test_sim_events.py cover it"
+    ),
+    "sim/events.py:Simulator.run": _only_tests(
+        "tests/test_sim.py and tests/test_sim_events.py (the fleet runs "
+        "EventScheduler.run_until)"
+    ),
+    "sim/events.py:Simulator.step": _only_tests(
+        "tests/test_sim.py (EventScheduler.step overrides it)"
     ),
     "storage/faults.py": (
         "the block-device fake tests/test_fault_injection.py::"
         "TestStackUnderFaults uses to show that SSTable CRCs, RAID1 and the "
         "filesystem error path handle independent faults"
+    ),
+    "storage/fs/filesystem.py:FileHandle": _only_tests(
+        "tests/test_fs_filesystem.py::TestFileHandle"
+    ),
+    "storage/fs/filesystem.py:SimFS.mount": _RECOVERY,
+    "storage/fs/filesystem.py:SimFS.open": _only_tests(
+        "tests/test_fs_filesystem.py::TestFileHandle"
+    ),
+    "storage/fs/fsck.py": (
+        "the invariant checker tests/test_integration_recovery.py asserts "
+        "after a post-attack remount (committed data survives, fsck comes "
+        "back clean)"
+    ),
+    "storage/fs/inode.py:Extent.blocks": _RECOVERY,
+    "storage/fs/inode.py:Inode.from_dict": _RECOVERY,
+    "storage/fs/journal.py:Journal.recover": _RECOVERY,
+    "storage/kv/bloom.py:BloomFilter.fill_ratio": _reads(
+        "tests/test_kv_structures.py::TestBloom (the filter's sizing)"
+    ),
+    "storage/kv/compaction.py": (
+        "e2ebench wraps Compactor.run, so leveled compaction stays until a "
+        "benchmark change drops that target; tests/test_kv_db.py::"
+        "TestFlushAndCompaction drives it"
+    ),
+    "storage/kv/db.py:DB.close": _only_tests(
+        "tests/test_kv_db.py::TestCrashSemantics"
+    ),
+    "storage/kv/db.py:DB.compact_range": (
+        "compaction's tests drive it through this (tests/test_kv_db.py, "
+        "tests/test_ambient_extras.py); it goes with storage/kv/compaction.py"
+    ),
+    "storage/kv/db.py:DB.delete": "tombstones: " + _HOT_KV,
+    "storage/kv/db.py:DB.get_property": _reads(
+        "tests/test_ambient_extras.py::TestKVRangeAndProperties (level counts "
+        "after compaction)"
+    ),
+    "storage/kv/db.py:DB.level_summary": _only_tests(
+        "tests/test_kv_db.py::TestCrashSemantics::test_level_summary_format"
+    ),
+    "storage/kv/db.py:DB.range_scan": (
+        "YCSB's scan operation reads through it; tests/test_ycsb_latency.py "
+        "runs a scan mix, no command does"
+    ),
+    "storage/kv/db.py:DB.release_snapshot": "MVCC snapshots: " + _HOT_KV,
+    "storage/kv/db.py:DB.scan": (
+        "DB.range_scan (YCSB's scan operation) reads through it; "
+        "tests/test_ycsb_latency.py runs a scan mix, no command does"
+    ),
+    "storage/kv/db.py:DB.snapshot": "MVCC snapshots: " + _HOT_KV,
+    "storage/kv/db.py:WriteBatch.decode": _RECOVERY,
+    "storage/kv/db.py:WriteBatch.delete": "tombstones: " + _HOT_KV,
+    "storage/kv/sstable.py:SSTableBuilder.data_bytes": (
+        "compaction sizes its output tables with it; it goes with "
+        "storage/kv/compaction.py"
+    ),
+    "storage/kv/sstable.py:SSTableReader.iterate": (
+        "compaction and DB.scan merge tables through it"
+    ),
+    "storage/kv/version.py:FileMetadata.from_dict": _RECOVERY,
+    "storage/kv/version.py:FileMetadata.overlaps": (
+        "compaction picks its inputs with it; it goes with storage/kv/compaction.py"
+    ),
+    "storage/kv/version.py:VersionEdit.decode": _RECOVERY,
+    "storage/kv/version.py:VersionSet.recover": _RECOVERY,
+    "storage/kv/wal.py:WALReader.records": _RECOVERY,
+    "storage/oskernel/dmesg.py:DmesgBuffer.count": _reads("tests/test_oskernel.py"),
+    "storage/oskernel/dmesg.py:DmesgBuffer.evicted": _reads(
+        "tests/test_obs_core.py::TestDmesgEvents"
+    ),
+    "storage/oskernel/dmesg.py:DmesgBuffer.grep": _reads("tests/test_oskernel.py"),
+    "storage/oskernel/dmesg.py:DmesgBuffer.tail": _reads("tests/test_oskernel.py"),
+    "storage/oskernel/kernel.py:Kernel.mark_dirty": (
+        "it fills the dirty-path queue that Kernel.run_writeback drains; "
+        "run_writeback is an e2ebench target, so the two go together"
+    ),
+    "storage/oskernel/server.py:UbuntuServer.crashed": _reads(
+        "tests/test_oskernel.py::TestUbuntuServerHealthy"
+    ),
+    "storage/oskernel/server.py:UbuntuServer.uptime_report": _only_tests(
+        "tests/test_oskernel.py::TestUbuntuServerHealthy"
+    ),
+    "storage/oskernel/shell.py:CommandResult.ok": _reads(
+        "tests/test_oskernel.py and tests/test_coverage_gaps.py::TestShellEdges"
+    ),
+    "storage/raid.py:RaidArray": _only_tests(
+        "tests/test_raid.py, two stack tests (13 tests in all) and "
+        "tools/make_results.py's RAID study"
+    ),
+    "units.py:celsius_to_kelvin": _only_tests("tests/test_units.py"),
+    "units.py:db_power_to_ratio": _only_tests("tests/test_units.py"),
+    "units.py:db_to_ratio": _only_tests("tests/test_units.py"),
+    "units.py:depth_to_pressure_atm": _only_tests("tests/test_units.py::TestPressureDepth"),
+    "units.py:mb_per_s": _only_tests("tests/test_units.py"),
+    "units.py:ratio_to_db": _only_tests("tests/test_units.py"),
+    "vibration/enclosure.py:Enclosure.airborne_tl_db": _AIRBORNE,
+    "vibration/enclosure.py:Enclosure.material": _reads(
+        "tests/test_vibration.py and tests/test_core_attack.py (the scenarios' "
+        "wall materials)"
+    ),
+    "vibration/materials.py:Material.longitudinal_speed": _only_tests(
+        "tests/test_vibration.py::TestMaterials"
+    ),
+    "vibration/modes.py:VibrationMode.peak_response": _only_tests(
+        "tests/test_vibration.py::TestModes"
+    ),
+    "vibration/modes.py:VibrationMode.response": _only_tests(
+        "tests/test_vibration.py::TestModes"
+    ),
+    "vibration/transmission.py:PanelWall.airborne_tl_db": _AIRBORNE,
+    "vibration/transmission.py:PanelWall.velocity_per_pascal": _only_tests(
+        "tests/test_vibration.py::TestPanelWall"
+    ),
+    "vibration/transmission.py:intensity_transmission_coefficient": _AIRBORNE,
+    "vibration/transmission.py:mass_law_tl_db": _AIRBORNE,
+    "vibration/transmission.py:pressure_transmission_coefficient": _AIRBORNE,
+    "workloads/fio.py:FioResult.iops": _only_tests(
+        "tests/test_workloads.py::TestFioBaseline"
+    ),
+    "workloads/fio.py:FioTester.run_suite": _only_tests(
+        "tests/test_coverage_gaps.py::TestFioEdges"
+    ),
+    "workloads/ycsb.py:ServiceRunResult.attack_window": _reads(
+        "tests/test_obs_slo_dashboard.py (the attack window a tracer recorded)"
+    ),
+    "workloads/ycsb.py:YcsbResult.ops_per_second": (
+        "tools/make_results.py's ycsb_mixes writes results/ablation_ycsb.txt "
+        "with it"
     ),
 }
 
@@ -62,6 +401,12 @@ _COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>
 def commands(tmp: pathlib.Path) -> List[List[str]]:
     """The ``deepnote`` argument vectors of one pass, artifacts in ``tmp``."""
     cache = str(tmp / "cache")
+    journal = str(tmp / "journal.jsonl")
+    cached = [
+        ["table1", "--runtime", "0.2", "--cache-dir", cache],
+        ["table2", "--duration", "0.2", "--cache-dir", cache],
+        ["fleet", "--racks", "2", "--towers", "5", "--cache-dir", cache],
+    ]
     return [
         ["all"],
         ["ablations"],
@@ -98,6 +443,26 @@ def commands(tmp: pathlib.Path) -> List[List[str]]:
         ],
         ["figure2", "--runtime", "0.2", "--inject-faults", "3=fail"],
         ["figure2", "--runtime", "0.2", "--workers", "2"],
+        ["figure2", "--runtime", "0.2", "--csv", "write"],
+        # Each twice: the second run reads every point from the cache.
+        *cached,
+        *cached,
+        # A runner under telemetry merges each point's bundle serially.
+        [
+            "figure2", "--runtime", "0.2", "--progress",
+            "--trace", str(tmp / "runner-trace.json"),
+            "--metrics-out", str(tmp / "runner-metrics.prom"),
+            "--series-out", str(tmp / "runner-series.jsonl"),
+        ],
+        # A journaled failure, then its replay: both print a DEGRADED row.
+        [
+            "figure2", "--runtime", "0.2", "--inject-faults", "3=fail",
+            "--max-retries", "0", "--journal", journal,
+        ],
+        [
+            "figure2", "--runtime", "0.2", "--inject-faults", "3=fail",
+            "--max-retries", "0", "--journal", journal, "--resume",
+        ],
     ]
 
 
@@ -139,18 +504,52 @@ def record_calls(tmp: pathlib.Path) -> Set[Tuple[str, str]]:
     return calls
 
 
-def package_modules() -> Dict[str, bool]:
-    """Every non-``__init__`` module of ``src/repro``: does it define a function?"""
-    modules = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        modules[path.relative_to(PACKAGE).as_posix()] = any(
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-            for node in ast.walk(tree)
+def _is_protocol(node: ast.ClassDef) -> bool:
+    for base in node.bases:
+        if isinstance(base, ast.Subscript):
+            base = base.value
+        if getattr(base, "id", getattr(base, "attr", None)) == "Protocol":
+            return True
+    return False
+
+
+def _defs(node: ast.AST, prefix: str = "") -> Iterator[Tuple[str, ast.AST]]:
+    """``(qualname, def)`` of each gated function under ``node``.
+
+    Nested functions, lambdas and ``Protocol`` methods are not yielded.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+        elif isinstance(child, ast.ClassDef):
+            if not _is_protocol(child):
+                yield from _defs(child, f"{prefix}{child.name}.")
+        elif not isinstance(child, ast.Lambda):
+            yield from _defs(child, prefix)
+
+
+def module_functions(source: str) -> Dict[str, int]:
+    """Qualname -> lines of each gated function of one module's source.
+
+    The lines of a function run from its first decorator to its end; a
+    property's getter and setter share one qualname and add up.
+    """
+    functions: Dict[str, int] = {}
+    for qualname, node in _defs(ast.parse(source)):
+        first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+        functions[qualname] = functions.get(qualname, 0) + node.end_lineno - first + 1
+    return functions
+
+
+def package_functions() -> Dict[str, Dict[str, int]]:
+    """:func:`module_functions` of every non-``__init__`` module of ``src/repro``."""
+    return {
+        path.relative_to(PACKAGE).as_posix(): module_functions(
+            path.read_text(encoding="utf-8")
         )
-    return modules
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "__init__.py"
+    }
 
 
 def imported_modules() -> Set[str]:
@@ -163,35 +562,94 @@ def imported_modules() -> Set[str]:
     return imported
 
 
-def problems(
-    modules: Dict[str, bool],
-    called: Iterable[str],
-    imported: Iterable[str],
-    allowlist: Dict[str, str],
-) -> List[str]:
-    """One line per module that breaks the rule; empty when the gate passes.
+def wrapped_functions(layers: pathlib.Path = E2E_LAYERS) -> List[str]:
+    """``module.py:Qual.name`` of every function e2ebench's ``TARGETS`` wraps."""
+    spec = importlib.util.spec_from_file_location("_e2ebench_layers", layers)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up
+    spec.loader.exec_module(module)
+    return sorted({
+        "{}.py:{}".format(target.module.split(".", 1)[1].replace(".", "/"), target.attr)
+        for target in module.TARGETS
+    })
 
-    ``modules`` maps each module to whether it defines a function;
-    ``called`` holds the modules with a function that ran and
-    ``imported`` the modules that were imported.
+
+def is_public(qualname: str) -> bool:
+    return not any(part.startswith("_") for part in qualname.split("."))
+
+
+def _covers(entry: str, module: str, qualname: str) -> bool:
+    name, _, qual = entry.partition(":")
+    if name != module:
+        return False
+    return not qual or qualname == qual or qualname.startswith(qual + ".")
+
+
+def problems(
+    functions: Mapping[str, Mapping[str, int]],
+    called: Iterable[Tuple[str, str]],
+    imported: Iterable[str],
+    allowlist: Mapping[str, str],
+    wrapped: Iterable[str] = (),
+) -> List[str]:
+    """One line per function or allowlist entry that breaks the rule.
+
+    ``functions`` maps each module to its gated qualnames (an empty map
+    for a module that defines no function), ``called`` holds the
+    ``(module, qualname)`` pairs that ran and ``imported`` the modules
+    that were imported.  ``wrapped`` entries cover like allowlist ones
+    but go stale only when they name nothing, since e2ebench, not this
+    gate, decides what it wraps.  Empty when the gate passes.
     """
-    called, imported = set(called), set(imported)
-    reached = {
-        module
-        for module, has_functions in modules.items()
-        if module in called or (not has_functions and module in imported)
-    }
-    lines = [
-        f"{module}: unreached: no command, example or allowlist entry reaches it"
-        for module in sorted(modules)
-        if module not in reached and module not in allowlist
-    ]
-    for module in sorted(allowlist):
-        if module not in modules:
-            lines.append(f"{module}: stale allowlist entry: the module no longer exists")
-        elif module in reached:
-            lines.append(f"{module}: stale allowlist entry: a command now reaches it")
+    called, imported, wrapped = set(called), set(imported), list(wrapped)
+    covers = list(allowlist) + wrapped
+    lines = []
+    for module in sorted(functions):
+        if not functions[module] and module not in imported:
+            lines.append(f"{module}: unreached: nothing imports it")
+        for qualname in sorted(functions[module]):
+            if (
+                is_public(qualname)
+                and (module, qualname) not in called
+                and not any(_covers(entry, module, qualname) for entry in covers)
+            ):
+                lines.append(
+                    f"{module}:{qualname}: unreached: no command, example or "
+                    "allowlist entry reaches it"
+                )
+    for entry in sorted(allowlist) + sorted(set(wrapped) - set(allowlist)):
+        named = [
+            (module, qualname)
+            for module in functions
+            for qualname in functions[module]
+            if _covers(entry, module, qualname)
+        ]
+        if not named:
+            lines.append(f"{entry}: stale allowlist entry: it names nothing that exists")
+        elif entry in allowlist and all(
+            pair in called for pair in named if is_public(pair[1])
+        ):
+            lines.append(
+                f"{entry}: stale allowlist entry: every public function it covers ran"
+            )
     return lines
+
+
+def unreached_private(
+    functions: Mapping[str, Mapping[str, int]], called: Iterable[Tuple[str, str]]
+) -> Dict[str, List[str]]:
+    """Module -> its private functions that did not run (information only)."""
+    called = set(called)
+    report = {}
+    for module in sorted(functions):
+        names = [
+            qualname
+            for qualname in sorted(functions[module])
+            if not is_public(qualname) and (module, qualname) not in called
+        ]
+        if names:
+            report[module] = names
+    return report
 
 
 def main() -> int:
@@ -200,15 +658,29 @@ def main() -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="deepnote-reach-") as tmp:
         calls = record_calls(pathlib.Path(tmp))
-    modules = package_modules()
-    called = {module for module, _qualname in calls}
-    lines = problems(modules, called, imported_modules(), ALLOWLIST)
+    functions = package_functions()
+    wrapped = wrapped_functions()
+    lines = problems(functions, calls, imported_modules(), ALLOWLIST, wrapped)
+    gated = [(m, q) for m in functions for q in functions[m] if is_public(q)]
+    ran = [pair for pair in gated if pair in calls]
+    kept = [
+        pair for pair in gated
+        if pair not in calls and any(_covers(e, *pair) for e in [*ALLOWLIST, *wrapped])
+    ]
+    private = unreached_private(functions, calls)
     print(
-        f"reach: {len(calls)} functions ran in {len(called)} of {len(modules)} "
-        f"modules; {len(ALLOWLIST)} allowlisted"
+        f"reach: {len(ran)} of {len(gated)} public functions in {len(functions)} "
+        f"modules ran; {len(kept)} more are kept by {len(ALLOWLIST)} allowlist "
+        f"entries and {len(wrapped)} e2ebench targets"
     )
-    for module, reason in sorted(ALLOWLIST.items()):
-        print(f"  allowlisted {module}: {reason}")
+    for entry, reason in sorted(ALLOWLIST.items()):
+        print(f"  allowlisted {entry}: {reason}")
+    for entry in wrapped:
+        if any(pair not in calls and _covers(entry, *pair) for pair in gated):
+            print(f"  allowlisted {entry}: {WRAPPED}")
+    print(f"reach: {sum(map(len, private.values()))} private functions did not run:")
+    for module, names in private.items():
+        print(f"  {module}: {', '.join(names)}")
     for line in lines:
         print(f"reach: {line}", file=sys.stderr)
     return 1 if lines else 0
