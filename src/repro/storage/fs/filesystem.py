@@ -692,11 +692,6 @@ class FileHandle:
         self._check_open()
         return self.fs.append(self.path, data)
 
-    def sync(self) -> None:
-        """fsync(2) the file."""
-        self._check_open()
-        self.fs.fsync(self.path)
-
     def close(self) -> None:
         """Close the handle (idempotent)."""
         self.closed = True

@@ -270,16 +270,6 @@ class RaidArray:
                 raise ArrayFailed("raid5 write lost both data and parity paths")
             self._member_write(self.members[data_index], row, data)
 
-    def flush(self) -> None:
-        """Flush every surviving member."""
-        self._check_online()
-        for member in self.members:
-            if not member.failed:
-                try:
-                    member.device.flush()
-                except BlockIOError:
-                    self._check_online()
-
     def status(self) -> str:
         """mdstat-style one-liner."""
         marks = "".join("_" if m.failed else "U" for m in self.members)

@@ -22,7 +22,11 @@ __all__ = ["VibrationMode", "ModalResponse"]
 def _mode_magnitude(
     frequency_hz: float, f0_hz: float, damping_ratio: float, gain: float
 ) -> float:
-    """``|H(f)| = gain / sqrt((1 - r^2)^2 + (2 zeta r)^2)``, ``r = f / f0``."""
+    """``|H(f)| = gain / sqrt((1 - r^2)^2 + (2 zeta r)^2)``, ``r = f / f0``.
+
+    Peaks at ~``gain / (2 zeta)`` near resonance and rolls off
+    12 dB/octave above.
+    """
     r = frequency_hz / f0_hz
     return gain / math.sqrt((1.0 - r * r) ** 2 + (2.0 * damping_ratio * r) ** 2)
 
@@ -49,19 +53,6 @@ class VibrationMode:
         if self.gain < 0.0:
             raise UnitError(f"mode gain must be non-negative: {self.gain}")
 
-    def response(self, frequency_hz: float) -> float:
-        """Magnitude of the mode transfer function at ``frequency_hz``.
-
-        ``|H(f)| = gain / sqrt((1 - r^2)^2 + (2 zeta r)^2)`` with
-        ``r = f / f0``.  Peaks at ~``gain / (2 zeta)`` near resonance and
-        rolls off 12 dB/octave above.
-        """
-        if not (0.0 < frequency_hz < math.inf):  # also rejects NaN
-            raise UnitError(f"frequency must be positive and finite: {frequency_hz}")
-        return _mode_magnitude(
-            frequency_hz, self.frequency_hz, self.damping_ratio, self.gain
-        )
-
     @property
     def peak_response(self) -> float:
         """Response magnitude at the damped resonance peak."""
@@ -86,8 +77,8 @@ class ModalResponse:
     def response(self, frequency_hz: float) -> float:
         """Combined magnitude at ``frequency_hz``.
 
-        The per-mode arithmetic of :meth:`VibrationMode.response`,
-        summed in quadrature left to right over :attr:`modes`.
+        Each mode's magnitude, summed in quadrature left to right over
+        :attr:`modes`.
         """
         if not (0.0 < frequency_hz < math.inf):  # also rejects NaN
             raise UnitError(f"frequency must be positive and finite: {frequency_hz}")

@@ -20,7 +20,7 @@ import io
 import math
 import re
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import cli
@@ -152,10 +152,11 @@ def _figure2(draw):
         faults, seconds = draw(_fault_plan())
         argv.append(faults)
         values += seconds
-    # Serial: the timeout is only validated, so nothing sleeps.
-    timeout = draw(_values(0.5, 1e10))
-    argv.append(_flag("--point-timeout", timeout))
-    values.append(timeout)
+    if draw(st.booleans()):
+        # Serial: the timeout is only validated, so nothing sleeps.
+        timeout = draw(_values(0.5, 1e10))
+        argv.append(_flag("--point-timeout", timeout))
+        values.append(timeout)
     return argv, values
 
 
@@ -181,6 +182,8 @@ def _run(argv):
         _table1, _table2, _table3, _ycsb, _smart,
     )
 )
+# An infinite point timeout passes a bare ``> 0`` check; drawn, it is rare.
+@example((["figure2", "--runtime=0.01", "--point-timeout=inf"], [0.01, math.inf]))
 def test_cli_exits_cleanly_or_rejects_with_a_typed_error(case):
     argv, values = case
     code, stdout, stderr = _run(argv)

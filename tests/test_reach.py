@@ -11,6 +11,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
 from reach import (  # noqa: E402
+    RAN,
+    classify,
     module_functions,
     problems,
     unreached_private,
@@ -18,6 +20,12 @@ from reach import (  # noqa: E402
 )
 
 UNREACHED = "unreached: no command, example or allowlist entry reaches it"
+
+
+def check(functions, called, imported, allowlist, wrapped=()):
+    """The gate's problem lines for one fabricated pass."""
+    status = classify(functions, called, [*allowlist, *wrapped])
+    return problems(functions, status, imported, allowlist, wrapped)
 
 
 def test_classification_on_a_fabricated_call_set():
@@ -33,7 +41,7 @@ def test_classification_on_a_fabricated_call_set():
         "now_called.py": "was unreached once",
         "gone.py": "was deleted",
     }
-    lines = problems(
+    lines = check(
         functions,
         called={("called.py", "run"), ("now_called.py", "run")},
         imported={"called.py", "data.py", "unreached.py"},
@@ -47,7 +55,7 @@ def test_classification_on_a_fabricated_call_set():
         "now_called.py: stale allowlist entry: every public function it covers ran",
     ]
     # A data-only module that was never imported is unreached.
-    assert problems({"data.py": {}}, set(), set(), {}) == [
+    assert check({"data.py": {}}, set(), set(), {}) == [
         "data.py: unreached: nothing imports it"
     ]
 
@@ -65,8 +73,18 @@ FUNCTIONS = {
 CALLED = {("mod.py", "Store.get"), ("mod.py", "Store.__init__")}
 
 
+def test_classify_names_what_keeps_each_public_function():
+    # The first covering entry wins; private functions are not classified.
+    assert classify(FUNCTIONS, CALLED, ["mod.py:Store", "mod.py"]) == {
+        ("mod.py", "Store.get"): RAN,
+        ("mod.py", "Store.unused"): "mod.py:Store",
+        ("mod.py", "orphan"): "mod.py",
+    }
+    assert classify(FUNCTIONS, CALLED, [])[("mod.py", "orphan")] is None
+
+
 def test_public_unreached_functions_are_flagged_by_qualname():
-    assert problems(FUNCTIONS, CALLED, {"mod.py"}, {}) == [
+    assert check(FUNCTIONS, CALLED, {"mod.py"}, {}) == [
         f"mod.py:Store.unused: {UNREACHED}",
         f"mod.py:orphan: {UNREACHED}",
     ]
@@ -74,7 +92,7 @@ def test_public_unreached_functions_are_flagged_by_qualname():
 
 def test_private_unreached_functions_are_reported_not_flagged():
     # Neither _helper nor a method of a private class fails the gate.
-    lines = problems(FUNCTIONS, CALLED, {"mod.py"}, {})
+    lines = check(FUNCTIONS, CALLED, {"mod.py"}, {})
     assert not any("_helper" in line or "_Private" in line for line in lines)
     assert unreached_private(FUNCTIONS, CALLED) == {
         "mod.py": ["Store._helper", "_Private.run"]
@@ -82,11 +100,11 @@ def test_private_unreached_functions_are_reported_not_flagged():
 
 
 def test_module_and_qualname_entries_each_cover():
-    assert problems(FUNCTIONS, CALLED, {"mod.py"}, {"mod.py": "why"}) == []
+    assert check(FUNCTIONS, CALLED, {"mod.py"}, {"mod.py": "why"}) == []
     allowlist = {"mod.py:Store.unused": "why", "mod.py:orphan": "why"}
-    assert problems(FUNCTIONS, CALLED, {"mod.py"}, allowlist) == []
+    assert check(FUNCTIONS, CALLED, {"mod.py"}, allowlist) == []
     # A class entry covers its methods.
-    assert problems(FUNCTIONS, CALLED, {"mod.py"}, {"mod.py:Store": "why"}) == [
+    assert check(FUNCTIONS, CALLED, {"mod.py"}, {"mod.py:Store": "why"}) == [
         f"mod.py:orphan: {UNREACHED}"
     ]
 
@@ -98,7 +116,7 @@ def test_stale_qualname_entries_are_flagged():
         "mod.py:Store.gone": "deleted since",
         "mod.py:Store.get": "reached since",
     }
-    assert problems(FUNCTIONS, CALLED, {"mod.py"}, allowlist) == [
+    assert check(FUNCTIONS, CALLED, {"mod.py"}, allowlist) == [
         "mod.py:Store.get: stale allowlist entry: every public function it covers ran",
         "mod.py:Store.gone: stale allowlist entry: it names nothing that exists",
     ]
@@ -152,13 +170,13 @@ def test_e2ebench_targets_are_covered():
     functions = {"storage/block.py": {"BlockDevice.flush": 9, "BlockDevice.write_block": 9}}
     called = {("storage/block.py", "BlockDevice.write_block")}
     imported = {"storage/block.py"}
-    assert problems(functions, called, imported, {}) == [
+    assert check(functions, called, imported, {}) == [
         f"storage/block.py:BlockDevice.flush: {UNREACHED}"
     ]
     # A wrapped function that runs does not make its entry stale; one
     # that no longer exists does, since e2ebench would fail on it.
     present = {"storage/block.py:BlockDevice.flush", "storage/block.py:BlockDevice.write_block"}
-    assert problems(functions, called, imported, {}, wrapped) == [
+    assert check(functions, called, imported, {}, wrapped) == [
         f"{entry}: stale allowlist entry: it names nothing that exists"
         for entry in wrapped
         if entry not in present

@@ -105,7 +105,7 @@ class TestPanelWall:
 
 class TestModes:
     def test_mode_peaks_at_resonance(self):
-        mode = VibrationMode(frequency_hz=500.0, damping_ratio=0.1)
+        mode = ModalResponse([VibrationMode(frequency_hz=500.0, damping_ratio=0.1)])
         assert mode.response(500.0) > mode.response(250.0)
         assert mode.response(500.0) > mode.response(1000.0)
 
@@ -122,7 +122,7 @@ class TestModes:
         response = ModalResponse(
             [VibrationMode(500.0, 0.2, 1.0), VibrationMode(500.0, 0.2, 1.0)]
         )
-        single = VibrationMode(500.0, 0.2, 1.0).response(500.0)
+        single = ModalResponse([VibrationMode(500.0, 0.2, 1.0)]).response(500.0)
         assert response.response(500.0) == pytest.approx(single * math.sqrt(2.0))
 
     def test_empty_modal_response_rejected(self):

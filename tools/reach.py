@@ -50,7 +50,7 @@ import pathlib
 import runpy
 import sys
 import tempfile
-from typing import Dict, Iterable, Iterator, List, Mapping, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
@@ -67,11 +67,12 @@ def _reads(where: str) -> str:
 
 
 def _only_tests(where: str) -> str:
-    """The function's own tests are its only callers."""
-    return (
-        f"its only callers are {where}; deleting it retires those tier-1 "
-        "tests, which ROADMAP.md queues for later changes"
-    )
+    """The function's own tests are its only callers.
+
+    These entries are the deletion queue (ROADMAP item 2): each goes,
+    with its tests, in a later change.
+    """
+    return f"its only callers are {where}; queued for deletion with them"
 
 
 _RECOVERY = (
@@ -370,9 +371,6 @@ ALLOWLIST: Dict[str, str] = {
     "vibration/modes.py:VibrationMode.peak_response": _only_tests(
         "tests/test_vibration.py::TestModes"
     ),
-    "vibration/modes.py:VibrationMode.response": _only_tests(
-        "tests/test_vibration.py::TestModes"
-    ),
     "vibration/transmission.py:PanelWall.airborne_tl_db": _AIRBORNE,
     "vibration/transmission.py:PanelWall.velocity_per_pascal": _only_tests(
         "tests/test_vibration.py::TestPanelWall"
@@ -585,9 +583,36 @@ def _covers(entry: str, module: str, qualname: str) -> bool:
     return not qual or qualname == qual or qualname.startswith(qual + ".")
 
 
-def problems(
+#: :func:`classify`'s mark for a function that ran.
+RAN = "ran"
+
+
+def classify(
     functions: Mapping[str, Mapping[str, int]],
     called: Iterable[Tuple[str, str]],
+    entries: Iterable[str],
+) -> Dict[Tuple[str, str], Optional[str]]:
+    """How the gate treats each public ``(module, qualname)``.
+
+    :data:`RAN` when it ran, else the first of ``entries`` (allowlist
+    entries, then e2ebench targets) that covers it, else ``None``: the
+    function fails the gate.
+    """
+    called, entries = set(called), list(entries)
+    status = {}
+    for module in sorted(functions):
+        for qualname in sorted(functions[module]):
+            if is_public(qualname):
+                pair = (module, qualname)
+                status[pair] = RAN if pair in called else next(
+                    (entry for entry in entries if _covers(entry, *pair)), None
+                )
+    return status
+
+
+def problems(
+    functions: Mapping[str, Mapping[str, int]],
+    status: Mapping[Tuple[str, str], Optional[str]],
     imported: Iterable[str],
     allowlist: Mapping[str, str],
     wrapped: Iterable[str] = (),
@@ -595,28 +620,25 @@ def problems(
     """One line per function or allowlist entry that breaks the rule.
 
     ``functions`` maps each module to its gated qualnames (an empty map
-    for a module that defines no function), ``called`` holds the
-    ``(module, qualname)`` pairs that ran and ``imported`` the modules
-    that were imported.  ``wrapped`` entries cover like allowlist ones
-    but go stale only when they name nothing, since e2ebench, not this
-    gate, decides what it wraps.  Empty when the gate passes.
+    for a module that defines no function), ``status`` is
+    :func:`classify`'s verdict on them and ``imported`` holds the
+    modules that were imported.  ``wrapped`` entries cover like
+    allowlist ones but go stale only when they name nothing, since
+    e2ebench, not this gate, decides what it wraps.  Empty when the
+    gate passes.
     """
-    called, imported, wrapped = set(called), set(imported), list(wrapped)
-    covers = list(allowlist) + wrapped
-    lines = []
-    for module in sorted(functions):
-        if not functions[module] and module not in imported:
-            lines.append(f"{module}: unreached: nothing imports it")
-        for qualname in sorted(functions[module]):
-            if (
-                is_public(qualname)
-                and (module, qualname) not in called
-                and not any(_covers(entry, module, qualname) for entry in covers)
-            ):
-                lines.append(
-                    f"{module}:{qualname}: unreached: no command, example or "
-                    "allowlist entry reaches it"
-                )
+    imported, wrapped = set(imported), list(wrapped)
+    lines = [
+        f"{module}: unreached: nothing imports it"
+        for module in sorted(functions)
+        if not functions[module] and module not in imported
+    ]
+    lines += [
+        f"{module}:{qualname}: unreached: no command, example or allowlist "
+        "entry reaches it"
+        for (module, qualname), how in status.items()
+        if how is None
+    ]
     for entry in sorted(allowlist) + sorted(set(wrapped) - set(allowlist)):
         named = [
             (module, qualname)
@@ -627,7 +649,7 @@ def problems(
         if not named:
             lines.append(f"{entry}: stale allowlist entry: it names nothing that exists")
         elif entry in allowlist and all(
-            pair in called for pair in named if is_public(pair[1])
+            status[pair] == RAN for pair in named if pair in status
         ):
             lines.append(
                 f"{entry}: stale allowlist entry: every public function it covers ran"
@@ -660,24 +682,25 @@ def main() -> int:
         calls = record_calls(pathlib.Path(tmp))
     functions = package_functions()
     wrapped = wrapped_functions()
-    lines = problems(functions, calls, imported_modules(), ALLOWLIST, wrapped)
-    gated = [(m, q) for m in functions for q in functions[m] if is_public(q)]
-    ran = [pair for pair in gated if pair in calls]
-    kept = [
-        pair for pair in gated
-        if pair not in calls and any(_covers(e, *pair) for e in [*ALLOWLIST, *wrapped])
-    ]
-    private = unreached_private(functions, calls)
+    status = classify(functions, calls, [*ALLOWLIST, *wrapped])
+    lines = problems(functions, status, imported_modules(), ALLOWLIST, wrapped)
+    kept: Dict[str, List[int]] = {}
+    for (module, qualname), how in status.items():
+        if how not in (RAN, None):
+            kept.setdefault(how, []).append(functions[module][qualname])
+    ran = sum(how == RAN for how in status.values())
     print(
-        f"reach: {len(ran)} of {len(gated)} public functions in {len(functions)} "
-        f"modules ran; {len(kept)} more are kept by {len(ALLOWLIST)} allowlist "
-        f"entries and {len(wrapped)} e2ebench targets"
+        f"reach: {ran} of {len(status)} public functions in {len(functions)} "
+        f"modules ran; {sum(map(len, kept.values()))} more are kept by "
+        f"{len(kept)} allowlist entries and e2ebench targets"
     )
-    for entry, reason in sorted(ALLOWLIST.items()):
-        print(f"  allowlisted {entry}: {reason}")
-    for entry in wrapped:
-        if any(pair not in calls and _covers(entry, *pair) for pair in gated):
-            print(f"  allowlisted {entry}: {WRAPPED}")
+    for entry, sizes in sorted(kept.items()):
+        functions_kept = f"{len(sizes)} function" + "s" * (len(sizes) > 1)
+        print(
+            f"  {entry} ({functions_kept}, {sum(sizes)} lines): "
+            f"{ALLOWLIST.get(entry, WRAPPED)}"
+        )
+    private = unreached_private(functions, calls)
     print(f"reach: {sum(map(len, private.values()))} private functions did not run:")
     for module, names in private.items():
         print(f"  {module}: {', '.join(names)}")
