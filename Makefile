@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: help test smoke lint deepcheck reach bench trace-smoke dashboard-smoke fleet-smoke e2e-smoke doctest docs docs-check
+.PHONY: help test smoke lint deepcheck reach leak-check bench trace-smoke dashboard-smoke fleet-smoke e2e-smoke doctest docs docs-check
 
 help:       ## list targets with their one-line descriptions
 	@awk -F':.*##' '/^[a-z0-9-]+:.*##/ {printf "  %-12s %s\n", $$1, $$2}' $(MAKEFILE_LIST)
@@ -21,6 +21,12 @@ deepcheck:  ## repo-specific invariant linter (docs/STATIC_ANALYSIS.md)
 
 reach:      ## every public src/repro function runs under some command or example, or is allowlisted (~1 min)
 	$(PYTHON) tools/reach.py
+
+leak-check: ## runtime and CLI tests in dev mode; an unclosed file or unraisable exception fails them
+	$(PYTHON) -X dev -m pytest -q -W error::ResourceWarning \
+		-W error::pytest.PytestUnraisableExceptionWarning \
+		tests/test_resilience.py tests/test_runtime.py tests/test_cli_artifacts.py \
+		tests/test_golden_cli.py tests/test_cli_fuzz.py
 
 doctest:    ## run the docstring examples (units, SPL algebra, error taxonomy)
 	$(PYTHON) -m pytest -q --doctest-modules src/repro/units.py src/repro/acoustics/spl.py src/repro/errors.py

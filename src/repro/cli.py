@@ -51,6 +51,7 @@ paths keep their bit-identical fast path.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from typing import List, Optional
@@ -281,11 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
 def _campaign_runner(
     args: argparse.Namespace, campaign_kind: str, *campaign_parts
 ):
-    """Build the (possibly checkpointing/retrying) runner a command asked for.
+    """The (possibly checkpointing/retrying) runner a command asked for.
 
+    A context manager: the runner, or None for the plain sequential
+    path, is closed (its journal file with it) when the command ends.
     The campaign fingerprint covers only what changes the physics —
     never ``--workers``/``--cache-dir``/``--progress`` — so a campaign
     journaled at one worker count resumes at any other.
@@ -313,7 +317,7 @@ def _campaign_runner(
         if args.inject_faults is not None
         else None
     )
-    return make_runner(
+    runner = make_runner(
         workers=args.workers,
         cache_dir=args.cache_dir,
         progress=args.progress,
@@ -325,16 +329,18 @@ def _campaign_runner(
         fault_plan=fault_plan,
         retry_seed=getattr(args, "seed", None) or 0,
     )
+    if runner is None:
+        yield None
+        return
+    with runner:
+        yield runner
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
     from repro.experiments.figure2 import run_figure2
 
-    result = run_figure2(
-        fio_runtime_s=args.runtime,
-        seed=args.seed,
-        runner=_campaign_runner(args, "figure2/v1", args.runtime, args.seed),
-    )
+    with _campaign_runner(args, "figure2/v1", args.runtime, args.seed) as runner:
+        result = run_figure2(fio_runtime_s=args.runtime, seed=args.seed, runner=runner)
     if args.csv is not None:
         print(result.to_csv(op=args.csv), end="")
     else:
@@ -345,26 +351,18 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
 def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.experiments.table1 import run_table1
 
-    print(
-        run_table1(
-            fio_runtime_s=args.runtime,
-            seed=args.seed,
-            runner=_campaign_runner(args, "table1/v1", args.runtime, args.seed),
-        ).render()
-    )
+    with _campaign_runner(args, "table1/v1", args.runtime, args.seed) as runner:
+        result = run_table1(fio_runtime_s=args.runtime, seed=args.seed, runner=runner)
+    print(result.render())
     return 0
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
     from repro.experiments.table2 import run_table2
 
-    print(
-        run_table2(
-            duration_s=args.duration,
-            seed=args.seed,
-            runner=_campaign_runner(args, "table2/v1", args.duration, args.seed),
-        ).render()
-    )
+    with _campaign_runner(args, "table2/v1", args.duration, args.seed) as runner:
+        result = run_table2(duration_s=args.duration, seed=args.seed, runner=runner)
+    print(result.render())
     return 0
 
 
@@ -393,18 +391,18 @@ def _cmd_ablations(args: argparse.Namespace) -> int:
         run_water_conditions_ablation,
     )
 
-    runner = _campaign_runner(args, "ablations/v1", args.which)
-    runs = {
-        "material": lambda: run_material_ablation(runner=runner),
-        "source": lambda: run_source_level_ablation(runner=runner),
-        "water": run_water_conditions_ablation,
-        "defense": run_defense_ablation,
-        "drives": lambda: run_drive_type_ablation(runner=runner),
-    }
-    names = list(runs) if args.which == "all" else [args.which]
-    for name in names:
-        print(runs[name]().render())
-        print()
+    with _campaign_runner(args, "ablations/v1", args.which) as runner:
+        runs = {
+            "material": lambda: run_material_ablation(runner=runner),
+            "source": lambda: run_source_level_ablation(runner=runner),
+            "water": run_water_conditions_ablation,
+            "defense": run_defense_ablation,
+            "drives": lambda: run_drive_type_ablation(runner=runner),
+        }
+        names = list(runs) if args.which == "all" else [args.which]
+        for name in names:
+            print(runs[name]().render())
+            print()
     return 0
 
 
@@ -511,16 +509,16 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         seed=args.seed,
         attacks=tuple(AttackWindow.parse(text) for text in attack_specs),
     )
-    runner = _campaign_runner(args, "fleet/v1", spec)
-    if runner is None:
-        # The canonical path: the whole fleet on one EventScheduler.
-        sim = FleetSim(spec)
-        tel = obs_telemetry.get()
-        if tel is not None and sim.tracker is not None:
-            tel.health = sim.tracker  # picked up by main() for the dashboard
-        result = sim.run()
-    else:
-        result = run_fleet(spec, runner=runner)
+    with _campaign_runner(args, "fleet/v1", spec) as runner:
+        if runner is None:
+            # The canonical path: the whole fleet on one EventScheduler.
+            sim = FleetSim(spec)
+            tel = obs_telemetry.get()
+            if tel is not None and sim.tracker is not None:
+                tel.health = sim.tracker  # picked up by main() for the dashboard
+            result = sim.run()
+        else:
+            result = run_fleet(spec, runner=runner)
     print(result.render())
     return 0
 
@@ -597,13 +595,13 @@ def _cmd_all(args: argparse.Namespace) -> int:
     from repro.experiments.table2 import run_table2
     from repro.experiments.table3 import run_table3
 
-    runner = _campaign_runner(args, "all/v1")
-    print(run_figure2(runner=runner).render())
-    print()
-    print(run_table1(runner=runner).render())
-    print()
-    print(run_table2(runner=runner).render())
-    print()
+    with _campaign_runner(args, "all/v1") as runner:
+        print(run_figure2(runner=runner).render())
+        print()
+        print(run_table1(runner=runner).render())
+        print()
+        print(run_table2(runner=runner).render())
+        print()
     print(run_table3().render())
     return 0
 

@@ -315,14 +315,17 @@ class SimFS:
         first_block = offset // bs
         last_block = (end - 1) // bs if end > 0 else first_block
         cursor = offset
-        remaining = data
+        # Walk the data through a view: slicing ``data`` itself would
+        # copy the rest of it once per block.
+        view = memoryview(data)
         for index in range(first_block, last_block + 1):
             block_no = inode.nth_block(index)
             block_start = index * bs
             within = cursor - block_start
-            take = min(bs - within, len(remaining))
+            take = min(bs - within, end - cursor)
+            chunk = view[cursor - offset : cursor - offset + take]
             if within == 0 and take == bs:
-                image = remaining[:bs]
+                image = bytes(chunk)
             else:
                 # Read-modify-write for partial blocks (page cache first).
                 base: Optional[bytearray] = None
@@ -335,13 +338,12 @@ class SimFS:
                         base = bytearray(self.device.read_block(block_no))
                     else:
                         base = bytearray(bs)
-                base[within : within + take] = remaining[:take]
+                base[within : within + take] = chunk
                 image = bytes(base)
             self.device.write_block(block_no, image)
             if self.page_cache_enabled:
                 self._page_cache[(inode.ino, index)] = image
             cursor += take
-            remaining = remaining[take:]
         inode.size = max(inode.size, end)
         inode.mtime = self.device.clock.now
 

@@ -9,19 +9,20 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from typing import Iterable, Optional
 
 from repro.errors import ConfigurationError
 
 __all__ = ["BloomFilter"]
 
+#: The first two little-endian 64-bit words of a sha256 digest.
+_WORDS = struct.Struct("<QQ")
+
 
 def _hash_pair(key: bytes) -> "tuple[int, int]":
-    digest = hashlib.sha256(key).digest()
-    return (
-        int.from_bytes(digest[:8], "little"),
-        int.from_bytes(digest[8:16], "little") | 1,  # odd step avoids cycles
-    )
+    h1, h2 = _WORDS.unpack_from(hashlib.sha256(key).digest())
+    return h1, h2 | 1  # odd step avoids cycles
 
 
 class BloomFilter:
@@ -46,7 +47,10 @@ class BloomFilter:
 
     @classmethod
     def for_keys(cls, keys: Iterable[bytes], bits_per_key: int = 10) -> "BloomFilter":
-        """Build a filter sized for ``keys`` at ``bits_per_key``."""
+        """Build a filter sized for ``keys`` at ``bits_per_key``.
+
+        Each key sets bit ``(h1 + i*h2) % num_bits`` for every probe ``i``.
+        """
         if bits_per_key <= 0:
             raise ConfigurationError(f"bits per key must be positive: {bits_per_key}")
         key_list = list(keys)
@@ -54,17 +58,14 @@ class BloomFilter:
         # Optimal probe count ~= bits_per_key * ln 2.
         probes = max(1, min(30, round(bits_per_key * math.log(2.0))))
         bloom = cls(num_bits, probes)
+        bits = bloom.bits
+        probe_range = range(probes)
         for key in key_list:
-            bloom.add(key)
+            h1, h2 = _hash_pair(key)
+            for i in probe_range:
+                pos = (h1 + i * h2) % num_bits
+                bits[pos >> 3] |= 1 << (pos & 7)
         return bloom
-
-    def add(self, key: bytes) -> None:
-        """Insert ``key``: set bit ``(h1 + i*h2) % num_bits`` per probe."""
-        h1, h2 = _hash_pair(key)
-        bits, num_bits = self.bits, self.num_bits
-        for i in range(self.num_probes):
-            pos = (h1 + i * h2) % num_bits
-            bits[pos >> 3] |= 1 << (pos & 7)
 
     def may_contain(self, key: bytes) -> bool:
         """False means definitely absent; True means probably present."""

@@ -170,6 +170,8 @@ class DB:
         self.stats = DBStats()
         self.closed = False
         self.fatal_error: Optional[Exception] = None
+        # The drive sets its clock once, so the handle keeps it.
+        self._clock = fs.device.clock
         self._obs = obs.get()
 
     # -- lifecycle ------------------------------------------------------------
@@ -253,38 +255,42 @@ class DB:
     @property
     def clock(self):
         """The shared virtual clock."""
-        return self.fs.device.clock
+        return self._clock
 
     def _charge(self, seconds: float) -> None:
         if seconds > 0.0:
-            self.clock.advance(seconds)
+            self._clock.advance(seconds)
 
     # -- write path --------------------------------------------------------------
 
     def write(self, batch: WriteBatch, sync: Optional[bool] = None) -> None:
         """Apply a batch atomically (WAL first, then memtable)."""
-        self._check_usable()
-        if not batch.ops:
+        if self.closed or self.fatal_error is not None:
+            self._check_usable()
+        ops = batch.ops
+        if not ops:
             return
-        self._charge(self.options.cpu_put_s * len(batch.ops))
-        use_sync = self.options.sync_writes if sync is None else sync
+        options, wal, stats = self.options, self.wal, self.stats
+        self._charge(options.cpu_put_s * len(ops))
+        use_sync = options.sync_writes if sync is None else sync
         try:
-            due = self.wal.append(batch.encode())
+            due = wal.append(batch.encode())
             if use_sync or due:
-                self.wal.sync()
-                self.stats.wal_syncs += 1
+                wal.sync()
+                stats.wal_syncs += 1
         except WALSyncError as err:
             self.fatal_error = err
             raise
-        for kind, key, value in batch.ops:
-            self.versions.last_sequence += 1
-            self.memtable.add(self.versions.last_sequence, kind, key, value)
-            self.stats.bytes_written += len(key) + len(value)
+        versions, memtable = self.versions, self.memtable
+        for kind, key, value in ops:
+            versions.last_sequence += 1
+            memtable.add(versions.last_sequence, kind, key, value)
+            stats.bytes_written += len(key) + len(value)
             if kind == VALUE:
-                self.stats.puts += 1
+                stats.puts += 1
             else:
-                self.stats.deletes += 1
-        if self.memtable.approximate_bytes >= self.options.write_buffer_size:
+                stats.deletes += 1
+        if memtable.approximate_bytes >= options.write_buffer_size:
             self.flush()
 
     def put(self, key: bytes, value: bytes, sync: Optional[bool] = None) -> None:
@@ -367,9 +373,7 @@ class DB:
         self._live_snapshots.discard(snap.sequence)
 
     @staticmethod
-    def _resolve_snapshot(snapshot) -> Optional[int]:
-        if snapshot is None:
-            return None
+    def _resolve_snapshot(snapshot) -> int:
         if isinstance(snapshot, Snapshot):
             return snapshot.sequence
         return int(snapshot)
@@ -380,8 +384,10 @@ class DB:
         ``snapshot`` may be a :class:`Snapshot` or a raw sequence
         number; only pinned snapshots survive compaction reliably.
         """
-        snapshot = self._resolve_snapshot(snapshot)
-        self._check_usable()
+        if snapshot is not None:
+            snapshot = self._resolve_snapshot(snapshot)
+        if self.closed or self.fatal_error is not None:
+            self._check_usable()
         self._charge(self.options.cpu_get_s)
         self.stats.gets += 1
         found = self.memtable.get(key, snapshot)
@@ -390,8 +396,12 @@ class DB:
             return self._resolve(kind, value)
         # L0 files may overlap: the newest sequence among them wins.
         best: Optional[Tuple[int, int, bytes]] = None
+        readers = self.readers
         for meta in self.versions.files_at(0):
-            hit = self._reader(meta).get(key, snapshot)
+            reader = readers.get(meta.number)
+            if reader is None:
+                reader = self._reader(meta)
+            hit = reader.get(key, snapshot)
             if hit is not None and (best is None or hit[0] > best[0]):
                 best = hit
         if best is not None:

@@ -82,8 +82,11 @@ class MemTable:
         versions = self._versions.get(user_key)
         if versions is None:
             return None
+        if snapshot is None:
+            _, kind, value = versions[-1]
+            return kind, value
         for sequence, kind, value in reversed(versions):
-            if snapshot is None or sequence <= snapshot:
+            if sequence <= snapshot:
                 return kind, value
         return None
 

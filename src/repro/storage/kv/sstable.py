@@ -45,16 +45,17 @@ from .memtable import TOMBSTONE, VALUE
 __all__ = ["SSTableBuilder", "SSTableReader"]
 
 _ENTRY = struct.Struct("<II")
-#: Entry header: lengths, then 7 sequence bytes and the kind byte.
-_HEADER = _ENTRY.size + 8
+#: Entry header: lengths, then 7 sequence bytes and the kind byte, packed
+#: as one little-endian u64 (sequences stay below 2**56, see MemTable).
+_ENTRY_HEADER = struct.Struct("<IIQ")
+_HEADER = _ENTRY_HEADER.size
 _MAGIC = b"reproSST1"
 _FOOTER_SIZE = 512
 _TARGET_BLOCK = 4096
 
 
 def _encode_entry(key: bytes, sequence: int, kind: int, value: bytes) -> bytes:
-    meta = sequence.to_bytes(7, "little") + bytes([kind])
-    return _ENTRY.pack(len(key), len(value)) + meta + key + value
+    return _ENTRY_HEADER.pack(len(key), len(value), sequence | kind << 56) + key + value
 
 
 def _decode_entry(data: bytes, offset: int) -> Tuple[bytes, int, int, bytes, int]:

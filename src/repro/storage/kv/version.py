@@ -13,7 +13,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, CorruptionError
 from repro.storage.fs.filesystem import SimFS
@@ -111,6 +111,9 @@ class VersionSet:
         self.fs = fs
         self.dirpath = dirpath.rstrip("/")
         self.levels: List[Dict[int, FileMetadata]] = [dict() for _ in range(NUM_LEVELS)]
+        #: Each level's files in :meth:`files_at` order, sorted on first
+        #: use and kept until :meth:`_apply`, the one place levels change.
+        self._order: List[Optional[Tuple[FileMetadata, ...]]] = [None] * NUM_LEVELS
         self.next_file_number = 1
         self.last_sequence = 0
         self.wal_number: Optional[int] = None
@@ -138,13 +141,19 @@ class VersionSet:
     # -- level queries ------------------------------------------------------------
 
     def files_at(self, level: int) -> List[FileMetadata]:
-        """Files on ``level``, newest-first for L0, key-sorted otherwise."""
-        files = list(self.levels[level].values())
-        if level == 0:
-            files.sort(key=lambda f: f.number, reverse=True)
-        else:
-            files.sort(key=lambda f: f.smallest)
-        return files
+        """Files on ``level``, newest-first for L0, key-sorted otherwise.
+
+        The list is the caller's own; the kept order is not exposed.
+        """
+        order = self._order[level]
+        if order is None:
+            files = self.levels[level].values()
+            if level == 0:
+                order = tuple(sorted(files, key=lambda f: f.number, reverse=True))
+            else:
+                order = tuple(sorted(files, key=lambda f: f.smallest))
+            self._order[level] = order
+        return list(order)
 
     def all_files(self) -> List[FileMetadata]:
         """Every live file."""
@@ -163,6 +172,7 @@ class VersionSet:
     # -- edits ---------------------------------------------------------------------
 
     def _apply(self, edit: VersionEdit) -> None:
+        self._order = [None] * NUM_LEVELS
         for number in edit.deleted:
             for level in self.levels:
                 level.pop(number, None)

@@ -2,7 +2,7 @@
 
 Provides what Section 4.4's crash analysis needs: a kernel log ring
 buffer (dmesg) that accumulates buffer I/O errors, a writeback flusher
-that periodically pushes dirty pages at the root filesystem, a process
+that periodically commits the root filesystem's journal, a process
 table, a shell whose commands (``ls`` and friends) need the root
 filesystem, and a server that panics once storage disappears — "Ubuntu
 crash happens with an indication of inability to access all files,

@@ -1,15 +1,15 @@
 """The kernel: block devices, writeback flusher, panic logic.
 
 The kernel owns the dmesg ring (block devices log buffer I/O errors
-into it), runs the periodic writeback flusher that pushes dirty page
-cache at the root filesystem, and declares a panic when the root
+into it), runs the periodic writeback flusher that commits the root
+filesystem's journal, and declares a panic when the root
 filesystem becomes unusable — the mechanism behind the Ubuntu row of
 Table 3.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import (
     BlockIOError,
@@ -61,7 +61,6 @@ class Kernel:
         self.rootfs: Optional[SimFS] = None
         self.panicked = False
         self.panic_reason = ""
-        self._dirty_paths: List[str] = []
         self._last_writeback = clock.now
         self._rootfs_failed = False
 
@@ -79,11 +78,6 @@ class Kernel:
 
     # -- page cache / writeback -------------------------------------------------
 
-    def mark_dirty(self, path: str) -> None:
-        """Record that ``path`` has dirty pages awaiting writeback."""
-        if path not in self._dirty_paths:
-            self._dirty_paths.append(path)
-
     def writeback_due(self) -> bool:
         """True when the flusher timer has expired."""
         return (
@@ -91,14 +85,11 @@ class Kernel:
         )
 
     def run_writeback(self) -> None:
-        """Flush dirty pages and the rootfs journal; count failures."""
+        """Run the rootfs journal's commit timer; count failures."""
         self._last_writeback = self.clock.now
         if self.rootfs is None:
             return
-        pending, self._dirty_paths = self._dirty_paths, []
         try:
-            for path in pending:
-                self.rootfs.fsync(path)
             self.rootfs.tick()
         except (BlockIOError, JournalAbort, ReadOnlyFilesystem) as cause:
             self._rootfs_failed = True

@@ -96,7 +96,8 @@ class DbBench:
     # -- key/value generation -----------------------------------------------------
 
     def _key(self, index: int) -> bytes:
-        return f"{index:0{self.config.key_size}d}".encode()[: self.config.key_size]
+        key_size = self.config.key_size
+        return (b"%0*d" % (key_size, index))[:key_size]
 
     def _value(self, index: int) -> bytes:
         seed = (index * 2654435761) & 0xFFFFFFFF
@@ -154,42 +155,43 @@ class DbBench:
         """
         if self._loaded_keys == 0:
             raise ConfigurationError("preload the database first (fill_seq)")
-        window = self.config.duration_s if duration_s is None else duration_s
+        config = self.config
+        window = config.duration_s if duration_s is None else duration_s
+        key_size = config.key_size
+        write_bytes = key_size + config.value_size
+        limit = config.write_rate_limit_ops
+        readers = range(config.readers)
+        put, get, randint = self.db.put, self.db.get, self.rng.randint
+        key, value_of = self._key, self._value
         result = DbBenchResult(workload="readwhilewriting")
         clock = self.db.clock
         start = clock.now
         next_write_index = self._loaded_keys
+        # Counted in locals and stored once, after the loop ends or aborts.
+        reads = writes = bytes_moved = 0
         try:
             while clock.now - start < window:
                 # Writer (possibly rate limited).
-                limit = self.config.write_rate_limit_ops
-                allowed = (
-                    limit is None
-                    or result.writes < limit * (clock.now - start) + 1.0
-                )
-                if allowed:
-                    self.db.put(
-                        self._key(next_write_index), self._value(next_write_index)
-                    )
+                if limit is None or writes < limit * (clock.now - start) + 1.0:
+                    put(key(next_write_index), value_of(next_write_index))
                     next_write_index += 1
-                    result.writes += 1
-                    result.ops += 1
-                    result.bytes_moved += (
-                        self.config.key_size + self.config.value_size
-                    )
+                    writes += 1
+                    bytes_moved += write_bytes
                 else:
                     # Writer throttled: let virtual time tick forward.
                     clock.advance(1.0e-4)
                 # Readers.
-                for _ in range(self.config.readers):
-                    index = self.rng.randint(0, next_write_index - 1)
-                    value = self.db.get(self._key(index))
-                    result.reads += 1
-                    result.ops += 1
+                for _ in readers:
+                    value = get(key(randint(0, next_write_index - 1)))
+                    reads += 1
                     if value is not None:
-                        result.bytes_moved += self.config.key_size + len(value)
+                        bytes_moved += key_size + len(value)
         except _FATAL as err:
             result.aborted = True
             result.abort_reason = str(err)
+        result.reads = reads
+        result.writes = writes
+        result.ops = reads + writes
+        result.bytes_moved = bytes_moved
         result.elapsed_s = clock.now - start
         return result

@@ -11,6 +11,8 @@ from the tracer's buffers and never builds a span view.
 
 from __future__ import annotations
 
+import gc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -93,3 +95,17 @@ def test_trace_flag_builds_no_span_records(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(obs_trace, "SpanRecord", refuse)
     assert main(YCSB + ["--trace", str(tmp_path / "trace.json")]) == 0
     assert "(7793 spans, 2 events)" in capsys.readouterr().err
+
+
+def test_journaled_command_closes_its_journal(tmp_path, capsys):
+    # The handler closes the runner it builds; a journal file left open
+    # would warn when the interpreter frees it.
+    journal = tmp_path / "j.jsonl"
+    gc.collect()  # earlier tests' garbage warns before the block, not in it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["figure2", "--runtime", "0.05", "--journal", str(journal)]) == 0
+        gc.collect()
+    unclosed = [str(w.message) for w in caught if w.category is ResourceWarning]
+    assert [message for message in unclosed if str(journal) in message] == []
+    assert journal.read_text().endswith("\n")

@@ -376,8 +376,7 @@ class TestRunnerJournal:
         )
 
     def test_journal_requires_keys_and_codec(self, tmp_path):
-        runner = self._runner(tmp_path)
-        with pytest.raises(ConfigurationError):
+        with self._runner(tmp_path) as runner, pytest.raises(ConfigurationError):
             runner.map(_square, [1, 2])
 
     def test_resumed_points_skip_measurement(self, tmp_path):

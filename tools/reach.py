@@ -241,12 +241,6 @@ ALLOWLIST: Dict[str, str] = {
     "runtime/cache.py:ResultCache.clear": _only_tests(
         "tests/test_runtime.py::TestResultCache::test_len_and_clear"
     ),
-    "runtime/journal.py:CampaignJournal.close": (
-        "tests/test_resilience.py closes the journals it opens with it"
-    ),
-    "runtime/runner.py:SweepRunner.close": (
-        "tests/test_resilience.py closes the runners it opens with it"
-    ),
     "runtime/runner.py:SweepRunner.last_reporter": _reads(
         "tests/test_resilience.py (a run's point counts)"
     ),
@@ -337,10 +331,6 @@ ALLOWLIST: Dict[str, str] = {
     ),
     "storage/oskernel/dmesg.py:DmesgBuffer.grep": _reads("tests/test_oskernel.py"),
     "storage/oskernel/dmesg.py:DmesgBuffer.tail": _reads("tests/test_oskernel.py"),
-    "storage/oskernel/kernel.py:Kernel.mark_dirty": (
-        "it fills the dirty-path queue that Kernel.run_writeback drains; "
-        "run_writeback is an e2ebench target, so the two go together"
-    ),
     "storage/oskernel/server.py:UbuntuServer.crashed": _reads(
         "tests/test_oskernel.py::TestUbuntuServerHealthy"
     ),
