@@ -4,7 +4,7 @@ Implements the physics that Section 2.2 of the paper relies on: acoustic
 media, sound speed in water (Medwin's equation), frequency-dependent
 absorption (Ainslie & McColm 1998 as used by van Moll et al. 2009),
 sound pressure level algebra including the air-to-water +26 dB
-reference shift, signal generation, speaker and amplifier models, and
+reference shift, the attack tone, speaker and amplifier models, and
 propagation loss in open water and in the test tank.
 """
 
@@ -23,20 +23,8 @@ __all__, __getattr__, __dir__ = _lazy.exports(
         ),
         "sound_speed": ("sound_speed_medwin",),
         "absorption": ("absorption_ainslie_mccolm",),
-        "spl": (
-            "pressure_to_spl",
-            "spl_to_pressure",
-            "spl_air_to_water",
-            "spl_water_to_air",
-            "spl_sum",
-        ),
-        "signals": (
-            "Signal",
-            "SineTone",
-            "FrequencySweep",
-            "CompositeSignal",
-            "Silence",
-        ),
+        "spl": ("pressure_to_spl", "spl_to_pressure"),
+        "signals": ("SineTone",),
         "source": ("UnderwaterSpeaker", "Amplifier", "SignalChain"),
         "propagation": ("PropagationModel", "TankModel", "spherical_spreading_db"),
         "ambient": ("AmbientNoise",),

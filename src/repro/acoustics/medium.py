@@ -1,11 +1,8 @@
 """Acoustic media: water columns, air, and the nitrogen fill gas.
 
-A medium is characterised by its density and sound speed, which together
-give its characteristic acoustic impedance ``Z = rho * c``.  Impedance
-ratios drive the transmission coefficients at the container wall
-(:mod:`repro.vibration.transmission`), and water conditions
-(temperature, salinity, depth, pH) drive the sound speed and absorption
-models.
+A medium is characterised by its density and sound speed.  Water
+conditions (temperature, salinity, depth, pH) drive the sound speed and
+absorption models.
 """
 
 from __future__ import annotations
@@ -14,6 +11,8 @@ from dataclasses import dataclass, field
 
 from repro import units
 from repro.errors import UnitError
+
+__all__ = ["WaterConditions", "Medium", "FRESH_WATER", "SEA_WATER", "AIR", "NITROGEN"]
 
 
 @dataclass(frozen=True)
@@ -81,17 +80,6 @@ class Medium:
             raise UnitError(f"density must be positive: {self.density}")
         if self.sound_speed <= 0.0:
             raise UnitError(f"sound speed must be positive: {self.sound_speed}")
-
-    @property
-    def impedance(self) -> float:
-        """Characteristic acoustic impedance ``rho * c`` in rayl."""
-        return self.density * self.sound_speed
-
-    def wavelength(self, frequency_hz: float) -> float:
-        """Wavelength in metres of a tone at ``frequency_hz``."""
-        if frequency_hz <= 0.0:
-            raise UnitError(f"frequency must be positive: {frequency_hz}")
-        return self.sound_speed / frequency_hz
 
     @staticmethod
     def water(conditions: WaterConditions) -> "Medium":

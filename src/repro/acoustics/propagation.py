@@ -70,32 +70,6 @@ class PropagationModel:
             return -math.inf
         return source_level_db - self.transmission_loss_db(distance_m, frequency_hz)
 
-    def max_range_for_level(
-        self,
-        source_level_db: float,
-        required_level_db: float,
-        frequency_hz: float,
-        max_search_m: float = 100_000.0,
-    ) -> float:
-        """Largest distance at which the received level stays above a floor.
-
-        Solved by bisection on the monotone transmission loss; returns
-        ``max_search_m`` if the level is still sufficient there, and 0.0
-        if it is insufficient even at the reference distance.
-        """
-        if self.received_level_db(source_level_db, self.reference_m, frequency_hz) < required_level_db:
-            return 0.0
-        if self.received_level_db(source_level_db, max_search_m, frequency_hz) >= required_level_db:
-            return max_search_m
-        low, high = self.reference_m, max_search_m
-        for _ in range(200):
-            mid = math.sqrt(low * high)  # geometric bisection suits log-scale loss
-            if self.received_level_db(source_level_db, mid, frequency_hz) >= required_level_db:
-                low = mid
-            else:
-                high = mid
-        return low
-
 
 @dataclass
 class TankModel(PropagationModel):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, UnitError
 
-from .signals import Signal, SineTone
+from .signals import SineTone
 
 __all__ = ["Amplifier", "UnderwaterSpeaker", "SignalChain"]
 
@@ -46,10 +46,6 @@ class Amplifier:
         if not 0.0 <= drive_level <= 1.0:
             raise UnitError(f"drive level must be in [0, 1]: {drive_level}")
         return self.max_output_vrms * self.gain * drive_level
-
-    def with_gain(self, gain: float) -> "Amplifier":
-        """Copy of this amplifier with the volume knob moved."""
-        return Amplifier(self.name, self.max_output_vrms, gain)
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,7 @@ class SignalChain:
     instantaneous frequency, the quantity the propagation model consumes.
     """
 
-    signal: Signal
+    signal: SineTone
     amplifier: Amplifier = Amplifier()
     speaker: UnderwaterSpeaker = UnderwaterSpeaker()
     drive_level: float = 1.0
@@ -128,22 +124,3 @@ class SignalChain:
         if vrms <= 0.0:
             return -math.inf
         return self.speaker.source_level_db(vrms, self.signal.frequency_at(t))
-
-    @staticmethod
-    def tone_at_level(frequency_hz: float, source_level_db: float) -> "SignalChain":
-        """Build a chain that emits a pure tone at exactly ``source_level_db``.
-
-        Works backwards through the default speaker/amplifier models to
-        find the drive level; raises if the chain cannot reach the level.
-        """
-        chain = SignalChain(signal=SineTone(frequency_hz))
-        full = chain.source_level_db(0.0)
-        deficit_db = source_level_db - full
-        drive = 10.0 ** (deficit_db / 20.0)
-        if drive > 1.0 + 1e-9:
-            raise ConfigurationError(
-                f"chain cannot reach {source_level_db:.1f} dB at "
-                f"{frequency_hz:.0f} Hz (max {full:.1f} dB)"
-            )
-        chain.drive_level = min(drive, 1.0)
-        return chain

@@ -15,19 +15,11 @@ Blue Note in-air attack levels.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 from repro.errors import UnitError
 from repro.units import P_REF_AIR, P_REF_WATER
 
-__all__ = [
-    "pressure_to_spl",
-    "spl_to_pressure",
-    "spl_air_to_water",
-    "spl_water_to_air",
-    "spl_sum",
-    "AIR_WATER_REFERENCE_SHIFT_DB",
-]
+__all__ = ["pressure_to_spl", "spl_to_pressure", "AIR_WATER_REFERENCE_SHIFT_DB"]
 
 #: 20*log10(20 uPa / 1 uPa): the reference shift between air and water SPL.
 AIR_WATER_REFERENCE_SHIFT_DB = 20.0 * math.log10(P_REF_AIR / P_REF_WATER)
@@ -59,51 +51,3 @@ def spl_to_pressure(spl_db: float, reference_pa: float = P_REF_WATER) -> float:
     if not (reference_pa > 0.0):  # rejects NaN as well as <= 0
         raise UnitError(f"reference pressure must be positive: {reference_pa}")
     return reference_pa * 10.0 ** (spl_db / 20.0)
-
-
-def spl_air_to_water(spl_air_db: float) -> float:
-    """Re-reference an in-air SPL (re 20 uPa) to underwater SPL (re 1 uPa).
-
-    The physical pressure is unchanged; only the reference moves, adding
-    approximately 26 dB (the paper's Section 2.2 conversion).
-
-    >>> round(spl_air_to_water(114.0))  # ~the Blue Note in-air level
-    140
-    """
-    return spl_air_db + AIR_WATER_REFERENCE_SHIFT_DB
-
-
-def spl_water_to_air(spl_water_db: float) -> float:
-    """Re-reference an underwater SPL (re 1 uPa) to in-air SPL (re 20 uPa).
-
-    >>> round(spl_water_to_air(140.0))
-    114
-    """
-    return spl_water_db - AIR_WATER_REFERENCE_SHIFT_DB
-
-
-def spl_sum(levels_db: Iterable[float]) -> float:
-    """Energetically sum incoherent sources given in dB (same reference).
-
-    Two equal sources sum to +3 dB; an empty iterable is rejected because
-    "no sound" has no finite level.  Sources at ``-inf`` dB contribute
-    zero power, so a set of only silent sources sums to ``-inf`` rather
-    than tripping a ``log10(0)`` domain error.
-
-    >>> round(spl_sum([100.0, 100.0]), 2)
-    103.01
-    >>> spl_sum([140.0])
-    140.0
-    >>> spl_sum([float("-inf"), float("-inf")])
-    -inf
-    """
-    total_power = 0.0
-    count = 0
-    for level in levels_db:
-        total_power += 10.0 ** (level / 10.0)
-        count += 1
-    if count == 0:
-        raise UnitError("cannot sum an empty set of levels")
-    if total_power == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(total_power)

@@ -48,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 __all__ = [
     "RackSlot",
     "DriveRack",
-    "BaySweepPoint",
     "AttackWindow",
     "FleetSpec",
     "FleetRack",
@@ -66,23 +65,6 @@ class RackSlot:
     bay: int
     drive: HardDiskDrive
     coupling: AttackCoupling
-
-
-@dataclass(frozen=True)
-class BaySweepPoint:
-    """One (bay, frequency) cell of a rack sweep surface, as a flat row."""
-
-    bay: int
-    frequency_hz: float
-    displacement_m: float
-    offtrack_m: float
-    p_write: float
-    p_read: float
-
-    @property
-    def stalled(self) -> bool:
-        """No-response regime: the write servo cannot track at all."""
-        return self.p_write == 0.0
 
 
 def _servo_signature(servo: ServoSystem) -> tuple:
@@ -320,37 +302,6 @@ class DriveRack:
                 row["stalled"].append(amplitude >= servo.servo_limit_m)
         return {"frequency_hz": freqs, "wall_pressure_pa": wall, "bays": bays}
 
-    def sweep_rows(
-        self,
-        frequencies: Sequence[float],
-        config: Optional[AttackConfig] = None,
-    ) -> List[BaySweepPoint]:
-        """The sweep surface flattened to one row per (bay, frequency).
-
-        Row order is bay-major (all frequencies of bay 0, then bay 1,
-        ...), matching the surface layout.
-        """
-        surface = self.sweep_surface(frequencies, config)
-        freqs = surface["frequency_hz"]
-        return [
-            BaySweepPoint(
-                bay=row["bay"],
-                frequency_hz=f,
-                displacement_m=d,
-                offtrack_m=o,
-                p_write=pw,
-                p_read=pr,
-            )
-            for row in surface["bays"]
-            for f, d, o, pw, pr in zip(
-                freqs,
-                row["displacement_m"],
-                row["offtrack_m"],
-                row["p_write"],
-                row["p_read"],
-            )
-        ]
-
 
 # -- fleet-scale discrete-event simulation ------------------------------------
 #
@@ -360,7 +311,7 @@ class DriveRack:
 # distances metres, rates requests/second.
 
 #: Minimum bays per tower for each ``FleetSpec.raid`` layout (mirrors
-#: RaidArray); "none" is independent disks.
+#: RaidGroup's member minimums); "none" is independent disks.
 _RAID_MINIMUM_BAYS: Dict[str, int] = {"none": 1, "raid0": 2, "raid1": 2, "raid5": 3}
 
 

@@ -96,13 +96,10 @@ _CRASH_TYPES = (JournalAbort, KernelPanic, ProcessCrashed, WALSyncError)
 class AvailabilityMonitor:
     """Runs applications under attack until they crash or survive."""
 
-    def __init__(
-        self, clock: VirtualClock, health: Optional["HealthTrackerLike"] = None
-    ) -> None:
+    def __init__(self, clock: VirtualClock) -> None:
         self.clock = clock
         self.reports: List[CrashReport] = []
         self.truncations: List[WatchTruncation] = []
-        self.health = health
         self._obs = obs.get()
 
     def watch(
@@ -117,8 +114,8 @@ class AvailabilityMonitor:
         Returns the crash report (also appended to :attr:`reports`) or
         None if the application survived the attack window.  A watch
         that exhausts ``max_steps`` before the deadline also returns
-        None but is recorded in :attr:`truncations` (and surfaced on
-        the health timeline / metrics when attached) — "survived" and
+        None but is recorded in :attr:`truncations` (and surfaced in
+        the trace and metrics when telemetry is on) — "survived" and
         "ran out of budget" are different findings.
         """
         if not 0.0 < deadline_s < math.inf:  # also rejects NaN
@@ -171,17 +168,6 @@ class AvailabilityMonitor:
                 ).inc()
             else:
                 tel.metrics.counter("monitor_survivals_total", app=app.name).inc()
-        if self.health is not None:
-            if report is not None:
-                self.health.mark_crashed(
-                    app.name,
-                    start + report.time_to_crash_s,
-                    detail=report.error_output,
-                )
-            elif truncation is not None:
-                self.health.mark_truncated(
-                    app.name, self.clock.now, detail=str(truncation)
-                )
         return report
 
     def _watch(
@@ -224,20 +210,3 @@ class AvailabilityMonitor:
                 )
             )
         return None
-
-    def average_time_to_crash_s(self) -> Optional[float]:
-        """Mean crash time across everything watched so far."""
-        if not self.reports:
-            return None
-        return sum(report.time_to_crash_s for report in self.reports) / len(self.reports)
-
-
-class HealthTrackerLike(Protocol):
-    """The slice of :class:`repro.obs.health.HealthTracker` the monitor
-    uses (kept structural so core does not import obs.health)."""
-
-    def mark_crashed(self, unit: str, t_s: float, detail: str = "") -> str:
-        ...  # pragma: no cover - protocol signature
-
-    def mark_truncated(self, unit: str, t_s: float, detail: str = "") -> None:
-        ...  # pragma: no cover - protocol signature

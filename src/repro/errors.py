@@ -56,6 +56,41 @@ naming the impossible input, as in ``Shell._dispatch`` and
 
 from __future__ import annotations
 
+__all__ = [
+    "EIO",
+    "ENOSPC",
+    "ENOENT",
+    "EEXIST",
+    "EROFS",
+    "ETIMEDOUT",
+    "EINVAL",
+    "ReproError",
+    "ConfigurationError",
+    "UnitError",
+    "DriveError",
+    "DriveFault",
+    "MediumError",
+    "DriveTimeout",
+    "BlockIOError",
+    "CampaignAborted",
+    "WorkerCrashed",
+    "PointTimeout",
+    "FaultInjected",
+    "ResumeMismatch",
+    "FilesystemError",
+    "JournalAbort",
+    "ReadOnlyFilesystem",
+    "FileNotFound",
+    "FileExists",
+    "NoSpace",
+    "KernelPanic",
+    "ProcessCrashed",
+    "KVStoreError",
+    "WALSyncError",
+    "CorruptionError",
+    "DatabaseClosed",
+]
+
 #: Linux errno values used by the simulated kernel and filesystem.
 EIO = 5
 ENOSPC = 28

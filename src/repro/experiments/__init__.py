@@ -13,7 +13,7 @@ from repro import _lazy
 __all__, __getattr__, __dir__ = _lazy.exports(
     globals(),
     {
-        "apps": ("Ext4Victim", "UbuntuVictim", "RocksDBVictim", "DVRVictim"),
+        "apps": ("Ext4Victim", "UbuntuVictim", "RocksDBVictim"),
         "figure2": ("run_figure2", "Figure2Result"),
         "table1": ("run_table1", "Table1Result"),
         "table2": ("run_table2", "Table2Result"),

@@ -29,7 +29,7 @@ from repro.storage.kv.db import DB, Options
 from repro.storage.oskernel.server import UbuntuServer
 from repro.workloads.db_bench import DbBench, DbBenchConfig
 
-__all__ = ["Ext4Victim", "UbuntuVictim", "RocksDBVictim", "DVRVictim"]
+__all__ = ["Ext4Victim", "UbuntuVictim", "RocksDBVictim"]
 
 
 class Ext4Victim:
@@ -71,74 +71,6 @@ class Ext4Victim:
 
 class UbuntuVictim(UbuntuServer):
     """Alias of :class:`UbuntuServer` under the victim naming scheme."""
-
-
-class DVRVictim:
-    """A security-camera DVR (the Blue Note CCTV case, submerged).
-
-    Bolton et al. demonstrated the in-air attack against video
-    surveillance; this victim records fixed-rate video segments to the
-    filesystem and declares itself crashed after a run of consecutive
-    lost segments — the application-level watchdog a real NVR ships
-    with.  Not part of the paper's Table 3, but a natural fourth victim
-    for the extension experiments.
-    """
-
-    name = "DVR"
-    description = "Video surveillance recorder"
-
-    def __init__(
-        self,
-        drive: Optional[HardDiskDrive] = None,
-        segment_interval_s: float = 1.0,
-        segment_bytes: int = 256 * 1024,
-        watchdog_segments: int = 3,
-        rng: Optional[ReproRandom] = None,
-    ) -> None:
-        if not (0.0 < segment_interval_s < math.inf and 0 < segment_bytes < math.inf):
-            raise ConfigurationError(
-                f"segment parameters must be positive and finite: "
-                f"{segment_interval_s}, {segment_bytes}"
-            )
-        if not (1 <= watchdog_segments < math.inf):
-            raise ConfigurationError(
-                f"watchdog segments must be finite and at least one: {watchdog_segments}"
-            )
-        self.rng = rng if rng is not None else make_rng().fork("dvr")
-        self.drive = drive if drive is not None else HardDiskDrive(rng=self.rng.fork("drive"))
-        self.device = BlockDevice(self.drive, name="sda")
-        # Journal commits ride the jbd2 kernel thread (see RocksDBVictim);
-        # the DVR's own watchdog is the crash mechanism under study here.
-        self.fs = SimFS.mkfs(self.device, commit_interval_s=3600.0)
-        self.fs.mkdir("/video")
-        self.segment_interval_s = segment_interval_s
-        self.segment_bytes = segment_bytes
-        self.watchdog_segments = watchdog_segments
-        self.segments_written = 0
-        self.segments_lost = 0
-        self._consecutive_lost = 0
-
-    def step(self) -> None:
-        """Record one video segment; the watchdog counts losses."""
-        from repro.errors import BlockIOError, DriveError, ProcessCrashed
-
-        self.drive.clock.advance(self.segment_interval_s)
-        path = f"/video/seg-{self.segments_written + self.segments_lost:06d}.ts"
-        frame = bytes([self.rng.randint(0, 255)]) * self.segment_bytes
-        try:
-            self.fs.create(path)
-            self.fs.write_file(path, frame)
-        except (BlockIOError, DriveError) as cause:
-            self.segments_lost += 1
-            self._consecutive_lost += 1
-            if self._consecutive_lost >= self.watchdog_segments:
-                raise ProcessCrashed(
-                    f"DVR watchdog: {self._consecutive_lost} consecutive video "
-                    f"segments lost ({cause})"
-                ) from cause
-            return
-        self.segments_written += 1
-        self._consecutive_lost = 0
 
 
 class RocksDBVictim:

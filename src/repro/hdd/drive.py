@@ -158,11 +158,6 @@ class HardDiskDrive:
             resample=self._refresh_from_schedule,
         )
 
-    def offtrack_ratio(self, op: OpKind = OpKind.WRITE) -> float:
-        """Current head excursion as a multiple of the op's threshold."""
-        amplitude = self.profile.servo.offtrack_amplitude_m(self.vibration)
-        return amplitude / self.profile.servo.threshold_m(op)
-
     def success_probability(self, op: OpKind) -> float:
         """Per-attempt media success probability under current vibration."""
         if self.parked:

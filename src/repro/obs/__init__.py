@@ -4,8 +4,8 @@ One subsystem for everything the repro can observe about itself:
 
 * :mod:`~repro.obs.trace` — virtual-clock span tracing (plus the
   zero-overhead :data:`NULL_TRACER` for the disabled path);
-* :mod:`~repro.obs.metrics` — counters / gauges / fixed-bucket
-  histograms with deterministic snapshot/merge for worker fan-out;
+* :mod:`~repro.obs.metrics` — counters and fixed-bucket histograms with
+  deterministic snapshot/merge for worker fan-out;
 * :mod:`~repro.obs.timeseries` — fixed-interval windowed series on the
   virtual clock (throughput, latency, health over *time*), same
   snapshot/merge discipline;
@@ -40,11 +40,10 @@ __all__, __getattr__, __dir__ = _lazy.exports(
         "metrics": (
             "MetricsRegistry",
             "Counter",
-            "Gauge",
             "Histogram",
             "DEFAULT_LATENCY_BUCKETS_S",
         ),
-        "timeseries": ("TimeSeries", "SeriesRecorder", "MetricsSampler"),
+        "timeseries": ("TimeSeries", "SeriesRecorder"),
         "slo": (
             "SloObjective",
             "SloReport",

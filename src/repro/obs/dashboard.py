@@ -284,8 +284,4 @@ def render_text_summary(
             f"{state}={counts[state]}" for state in counts if counts[state]
         )
         lines.append(f"Fleet health: {health.fleet_state()} ({summary or 'no units'})")
-        if health.truncated_units:
-            lines.append(
-                "  watch truncated (step budget): " + ", ".join(health.truncated_units)
-            )
     return "\n".join(lines)

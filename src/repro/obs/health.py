@@ -1,11 +1,10 @@
 """Per-bay, per-rack, and fleet health rollups.
 
 The rack physics give per-bay write/read success probabilities
-(:meth:`~repro.core.fleet.DriveRack.write_success_probabilities`), and
-:class:`~repro.core.monitor.AvailabilityMonitor` reports hard crashes.
-:class:`HealthTracker` folds both into a small state machine per unit:
+(:meth:`~repro.core.fleet.DriveRack.write_success_probabilities`).
+:class:`HealthTracker` folds them into a small state machine per unit:
 
-``healthy`` → ``degraded`` → ``stalled`` → ``crashed``
+``healthy`` → ``degraded`` → ``stalled``
 
 with worst-state-wins rollups (bay → rack → fleet).  Every transition
 is timestamped on the virtual clock and, when a
@@ -13,10 +12,6 @@ is timestamped on the virtual clock and, when a
 into ``health/{unit}`` value series (numeric severity, so dashboards
 can render a heatmap) — which keeps the rollup history mergeable across
 SweepRunner workers like any other series.
-
-Monitor step-budget truncation (satellite of PR 8) is surfaced here
-too: :meth:`HealthTracker.mark_truncated` records that a unit's
-"survived" verdict is unproven, distinct from a genuine survival.
 """
 
 from __future__ import annotations
@@ -34,7 +29,9 @@ __all__ = [
     "HealthTracker",
 ]
 
-#: Ordered worst-last; rollups take the maximum severity.
+#: Ordered worst-last; rollups take the maximum severity.  No
+#: observation classifies a unit as ``crashed``; the state keeps its
+#: rank and its dashboard colour.
 HEALTH_STATES = ("healthy", "degraded", "stalled", "crashed")
 SEVERITY: Dict[str, int] = {state: rank for rank, state in enumerate(HEALTH_STATES)}
 
@@ -69,15 +66,13 @@ class HealthTracker:
     """Tracks unit health and rolls it up to racks and the fleet.
 
     Units are named hierarchically: ``rack0/bay3`` rolls up into
-    ``rack0``, which rolls up into the fleet.  Crashed is terminal for
-    a unit: later probability observations cannot resurrect it.
+    ``rack0``, which rolls up into the fleet.
     """
 
     recorder: Optional[SeriesRecorder] = None
     healthy_threshold: float = 1.0
     states: Dict[str, str] = field(default_factory=dict)
     timeline: List[HealthTransition] = field(default_factory=list)
-    truncated_units: List[str] = field(default_factory=list)
 
     # -- observations -------------------------------------------------
 
@@ -97,27 +92,6 @@ class HealthTracker:
         for bay in sorted(probabilities):
             self.observe_bay(rack, bay, probabilities[bay], t_s)
         return self.states.get(rack, "healthy")
-
-    def mark_crashed(self, unit: str, t_s: float, detail: str = "") -> str:
-        """Record a terminal crash (e.g. from a CrashReport)."""
-        return self._set_state(unit, "crashed", t_s, detail=detail, terminal=True)
-
-    def mark_truncated(self, unit: str, t_s: float, detail: str = "") -> None:
-        """Record that a unit's watch ended on step-budget exhaustion:
-        its apparent survival is unproven, not a clean bill of health."""
-        if unit not in self.truncated_units:
-            self.truncated_units.append(unit)
-        self.timeline.append(
-            HealthTransition(
-                t_s=t_s,
-                unit=unit,
-                state=self.states.get(unit, "healthy"),
-                previous=self.states.get(unit, "healthy"),
-                detail=detail or "monitor step budget exhausted",
-            )
-        )
-        if self.recorder is not None:
-            self.recorder.record(f"health/{unit}/truncated", t_s, 1.0)
 
     # -- rollups ------------------------------------------------------
 
@@ -150,7 +124,7 @@ class HealthTracker:
             "fleet": self.fleet_state(),
             "counts": self.counts(),
             "units": {unit: self.states[unit] for unit in sorted(self.states)},
-            "truncated": list(self.truncated_units),
+            "truncated": [],  # the dashboard template still reads the key
             "timeline": [
                 {
                     "t_s": tr.t_s,
@@ -169,17 +143,8 @@ class HealthTracker:
         prefix = unit + "/"
         return not any(other.startswith(prefix) for other in self.states)
 
-    def _set_state(
-        self,
-        unit: str,
-        state: str,
-        t_s: float,
-        detail: str = "",
-        terminal: bool = False,
-    ) -> str:
+    def _set_state(self, unit: str, state: str, t_s: float, detail: str = "") -> str:
         previous = self.states.get(unit, "healthy")
-        if previous == "crashed" and not terminal:
-            return previous  # crashed is terminal
         if state != previous:
             self.states[unit] = state
             self.timeline.append(

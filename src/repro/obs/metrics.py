@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, fixed-bucket histograms.
+"""The metrics registry: counters and fixed-bucket histograms.
 
 Replaces the ad-hoc counter plumbing that grew inside the drive, the
 FIO tester, the journal, and the KV store with one process-wide sink:
@@ -22,7 +22,6 @@ cross-component aggregate view.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -30,7 +29,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS_S",
@@ -99,23 +97,6 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A value that can go up and down (queue depth, last rate, ...)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current level."""
-        self.value = float(value)
-
-    def add(self, delta: float) -> None:
-        """Move the level by ``delta``."""
-        self.value += delta
-
-
 class Histogram:
     """Fixed-bucket histogram (cumulative buckets on export).
 
@@ -160,36 +141,12 @@ class Histogram:
         self.sum = total
         self.count += seen
 
-    def percentile(self, pct: float) -> float:
-        """Approximate percentile: the upper bound of the bucket that
-        contains the requested rank.
-
-        A rank that lands in the implicit overflow bucket reports
-        ``math.inf`` — the histogram only knows those observations
-        exceeded the last finite bound, and reporting that bound would
-        silently under-state p99/p999 tail latency.
-        """
-        if not 0.0 <= pct <= 100.0:
-            raise ConfigurationError(f"percentile out of range: {pct}")
-        if self.count == 0:
-            return 0.0
-        rank = pct / 100.0 * self.count
-        seen = 0
-        for index, count in enumerate(self.counts):
-            seen += count
-            if seen >= rank and count:
-                if index == len(self.bounds):
-                    return math.inf
-                return self.bounds[index]
-        return self.bounds[-1]
-
 
 class MetricsRegistry:
     """Process-wide named instruments, keyed by (name, sorted labels)."""
 
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, Labels], Counter] = {}
-        self._gauges: Dict[Tuple[str, Labels], Gauge] = {}
         self._histograms: Dict[Tuple[str, Labels], Histogram] = {}
         self._descriptions: Dict[str, str] = {}
 
@@ -216,17 +173,6 @@ class MetricsRegistry:
         metric = self._counters.get(key)
         if metric is None:
             metric = self._counters[key] = Counter()
-        return metric
-
-    def gauge(
-        self, name: str, description: Optional[str] = None, **labels: Any
-    ) -> Gauge:
-        """The gauge for (name, labels), created on first use."""
-        self._describe(name, description)
-        key = (name, _labels_key(labels))
-        metric = self._gauges.get(key)
-        if metric is None:
-            metric = self._gauges[key] = Gauge()
         return metric
 
     def histogram(
@@ -270,7 +216,7 @@ class MetricsRegistry:
         )
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
+        return len(self._counters) + len(self._histograms)
 
     # -- transport -----------------------------------------------------------
 
@@ -280,10 +226,6 @@ class MetricsRegistry:
             "counters": [
                 [name, list(map(list, labels)), metric.value]
                 for (name, labels), metric in sorted(self._counters.items())
-            ],
-            "gauges": [
-                [name, list(map(list, labels)), metric.value]
-                for (name, labels), metric in sorted(self._gauges.items())
             ],
             "histograms": [
                 [
@@ -302,14 +244,11 @@ class MetricsRegistry:
         }
 
     def merge(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a :meth:`snapshot` in: counters and histograms add,
-        gauges take the incoming value (last writer wins)."""
+        """Fold a :meth:`snapshot` in: counters and histograms add."""
         for name, text in snapshot.get("descriptions", []):
             self._describe(name, text)
         for name, labels, value in snapshot.get("counters", []):
             self.counter(name, **dict(labels)).inc(value)
-        for name, labels, value in snapshot.get("gauges", []):
-            self.gauge(name, **dict(labels)).set(value)
         for name, labels, bounds, counts, total, count in snapshot.get(
             "histograms", []
         ):
@@ -355,9 +294,6 @@ class MetricsRegistry:
         for (name, labels), metric in sorted(self._counters.items()):
             type_line(name, "counter")
             lines.append(f"{name}{_labels_text(labels)} {metric.value}")
-        for (name, labels), metric in sorted(self._gauges.items()):
-            type_line(name, "gauge")
-            lines.append(f"{name}{_labels_text(labels)} {metric.value:g}")
         for (name, labels), metric in sorted(self._histograms.items()):
             type_line(name, "histogram")
             cumulative = 0

@@ -35,14 +35,13 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
-from .metrics import DEFAULT_LATENCY_BUCKETS_S, MetricsRegistry
+from .metrics import DEFAULT_LATENCY_BUCKETS_S
 
 __all__ = [
     "ValueWindow",
     "HistWindow",
     "TimeSeries",
     "SeriesRecorder",
-    "MetricsSampler",
     "DEFAULT_WINDOW_S",
     "DEFAULT_MAX_WINDOWS",
 ]
@@ -132,7 +131,7 @@ class HistWindow:
     def percentile(self, bounds: Tuple[float, ...], pct: float) -> float:
         """Upper bound of the bucket holding the requested rank
         (``math.inf`` for ranks in the overflow bucket, 0.0 when
-        empty) — the same contract as :meth:`Histogram.percentile`."""
+        empty)."""
         if not 0.0 <= pct <= 100.0:
             raise ConfigurationError(f"percentile out of range: {pct}")
         if self.count == 0:
@@ -308,10 +307,6 @@ class SeriesRecorder:
         """Add one sample to value series ``name`` at virtual ``t_s``."""
         self.series(name).record(t_s, value)
 
-    def observe(self, name: str, t_s: float, value: float) -> None:
-        """Add one observation to histogram series ``name`` at ``t_s``."""
-        self.series(name, kind="hist").observe(t_s, value)
-
     def names(self) -> List[str]:
         """Every recorded series name, sorted."""
         return sorted(self._series)
@@ -364,50 +359,3 @@ class SeriesRecorder:
             for row in sorted(entry["windows"], key=lambda r: r[0]):
                 series._window(int(row[0])).combine(row[1:])
             series.dropped_windows += entry.get("dropped", 0)
-
-
-class MetricsSampler:
-    """Samples a :class:`MetricsRegistry` into time series.
-
-    Gauges sample as their current level; counters and histograms
-    sample as **deltas since the previous sample** (a rate series once
-    divided by the window).  Call :meth:`sample` on a fixed virtual-time
-    cadence — the monitor and service loops do — and the registry's
-    instantaneous state becomes a timeline.
-    """
-
-    def __init__(self, recorder: SeriesRecorder, registry: MetricsRegistry) -> None:
-        self.recorder = recorder
-        self.registry = registry
-        self._last_counters: Dict[str, int] = {}
-        self._last_hist: Dict[str, Tuple[int, float]] = {}
-
-    @staticmethod
-    def _flat_name(name: str, labels: List[List[str]]) -> str:
-        if not labels:
-            return name
-        inner = ",".join(f"{k}={v}" for k, v in labels)
-        return f"{name}{{{inner}}}"
-
-    def sample(self, t_s: float) -> int:
-        """Record one sample of every instrument at virtual ``t_s``;
-        returns how many series were touched."""
-        touched = 0
-        snapshot = self.registry.snapshot()
-        for name, labels, value in snapshot["gauges"]:
-            self.recorder.record(f"gauge/{self._flat_name(name, labels)}", t_s, value)
-            touched += 1
-        for name, labels, value in snapshot["counters"]:
-            flat = self._flat_name(name, labels)
-            delta = value - self._last_counters.get(flat, 0)
-            self._last_counters[flat] = value
-            self.recorder.record(f"rate/{flat}", t_s, float(delta))
-            touched += 1
-        for name, labels, _bounds, _counts, total, count in snapshot["histograms"]:
-            flat = self._flat_name(name, labels)
-            last_count, last_sum = self._last_hist.get(flat, (0, 0.0))
-            self._last_hist[flat] = (count, total)
-            self.recorder.record(f"rate/{flat}_count", t_s, float(count - last_count))
-            self.recorder.record(f"rate/{flat}_sum", t_s, total - last_sum)
-            touched += 2
-        return touched

@@ -57,10 +57,6 @@ class ReproRandom:
             raise UnitError(f"empty range for randint({low}, {high})")
         return low + self._rng._randbelow(width)
 
-    def randbytes(self, n: int) -> bytes:
-        """``n`` pseudo-random bytes."""
-        return bytes(self._rng.getrandbits(8) for _ in range(n))
-
     def chance(self, probability: float) -> bool:
         """Return True with the given probability (clamped to [0, 1])."""
         if probability <= 0.0:

@@ -101,15 +101,3 @@ class ResultCache:
         """Number of cached entries on disk."""
         # deepcheck: ignore[DC03,DC06] counting entries; order cannot change a count
         return sum(1 for _ in self.cache_dir.glob("*/*.json"))
-
-    def clear(self) -> int:
-        """Delete every cached entry; returns how many were removed."""
-        removed = 0
-        # deepcheck: ignore[DC03] every entry is unlinked; deletion order is moot
-        for path in self.cache_dir.glob("*/*.json"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed

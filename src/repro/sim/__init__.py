@@ -13,7 +13,6 @@ __all__, __getattr__, __dir__ = _lazy.exports(
         "events": (
             "Event",
             "EventQueue",
-            "Simulator",
             "EventScheduler",
             "LANE_ATTACK",
             "LANE_SERVICE",

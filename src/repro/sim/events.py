@@ -3,11 +3,11 @@
 Most of the reproduction advances time synchronously through
 :class:`repro.sim.clock.VirtualClock`, but periodic activity — journal
 commit timers, background compaction, attack schedule changes, watchdog
-monitors — is expressed as events on an :class:`EventQueue` driven by a
-:class:`Simulator`.  :class:`EventScheduler` extends the simulator into
-the fleet-scale engine documented in ``docs/SIMULATION.md``: stable
-``(time, lane, seq)`` ordering, label-forked per-actor RNG streams, and
-``repro.obs`` counters/series describing the event loop itself.
+monitors — is expressed as events on an :class:`EventQueue` driven by
+:class:`EventScheduler`, the fleet-scale engine documented in
+``docs/SIMULATION.md``: stable ``(time, lane, seq)`` ordering,
+label-forked per-actor RNG streams, and ``repro.obs`` counters/series
+describing the event loop itself.
 
 Determinism contract (see docs/SIMULATION.md):
 
@@ -42,7 +42,6 @@ __all__ = [
     "LANE_MONITOR",
     "Event",
     "EventQueue",
-    "Simulator",
     "EventScheduler",
 ]
 
@@ -74,7 +73,7 @@ class Event:
     cancelled: bool = field(compare=False, default=False)
 
     def cancel(self) -> None:
-        """Mark this event so the simulator skips it when it fires."""
+        """Mark this event so the scheduler skips it when it fires."""
         self.cancelled = True
 
 
@@ -117,18 +116,38 @@ class EventQueue:
         return self._heap[0].when if self._heap else None
 
 
-class Simulator:
-    """Drives an :class:`EventQueue` against a :class:`VirtualClock`.
+class EventScheduler:
+    """The fleet-scale event engine: one clock, many actors, one seed.
 
-    Deterministic by construction: virtual seconds only, and the queue's
-    ``(when, lane, seq)`` ordering resolves simultaneous events the same
-    way on every run.
+    Drives an :class:`EventQueue` against a :class:`VirtualClock`, with
+    the two facilities a multi-actor simulation needs
+    (docs/SIMULATION.md documents both contracts):
+
+    * **per-actor RNG** — :meth:`rng_for` forks a child stream off the
+      scheduler's root :class:`~repro.rng.ReproRandom` by string label
+      and caches it, so ``rng_for("rack3/service")`` returns the same
+      stream no matter when (or in which process shard) it is first
+      requested;
+    * **observability** — each fired event increments the
+      ``sim_events_fired_total`` counter and records one point on the
+      ``sim/events`` series through the ambient ``repro.obs`` bundle.
+      Both are read via ``obs.get()`` and skipped entirely when
+      telemetry is off, so the engine stays observationally invisible
+      and draw-for-draw identical either way.
     """
 
-    def __init__(self, clock: Optional[VirtualClock] = None) -> None:
+    def __init__(
+        self,
+        clock: Optional[VirtualClock] = None,
+        rng: Optional[ReproRandom] = None,
+        name: str = "sim",
+    ) -> None:
         self.clock = clock if clock is not None else VirtualClock()
         self.queue = EventQueue()
         self.fired = 0
+        self.name = name
+        self.rng = rng if rng is not None else make_rng().fork(name)
+        self._actor_rngs: Dict[str, ReproRandom] = {}
 
     @property
     def now(self) -> float:
@@ -189,16 +208,6 @@ class Simulator:
 
         return self.schedule(interval, fire_and_reschedule, label=label, lane=lane)
 
-    def step(self) -> bool:
-        """Fire the earliest event; returns False when the queue is empty."""
-        event = self.queue.pop()
-        if event is None:
-            return False
-        self.clock.advance_to(event.when)
-        event.action()
-        self.fired += 1
-        return True
-
     def run_until(self, deadline: float) -> None:
         """Fire every event scheduled at or before ``deadline``.
 
@@ -211,44 +220,6 @@ class Simulator:
                 break
             self.step()
         self.clock.advance_to(deadline)
-
-    def run(self, max_events: int = 1_000_000) -> int:
-        """Drain the queue entirely; returns the number of events fired."""
-        fired = 0
-        while fired < max_events and self.step():
-            fired += 1
-        return fired
-
-
-class EventScheduler(Simulator):
-    """The fleet-scale event engine: one clock, many actors, one seed.
-
-    Extends :class:`Simulator` with the two facilities a multi-actor
-    simulation needs (docs/SIMULATION.md documents both contracts):
-
-    * **per-actor RNG** — :meth:`rng_for` forks a child stream off the
-      scheduler's root :class:`~repro.rng.ReproRandom` by string label
-      and caches it, so ``rng_for("rack3/service")`` returns the same
-      stream no matter when (or in which process shard) it is first
-      requested;
-    * **observability** — each fired event increments the
-      ``sim_events_fired_total`` counter and records one point on the
-      ``sim/events`` series through the ambient ``repro.obs`` bundle.
-      Both are read via ``obs.get()`` and skipped entirely when
-      telemetry is off, so the engine stays observationally invisible
-      and draw-for-draw identical either way.
-    """
-
-    def __init__(
-        self,
-        clock: Optional[VirtualClock] = None,
-        rng: Optional[ReproRandom] = None,
-        name: str = "sim",
-    ) -> None:
-        super().__init__(clock=clock)
-        self.name = name
-        self.rng = rng if rng is not None else make_rng().fork(name)
-        self._actor_rngs: Dict[str, ReproRandom] = {}
 
     def rng_for(self, label: str) -> ReproRandom:
         """The deterministic RNG stream for actor ``label``.

@@ -20,6 +20,6 @@ __all__, __getattr__, __dir__ = _lazy.exports(
     {
         "block": ("BlockDevice", "BlockStats"),
         "faults": ("FaultInjector", "FaultPlan"),
-        "raid": ("RaidArray", "RaidLevel", "ArrayFailed"),
+        "raid": ("RaidLevel",),
     },
 )

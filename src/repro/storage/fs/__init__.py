@@ -14,6 +14,6 @@ __all__, __getattr__, __dir__ = _lazy.exports(
     {
         "inode": ("FileKind", "Inode"),
         "journal": ("Journal", "JournalStats", "Transaction"),
-        "filesystem": ("SimFS", "FileHandle"),
+        "filesystem": ("SimFS",),
     },
 )

@@ -32,7 +32,7 @@ from repro.storage.block import BlockDevice
 from .inode import Extent, FileKind, Inode, ROOT_INO
 from .journal import Journal
 
-__all__ = ["SimFS", "FileHandle"]
+__all__ = ["SimFS"]
 
 _MAGIC = "repro-ext4-sim"
 _INODES_PER_BLOCK = 8
@@ -641,65 +641,3 @@ class SimFS:
     def tick(self) -> None:
         """Run the periodic journal commit timer."""
         self.journal.tick()
-
-    def open(self, path: str, create: bool = False) -> "FileHandle":
-        """Open a file handle (creating the file when asked)."""
-        if create and not self.exists(path):
-            self.create(path)
-        return FileHandle(self, path)
-
-
-class FileHandle:
-    """A positional file handle over :class:`SimFS`."""
-
-    def __init__(self, fs: SimFS, path: str) -> None:
-        self.fs = fs
-        self.path = path
-        self.pos = 0
-        self.closed = False
-        fs.stat(path)  # validate eagerly
-
-    def _check_open(self) -> None:
-        if self.closed:
-            raise FilesystemError(f"I/O on closed handle: {self.path}")
-
-    @property
-    def size(self) -> int:
-        """Current file size in bytes."""
-        return self.fs.stat(self.path).size
-
-    def seek(self, pos: int) -> None:
-        """Move the cursor to ``pos``."""
-        if pos < 0:
-            raise ConfigurationError(f"seek position must be non-negative: {pos}")
-        self._check_open()
-        self.pos = pos
-
-    def read(self, length: Optional[int] = None) -> bytes:
-        """Read from the cursor, advancing it."""
-        self._check_open()
-        data = self.fs.read_file(self.path, offset=self.pos, length=length)
-        self.pos += len(data)
-        return data
-
-    def write(self, data: bytes) -> int:
-        """Write at the cursor, advancing it."""
-        self._check_open()
-        written = self.fs.write_file(self.path, data, offset=self.pos)
-        self.pos += written
-        return written
-
-    def append(self, data: bytes) -> int:
-        """Append to the end regardless of the cursor."""
-        self._check_open()
-        return self.fs.append(self.path, data)
-
-    def close(self) -> None:
-        """Close the handle (idempotent)."""
-        self.closed = True
-
-    def __enter__(self) -> "FileHandle":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()

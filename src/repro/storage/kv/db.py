@@ -494,11 +494,3 @@ class DB:
         if name == "wal-unsynced-bytes":
             return str(self.wal.unsynced_bytes if self.wal is not None else 0)
         return None
-
-    def level_summary(self) -> str:
-        """One-line ``files@level`` summary, like RocksDB's LOG lines."""
-        parts = []
-        for level, files in enumerate(self.versions.levels):
-            if files:
-                parts.append(f"L{level}:{len(files)}")
-        return " ".join(parts) if parts else "empty"

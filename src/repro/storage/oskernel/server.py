@@ -120,12 +120,3 @@ class UbuntuServer:
     def crashed(self) -> bool:
         """True once the kernel has panicked."""
         return self.kernel.panicked
-
-    def uptime_report(self) -> str:
-        """Human-readable one-liner on the server's health."""
-        state = "PANIC" if self.kernel.panicked else "running"
-        return (
-            f"{self.name}: {state}, {len(self.kernel.processes.living())} procs, "
-            f"{self.kernel.buffer_errors()} buffer I/O errors, "
-            f"dmesg {len(self.kernel.dmesg)} lines"
-        )

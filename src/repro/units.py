@@ -2,15 +2,31 @@
 
 Every module stores quantities in SI units internally (pascals, metres,
 hertz, seconds, kilograms).  Decibel quantities are only ever produced or
-consumed at the edges, through the helpers in :mod:`repro.acoustics.spl`
-and the converters below.
+consumed at the edges, through the helpers in :mod:`repro.acoustics.spl`.
 """
 
 from __future__ import annotations
 
-import math
-
 from .errors import UnitError
+
+__all__ = [
+    "P_REF_AIR",
+    "P_REF_WATER",
+    "DENSITY_FRESH_WATER",
+    "DENSITY_AIR",
+    "DENSITY_NITROGEN",
+    "SOUND_SPEED_AIR",
+    "SOUND_SPEED_NITROGEN",
+    "KIB",
+    "MIB",
+    "GIB",
+    "SECTOR_SIZE",
+    "BLOCK_4K",
+    "NM",
+    "CM",
+    "KM",
+    "rpm_to_rev_time",
+]
 
 # --------------------------------------------------------------------------
 # Reference pressures (the air/water +26 dB shift in the paper comes from
@@ -30,9 +46,6 @@ P_REF_WATER = 1e-6
 #: Density of fresh water at ~20 C, kg/m^3.
 DENSITY_FRESH_WATER = 998.0
 
-#: Density of sea water at ~13 C / 35 ppt, kg/m^3.
-DENSITY_SEA_WATER = 1026.0
-
 #: Density of air at 20 C, kg/m^3.
 DENSITY_AIR = 1.204
 
@@ -45,11 +58,8 @@ SOUND_SPEED_AIR = 343.0
 #: Speed of sound in nitrogen at 20 C, m/s.
 SOUND_SPEED_NITROGEN = 349.0
 
-#: Nominal speed of sound in fresh water at 20 C, m/s.
-SOUND_SPEED_FRESH_WATER = 1481.0
-
 # --------------------------------------------------------------------------
-# Sizes and times.
+# Sizes and lengths.
 # --------------------------------------------------------------------------
 
 KIB = 1024
@@ -59,61 +69,11 @@ GIB = 1024 * MIB
 SECTOR_SIZE = 512
 BLOCK_4K = 4 * KIB
 
-MS = 1e-3
-US = 1e-6
-NS = 1e-9
-
 #: Nanometre in metres (track pitches and off-track thresholds).
 NM = 1e-9
 
 CM = 1e-2
 KM = 1e3
-
-
-def db_to_ratio(db: float) -> float:
-    """Convert a decibel *amplitude* gain to a linear pressure ratio.
-
-    >>> db_to_ratio(0.0)
-    1.0
-    >>> db_to_ratio(20.0)
-    10.0
-    """
-    return 10.0 ** (db / 20.0)
-
-
-def ratio_to_db(ratio: float) -> float:
-    """Convert a linear pressure ratio to decibels (amplitude convention).
-
-    >>> ratio_to_db(10.0)
-    20.0
-    >>> ratio_to_db(0.0)
-    Traceback (most recent call last):
-        ...
-    repro.errors.UnitError: pressure ratio must be positive, got 0.0
-    """
-    if ratio <= 0.0:
-        raise UnitError(f"pressure ratio must be positive, got {ratio!r}")
-    return 20.0 * math.log10(ratio)
-
-
-def db_power_to_ratio(db: float) -> float:
-    """Convert a decibel *power* gain to a linear power ratio.
-
-    >>> db_power_to_ratio(10.0)
-    10.0
-    """
-    return 10.0 ** (db / 10.0)
-
-
-def mb_per_s(bytes_count: float, seconds: float) -> float:
-    """Throughput in MB/s (decimal megabytes, matching FIO's reporting).
-
-    >>> mb_per_s(5_000_000, 2.0)
-    2.5
-    """
-    if seconds <= 0.0:
-        raise UnitError(f"duration must be positive, got {seconds!r}")
-    return bytes_count / 1e6 / seconds
 
 
 def rpm_to_rev_time(rpm: float) -> float:
@@ -127,31 +87,3 @@ def rpm_to_rev_time(rpm: float) -> float:
     if rpm <= 0.0:
         raise UnitError(f"spindle speed must be positive, got {rpm!r}")
     return 60.0 / rpm
-
-
-def celsius_to_kelvin(celsius: float) -> float:
-    """Convert Celsius to Kelvin, validating against absolute zero.
-
-    >>> celsius_to_kelvin(20.0)
-    293.15
-    """
-    kelvin = celsius + 273.15
-    if kelvin < 0.0:
-        raise UnitError(f"temperature below absolute zero: {celsius!r} C")
-    return kelvin
-
-
-def depth_to_pressure_atm(depth_m: float) -> float:
-    """Approximate absolute pressure in atmospheres at ``depth_m`` metres.
-
-    Hydrostatic pressure rises roughly one atmosphere every 10 metres of
-    sea water; used by the absorption formulas.
-
-    >>> depth_to_pressure_atm(0.0)
-    1.0
-    >>> depth_to_pressure_atm(10.0)
-    2.0
-    """
-    if depth_m < 0.0:
-        raise UnitError(f"depth must be non-negative, got {depth_m!r}")
-    return 1.0 + depth_m / 10.0

@@ -2,9 +2,8 @@
 
 Models how an underwater pressure wave arriving at the container wall
 becomes mechanical vibration at the victim HDD: material properties,
-forced-panel wall response, impedance-mismatch transmission, mount
-(rack/tower) coupling, and the modal response of the head-stack
-assembly.  These are the mechanisms the paper identifies ("acoustic
+forced-panel wall response, mount (rack/tower) coupling, and the modal
+response of the head-stack assembly.  These are the mechanisms the paper identifies ("acoustic
 waves induce mechanical vibrations in the HDD and container structure;
 these vibrations jostle the HDD's internal components").
 """
@@ -22,12 +21,7 @@ __all__, __getattr__, __dir__ = _lazy.exports(
             "ACRYLIC",
             "TITANIUM",
         ),
-        "transmission": (
-            "PanelWall",
-            "intensity_transmission_coefficient",
-            "pressure_transmission_coefficient",
-            "mass_law_tl_db",
-        ),
+        "transmission": ("PanelWall",),
         "modes": ("VibrationMode", "ModalResponse"),
         "enclosure": ("Enclosure",),
         "mount": ("Mount", "DirectPlacement", "StorageTower"),

@@ -77,10 +77,6 @@ class Enclosure:
             displacement /= 1.0 + r2
         return displacement
 
-    def airborne_tl_db(self, frequency_hz: float) -> float:
-        """Transmission loss of the (weak) airborne path, in dB."""
-        return self.wall.airborne_tl_db(frequency_hz, gas_impedance=self.fill_gas.impedance)
-
     # -- factory methods for the paper's containers -------------------------
 
     @staticmethod

@@ -10,7 +10,6 @@ damping polymers).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import UnitError
@@ -66,10 +65,6 @@ class Material:
             raise UnitError(f"thickness must be positive: {thickness_m}")
         h3 = thickness_m ** 3
         return self.youngs_modulus * h3 / (12.0 * (1.0 - self.poisson_ratio ** 2))
-
-    def longitudinal_speed(self) -> float:
-        """Speed of longitudinal waves in the bulk material, m/s."""
-        return math.sqrt(self.youngs_modulus / self.density)
 
 
 #: Hard polypropylene-like plastic (the paper's plastic container).

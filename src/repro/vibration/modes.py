@@ -53,14 +53,6 @@ class VibrationMode:
         if self.gain < 0.0:
             raise UnitError(f"mode gain must be non-negative: {self.gain}")
 
-    @property
-    def peak_response(self) -> float:
-        """Response magnitude at the damped resonance peak."""
-        zeta = self.damping_ratio
-        if zeta >= math.sqrt(0.5):
-            return self.gain  # over-damped: no peak above DC
-        return self.gain / (2.0 * zeta * math.sqrt(1.0 - zeta * zeta))
-
 
 class ModalResponse:
     """Superposition of several :class:`VibrationMode` objects.

@@ -1,22 +1,10 @@
 """Wall transmission physics.
 
-Two transmission paths exist from the water into the enclosure:
-
-* the **airborne path** — pressure transmitted through the wall into the
-  nitrogen/air fill gas.  The enormous impedance mismatch between water
-  (~1.5 MRayl) and gas (~400 Rayl) makes this path weak; the classic
-  normal-incidence coefficients quantify it.
-* the **structure-borne path** — the wall itself is driven as a forced
-  panel; its vibration shakes the mount and the HDD.  This is the path
-  the paper identifies as the attack mechanism, modelled here by
-  :class:`PanelWall` as a single-degree-of-freedom forced plate with a
-  water-loading added mass.
-
-The mass law (:func:`mass_law_tl_db`) is also provided: it shows that in
-water thin walls are nearly transparent (``pi f m / Z_water`` is tiny at
-audio frequencies), i.e. a submerged container offers far less acoustic
-protection than the same wall would in air — one reason the underwater
-attack is feasible at all.
+The wall facing the sound source is driven as a forced panel; its
+vibration shakes the mount and the HDD.  This structure-borne path is
+the one the paper identifies as the attack mechanism, modelled here by
+:class:`PanelWall` as a single-degree-of-freedom forced plate with a
+water-loading added mass.
 """
 
 from __future__ import annotations
@@ -28,50 +16,7 @@ from repro.errors import UnitError
 
 from .materials import Material
 
-__all__ = [
-    "intensity_transmission_coefficient",
-    "pressure_transmission_coefficient",
-    "mass_law_tl_db",
-    "PanelWall",
-]
-
-
-def intensity_transmission_coefficient(z1: float, z2: float) -> float:
-    """Normal-incidence intensity transmission between impedances z1, z2.
-
-    ``T_I = 4 z1 z2 / (z1 + z2)^2`` — symmetric, in [0, 1].
-    """
-    if z1 <= 0.0 or z2 <= 0.0:
-        raise UnitError("impedances must be positive")
-    return 4.0 * z1 * z2 / ((z1 + z2) ** 2)
-
-
-def pressure_transmission_coefficient(z1: float, z2: float) -> float:
-    """Normal-incidence pressure transmission from medium 1 into medium 2.
-
-    ``T_p = 2 z2 / (z1 + z2)`` — can exceed 1 when entering a stiffer
-    medium (pressure doubling), while intensity is always conserved.
-    """
-    if z1 <= 0.0 or z2 <= 0.0:
-        raise UnitError("impedances must be positive")
-    return 2.0 * z2 / (z1 + z2)
-
-
-def mass_law_tl_db(frequency_hz: float, surface_density: float, medium_impedance: float) -> float:
-    """Normal-incidence mass-law transmission loss of a limp wall, in dB.
-
-    ``TL = 10 log10(1 + (pi f m / Z)^2)``.  In air this is the familiar
-    ~6 dB/octave barrier law; in water the same wall gives almost no loss
-    because ``Z_water`` is ~3600x larger than ``Z_air``.
-    """
-    if frequency_hz <= 0.0:
-        raise UnitError(f"frequency must be positive: {frequency_hz}")
-    if surface_density <= 0.0:
-        raise UnitError(f"surface density must be positive: {surface_density}")
-    if medium_impedance <= 0.0:
-        raise UnitError(f"impedance must be positive: {medium_impedance}")
-    x = math.pi * frequency_hz * surface_density / medium_impedance
-    return 10.0 * math.log10(1.0 + x * x)
+__all__ = ["PanelWall"]
 
 
 @dataclass
@@ -165,21 +110,3 @@ class PanelWall:
         if denom <= 0.0:  # exactly on an undamped resonance (zeta == 0 impossible)
             denom = 1e-12
         return 1.0 / (m_eff * denom)
-
-    def velocity_per_pascal(self, frequency_hz: float) -> float:
-        """Wall velocity amplitude (m/s per Pa) at ``frequency_hz``."""
-        omega = 2.0 * math.pi * frequency_hz
-        return omega * self.displacement_per_pascal(frequency_hz)
-
-    def airborne_tl_db(self, frequency_hz: float, gas_impedance: float = 403.0) -> float:
-        """Transmission loss of the airborne path into the fill gas, dB.
-
-        Water -> wall (mass law) -> gas impedance mismatch.  This path is
-        typically 30+ dB weaker than the structural path and is reported
-        for completeness/ablations.
-        """
-        wall = mass_law_tl_db(frequency_hz, self.surface_density, self.fluid_impedance)
-        mismatch = -10.0 * math.log10(
-            intensity_transmission_coefficient(self.fluid_impedance, gas_impedance)
-        )
-        return wall + mismatch

@@ -15,7 +15,7 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import List, MutableSequence, Optional
+from typing import MutableSequence, Optional
 
 from repro.errors import ConfigurationError, DriveTimeout, MediumError
 from repro.hdd.drive import HardDiskDrive
@@ -115,13 +115,6 @@ class FioResult:
         if self.busy_time_s <= 0.0 or self.bytes_moved == 0:
             return 0.0
         return self.bytes_moved / 1e6 / self.busy_time_s
-
-    @property
-    def iops(self) -> float:
-        """Completed operations per second."""
-        if self.busy_time_s <= 0.0:
-            return 0.0
-        return self.completed_ops / self.busy_time_s
 
     @property
     def avg_latency_s(self) -> Optional[float]:
@@ -263,7 +256,3 @@ class FioTester:
             metrics.counter("fio_bytes_total", mode=mode).inc(result.bytes_moved)
             metrics.histogram("fio_op_latency_s", mode=mode).observe_many(latencies)
         return result
-
-    def run_suite(self, jobs: List[FioJob]) -> List[FioResult]:
-        """Run several jobs back-to-back (drive state carries over)."""
-        return [self.run(job) for job in jobs]

@@ -6,15 +6,9 @@ import pytest
 
 from repro.acoustics.propagation import PropagationModel, TankModel, spherical_spreading_db
 from repro.acoustics.medium import WaterConditions
-from repro.acoustics.signals import (
-    CompositeSignal,
-    FrequencySweep,
-    Silence,
-    SineTone,
-    sweep_plan,
-)
+from repro.acoustics.signals import SineTone, sweep_plan
 from repro.acoustics.source import Amplifier, SignalChain, UnderwaterSpeaker
-from repro.errors import ConfigurationError, UnitError
+from repro.errors import UnitError
 
 
 class TestSineTone:
@@ -28,75 +22,11 @@ class TestSineTone:
         assert tone.envelope_at(1.0) == 1.0
         assert tone.envelope_at(3.0) == 0.0
 
-    def test_sampling_produces_expected_period(self):
-        tone = SineTone(100.0, duration=0.1)
-        samples = tone.sample(10_000.0)
-        assert len(samples) == 1000
-        # ~10 zero crossings upward for 10 cycles.
-        crossings = sum(
-            1 for i in range(1, len(samples)) if samples[i - 1] < 0 <= samples[i]
-        )
-        assert 9 <= crossings <= 11
-
-    @pytest.mark.parametrize(
-        "rate_hz, duration",
-        [
-            (8000.0, None),  # the tone's own duration is endless
-            (8000.0, math.inf),
-            (8000.0, math.nan),
-            (8000.0, 0.0),
-            (8000.0, -1.0),
-            (math.inf, 0.1),
-            (math.nan, 0.1),
-            (0.0, 0.1),
-        ],
-        ids=["endless", "inf", "nan", "zero", "negative",
-             "rate-inf", "rate-nan", "rate-zero"],
-    )
-    def test_sample_rejects_non_positive_or_non_finite_input(self, rate_hz, duration):
-        with pytest.raises(UnitError):
-            SineTone(650.0).sample(rate_hz, duration)
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(UnitError):
             SineTone(0.0)
         with pytest.raises(UnitError):
             SineTone(100.0, amplitude=1.5)
-
-
-class TestSweep:
-    def test_linear_sweep_endpoints(self):
-        sweep = FrequencySweep(100.0, 1100.0, duration=10.0)
-        assert sweep.frequency_at(0.0) == pytest.approx(100.0)
-        assert sweep.frequency_at(5.0) == pytest.approx(600.0)
-        assert sweep.frequency_at(10.0) == pytest.approx(1100.0)
-
-    def test_log_sweep_midpoint_is_geometric_mean(self):
-        sweep = FrequencySweep(100.0, 10_000.0, duration=2.0, logarithmic=True)
-        assert sweep.frequency_at(1.0) == pytest.approx(1000.0, rel=1e-6)
-
-    def test_infinite_duration_rejected(self):
-        with pytest.raises(UnitError):
-            FrequencySweep(100.0, 200.0, duration=math.inf)
-
-
-class TestCompositeAndSilence:
-    def test_composite_concatenates(self):
-        signal = CompositeSignal(
-            [SineTone(100.0, duration=1.0), Silence(1.0), SineTone(300.0, duration=1.0)]
-        )
-        assert signal.duration == 3.0
-        assert signal.frequency_at(0.5) == 100.0
-        assert signal.envelope_at(1.5) == 0.0
-        assert signal.frequency_at(2.5) == 300.0
-
-    def test_composite_requires_parts(self):
-        with pytest.raises(ConfigurationError):
-            CompositeSignal([])
-
-    def test_composite_rejects_infinite_parts(self):
-        with pytest.raises(ConfigurationError):
-            CompositeSignal([SineTone(100.0)])  # default duration inf
 
 
 class TestSweepPlan:
@@ -136,14 +66,6 @@ class TestSourceChain:
         amp = Amplifier(gain=0.5)
         assert amp.output_vrms(1.0) == pytest.approx(15.5)
 
-    def test_tone_at_level_solves_drive(self):
-        chain = SignalChain.tone_at_level(650.0, 120.0)
-        assert chain.source_level_db(0.0) == pytest.approx(120.0, abs=0.1)
-
-    def test_tone_at_level_unreachable_raises(self):
-        with pytest.raises(ConfigurationError):
-            SignalChain.tone_at_level(650.0, 200.0)
-
     def test_silence_emits_negative_infinity(self):
         chain = SignalChain(signal=SineTone(650.0, duration=1.0))
         assert chain.source_level_db(5.0) == -math.inf
@@ -174,13 +96,3 @@ class TestPropagation:
         tank = TankModel(conditions=WaterConditions.tank())
         with pytest.raises(UnitError):
             tank.received_level_db(140.0, 5.0, 650.0)
-
-    def test_max_range_for_level_bisection(self):
-        model = PropagationModel(conditions=WaterConditions.tank())
-        reach = model.max_range_for_level(140.0, 100.0, 650.0)
-        # 40 dB of spreading from 1 cm is 1 m.
-        assert reach == pytest.approx(1.0, rel=0.05)
-
-    def test_max_range_zero_when_unreachable(self):
-        model = PropagationModel(conditions=WaterConditions.tank())
-        assert model.max_range_for_level(90.0, 100.0, 650.0) == 0.0

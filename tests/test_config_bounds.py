@@ -13,7 +13,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.apps import DVRVictim, Ext4Victim, RocksDBVictim
+from repro.experiments.apps import Ext4Victim, RocksDBVictim
 from repro.storage.kv.db import Options
 from repro.storage.oskernel.server import UbuntuServer
 from repro.workloads.db_bench import DbBenchConfig
@@ -64,12 +64,3 @@ def test_ubuntu_server(name, value):
 def test_rocksdb_victim(name, value):
     with pytest.raises(ConfigurationError):
         RocksDBVictim(**{name: value})
-
-
-@pytest.mark.parametrize(
-    "name, value",
-    _cases(["segment_interval_s", "segment_bytes", "watchdog_segments"], POSITIVE_BAD),
-)
-def test_dvr_victim(name, value):
-    with pytest.raises(ConfigurationError):
-        DVRVictim(**{name: value})

@@ -274,13 +274,6 @@ class TestMonitor:
         report = monitor.watch(self._CrashAfter(clock, 1e9), deadline_s=5.0)
         assert report is None
 
-    def test_average_time_to_crash(self):
-        clock = VirtualClock()
-        monitor = AvailabilityMonitor(clock)
-        monitor.watch(self._CrashAfter(clock, clock.now + 4.0), deadline_s=60.0)
-        monitor.watch(self._CrashAfter(clock, clock.now + 6.0), deadline_s=60.0)
-        assert monitor.average_time_to_crash_s() == pytest.approx(5.0, abs=0.6)
-
     def test_deadline_validation(self):
         monitor = AvailabilityMonitor(VirtualClock())
         for deadline_s in (0.0, math.nan, math.inf):

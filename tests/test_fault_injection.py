@@ -5,7 +5,6 @@ import pytest
 from repro.errors import BlockIOError, ConfigurationError, CorruptionError
 from repro.storage.faults import FaultInjector, FaultPlan
 from repro.storage.fs.filesystem import SimFS
-from repro.storage.raid import RaidArray, RaidLevel
 from repro.units import BLOCK_4K
 
 
@@ -86,20 +85,6 @@ class TestStackUnderFaults:
         fs.device = FaultInjector(device, FaultPlan(corrupt_read_p=1.0), rng=rng.fork("c"))
         with pytest.raises(CorruptionError):
             SSTableReader(fs, "/t.sst")
-
-    def test_raid1_rides_through_intermittent_member(self, clock, rng):
-        from repro.hdd.drive import HardDiskDrive
-        from repro.storage.block import BlockDevice
-
-        good = BlockDevice(HardDiskDrive(clock=clock, rng=rng.fork("g")), name="sda")
-        flaky_inner = BlockDevice(
-            HardDiskDrive(clock=clock, rng=rng.fork("f")), name="sdb"
-        )
-        flaky = FaultInjector(flaky_inner, FaultPlan(write_error_p=1.0), rng=rng.fork("i"))
-        array = RaidArray(RaidLevel.RAID1, [good, flaky])
-        array.write_block(0, b"\x77" * BLOCK_4K)
-        assert array.degraded  # the flaky mirror got kicked
-        assert array.read_block(0) == b"\x77" * BLOCK_4K
 
     def test_filesystem_surfaces_injected_write_error(self, device, rng):
         fs = SimFS.mkfs(device, journal_blocks=64, inode_table_blocks=64)

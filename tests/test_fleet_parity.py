@@ -18,7 +18,7 @@ from repro.acoustics.medium import WaterConditions
 from repro.core.attack import SweepPoint
 from repro.core.attacker import AttackConfig
 from repro.core.environment import UnderwaterEnvironment
-from repro.core.fleet import BaySweepPoint, DriveRack
+from repro.core.fleet import DriveRack, RackOutcome
 from repro.errors import ConfigurationError
 from repro.hdd.profiles import make_laptop_profile
 from repro.runtime.runner import SweepRunner
@@ -98,20 +98,6 @@ class TestRackParity:
         assert all(v.displacement_m == 0.0 for v in vibrations.values())
         assert rack.write_success_probabilities() == {0: 1.0, 1: 1.0}
 
-    def test_sweep_rows_flatten_bay_major(self):
-        rack = DriveRack(bays=2)
-        grid = [400.0, 650.0, 900.0]
-        rows = rack.sweep_rows(grid, AttackConfig.paper_best())
-        assert [row.bay for row in rows] == [0, 0, 0, 1, 1, 1]
-        assert [row.frequency_hz for row in rows] == grid * 2
-        surface = rack.sweep_surface(grid, AttackConfig.paper_best())
-        assert [row.p_write for row in rows if row.bay == 1] == (
-            surface["bays"][1]["p_write"]
-        )
-        assert all(
-            row.stalled == (row.p_write == 0.0) for row in rows
-        )
-
 
 class TestHeterogeneousFallback:
     """Racks the batched surface cannot share a stage for take the scalar loop."""
@@ -165,15 +151,25 @@ class TestHealthyBays:
             rack.healthy_bays(threshold=threshold)
 
 
-def _bay_row(spec) -> BaySweepPoint:
-    bay, f = spec
-    return BaySweepPoint(
-        bay=bay,
-        frequency_hz=f,
-        displacement_m=f * 1e-9,
-        offtrack_m=f * 1e-10,
-        p_write=0.5,
-        p_read=0.75,
+def _rack_row(spec) -> RackOutcome:
+    rack, f = spec
+    return RackOutcome(
+        rack=rack,
+        towers=2,
+        drives=10,
+        ops_ok=int(f),
+        ops_degraded=rack,
+        ops_error=3,
+        downtime_s=f * 1e-3,
+        degraded_s=f / 7.0,
+        groups_degraded=1,
+        groups_offline=0,
+        rebuilds=rack,
+        stalled_bays_peak=2,
+        p_write_min=f * 1e-4,
+        latency_sum_s=f / 3.0,
+        latency_max_s=0.075,
+        events=2 * int(f),
     )
 
 
@@ -182,18 +178,22 @@ def _sweep_row(f) -> SweepPoint:
 
 
 class TestTransport:
-    """Fleet and sweep rows cross the pool boundary bit for bit."""
+    """Fleet and sweep rows cross the pool boundary bit for bit.
+
+    A pooled ``fleet`` campaign returns one :class:`RackOutcome` per
+    rack; a pooled ``figure2`` one :class:`SweepPoint` per frequency.
+    """
 
     def test_round_trip_both_hot_row_types(self):
-        bay_specs = [(b, float(f)) for b in (0, 1) for f in (100, 650)]
+        rack_specs = [(r, float(f)) for r in (0, 1) for f in (100, 650)]
         sweep_specs = [float(f) for f in (100, 650, 2000)]
-        for fn, specs in ((_bay_row, bay_specs), (_sweep_row, sweep_specs)):
+        for fn, specs in ((_rack_row, rack_specs), (_sweep_row, sweep_specs)):
             pooled = SweepRunner(workers=2).map(fn, specs)
             assert pooled == [fn(spec) for spec in specs]
 
     def test_pooled_map_matches_inline_bit_for_bit(self):
-        specs = [(bay, float(f)) for bay in (0, 1, 2) for f in (100, 650, 2000)]
-        inline = SweepRunner(workers=1).map(_bay_row, specs)
-        pooled = SweepRunner(workers=2).map(_bay_row, specs)
+        specs = [(rack, float(f)) for rack in (0, 1, 2) for f in (100, 650, 2000)]
+        inline = SweepRunner(workers=1).map(_rack_row, specs)
+        pooled = SweepRunner(workers=2).map(_rack_row, specs)
         assert pooled == inline
-        assert all(isinstance(row, BaySweepPoint) for row in pooled)
+        assert all(isinstance(row, RackOutcome) for row in pooled)

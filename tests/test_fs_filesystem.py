@@ -218,27 +218,3 @@ class TestFailureSemantics:
             fs.create("/g")
         # Reads still work on the read-only corpse.
         assert fs.read_file("/f") == b""
-
-
-class TestFileHandle:
-    def test_positional_read_write(self, fs):
-        fs.create("/f")
-        with fs.open("/f") as handle:
-            handle.write(b"hello")
-            handle.seek(0)
-            assert handle.read() == b"hello"
-            assert handle.size == 5
-
-    def test_append_ignores_cursor(self, fs):
-        handle = fs.open("/f", create=True)
-        handle.write(b"abc")
-        handle.seek(0)
-        handle.append(b"def")
-        handle.seek(0)
-        assert handle.read() == b"abcdef"
-
-    def test_closed_handle_rejects_io(self, fs):
-        handle = fs.open("/f", create=True)
-        handle.close()
-        with pytest.raises(FilesystemError):
-            handle.read()

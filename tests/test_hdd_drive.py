@@ -111,11 +111,6 @@ class TestUnderAttack:
         result = drive.write(0, 8)
         assert result.attempts == 1
 
-    def test_offtrack_ratio_reporting(self, drive):
-        drive.set_vibration(partial_vibration(drive, 1.5))
-        assert drive.offtrack_ratio(OpKind.WRITE) == pytest.approx(1.5, rel=0.01)
-        assert drive.offtrack_ratio(OpKind.READ) < 1.0
-
     def test_flush_blocks_on_stalled_drive(self, drive):
         drive.set_vibration(stall_vibration(drive))
         with pytest.raises(DriveTimeout):

@@ -328,10 +328,3 @@ class TestCrashSemantics:
     def test_close_is_idempotent(self, db):
         db.close()
         db.close()
-
-    def test_level_summary_format(self, db):
-        assert db.level_summary() == "empty"
-        for i in range(10):
-            db.put(f"{i}".encode(), b"v")
-        db.flush()
-        assert db.level_summary().startswith("L0:1")

@@ -296,12 +296,6 @@ class TestMetrics:
         assert registry.counter_value("x", a="1", b="2") == 2
         assert len(registry) == 1
 
-    def test_gauge_set_and_add(self):
-        gauge = obs.MetricsRegistry().gauge("depth")
-        gauge.set(4.0)
-        gauge.add(-1.5)
-        assert gauge.value == pytest.approx(2.5)
-
     def test_histogram_buckets_and_percentile(self):
         hist = obs.Histogram(bounds=[0.1, 1.0, 10.0])
         for value in (0.05, 0.5, 0.5, 5.0, 50.0):
@@ -309,32 +303,6 @@ class TestMetrics:
         assert hist.counts == [1, 2, 1, 1]
         assert hist.count == 5
         assert hist.sum == pytest.approx(56.05)
-        assert hist.percentile(50.0) == 1.0
-        # The p100 rank lands in the implicit overflow bucket (the 50.0
-        # observation): the histogram cannot bound it, so it must report
-        # +Inf rather than under-state the tail as the last finite edge.
-        assert hist.percentile(100.0) == math.inf
-
-    def test_percentile_edges(self):
-        hist = obs.Histogram(bounds=[0.1, 1.0])
-        assert hist.percentile(50.0) == 0.0  # empty histogram
-        hist.observe(0.05)
-        assert hist.percentile(0.0) == 0.1  # rank 0 -> first non-empty bucket
-        assert hist.percentile(100.0) == 0.1
-        hist.observe(99.0)
-        assert hist.percentile(50.0) == 0.1
-        assert hist.percentile(100.0) == math.inf
-        with pytest.raises(ConfigurationError):
-            hist.percentile(-0.1)
-        with pytest.raises(ConfigurationError):
-            hist.percentile(100.1)
-
-    def test_percentile_overflow_only_is_inf(self):
-        hist = obs.Histogram(bounds=[1.0])
-        hist.observe(5.0)
-        assert hist.counts == [0, 1]
-        assert hist.percentile(50.0) == math.inf
-        assert hist.percentile(99.9) == math.inf
 
     def test_histogram_bounds_must_be_sorted(self):
         with pytest.raises(ConfigurationError):
@@ -353,11 +321,9 @@ class TestMetrics:
         b = obs.MetricsRegistry()
         for registry, n in ((a, 1), (b, 2)):
             registry.counter("ops", op="read").inc(n)
-            registry.gauge("level").set(float(n))
             registry.histogram("lat", bounds=[1.0]).observe(0.5 * n)
         a.merge(b.snapshot())
         assert a.counter_value("ops", op="read") == 3
-        assert a.gauge("level").value == 2.0  # last writer wins
         merged = a.histogram("lat", bounds=[1.0])
         assert merged.count == 2
         assert merged.sum == pytest.approx(1.5)
@@ -385,12 +351,10 @@ class TestMetrics:
     def test_render_prometheus_shape(self):
         registry = obs.MetricsRegistry()
         registry.counter("ops_total", op="read").inc(3)
-        registry.gauge("queue_depth").set(2)
         registry.histogram("lat_s", bounds=[0.1, 1.0]).observe(0.05)
         text = registry.render_prometheus()
         assert "# TYPE ops_total counter" in text
         assert 'ops_total{op="read"} 3' in text
-        assert "queue_depth 2" in text
         assert 'lat_s_bucket{le="0.1"} 1' in text
         assert 'lat_s_bucket{le="+Inf"} 1' in text
         assert "lat_s_count 1" in text

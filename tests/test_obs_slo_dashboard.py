@@ -33,7 +33,7 @@ from repro.obs.dashboard import (
     render_text_summary,
     sparkline,
 )
-from repro.obs.health import HEALTH_STATES, HealthTracker, classify_probability
+from repro.obs.health import HealthTracker, classify_probability
 from repro.obs.slo import (
     SloObjective,
     attack_windows_from_tracer,
@@ -193,14 +193,6 @@ class TestHealthRollups:
         assert tracker.fleet_state() == "stalled"
         assert tracker.counts()["stalled"] == 1
 
-    def test_crashed_is_terminal(self):
-        tracker = HealthTracker()
-        tracker.observe_bay("rack0", 0, 0.2, t_s=1.0)
-        tracker.mark_crashed("rack0/bay0", t_s=2.0, detail="KernelPanic")
-        tracker.observe_bay("rack0", 0, 1.0, t_s=3.0)  # cannot resurrect
-        assert tracker.unit_state("rack0/bay0") == "crashed"
-        assert tracker.rack_state("rack0") == "crashed"
-
     def test_transitions_mirror_into_series(self):
         recorder = SeriesRecorder()
         tracker = HealthTracker(recorder=recorder)
@@ -209,18 +201,6 @@ class TestHealthRollups:
         rack = recorder.get("health/rack0")
         assert bay.value_at(2, "last") == 1.0  # degraded severity
         assert rack.value_at(2, "last") == 1.0
-
-    def test_truncation_is_not_a_state_change(self):
-        recorder = SeriesRecorder()
-        tracker = HealthTracker(recorder=recorder)
-        tracker.mark_truncated("mysql", t_s=4.0)
-        assert tracker.unit_state("mysql") == "healthy"
-        assert tracker.truncated_units == ["mysql"]
-        assert recorder.get("health/mysql/truncated") is not None
-        payload = tracker.to_payload()
-        assert payload["truncated"] == ["mysql"]
-        assert payload["timeline"][0]["detail"] == "monitor step budget exhausted"
-        assert set(payload["counts"]) == set(HEALTH_STATES)
 
 
 class TestDashboard:
@@ -298,7 +278,7 @@ class TestIncidentEdgeCases:
         recorder.record("service/ops_ok", 1.5, 1.0)
         recorder.record("service/ops_error", 2.0, 1.0)  # boundary crash
         tracker = HealthTracker(recorder=recorder)
-        tracker.mark_crashed("rack0/bay0", t_s=2.0, detail="boundary")
+        tracker.observe_bay("rack0", 0, 0.0, t_s=2.0)  # the bay stalls
         report = evaluate_slo(recorder, parse_slo("avail>=99.9"))
         assert [w.violated != () for w in report.windows] == [False, False, True]
         assert report.windows[2].t_s == 2.0
@@ -325,8 +305,7 @@ class TestMonitorTruncation:
     def test_truncation_recorded_with_counter_and_health(self):
         clock = VirtualClock()
         with obs.session() as tel:
-            health = HealthTracker(recorder=tel.series)
-            monitor = AvailabilityMonitor(clock, health=health)
+            monitor = AvailabilityMonitor(clock)
             report = monitor.watch(
                 _BusyApp(clock), deadline_s=100.0, max_steps=50
             )
@@ -346,7 +325,6 @@ class TestMonitorTruncation:
         assert tel.metrics.description("monitor_step_budget_exhausted_total")
         (instant,) = [e for e in tel.tracer.events if e.name == "watch.truncated"]
         assert instant.args["steps"] == 50
-        assert health.truncated_units == ["busyapp"]
 
     def test_real_survival_is_not_a_truncation(self):
         clock = VirtualClock()

@@ -1,10 +1,10 @@
-"""Deterministic time-series recorder: windows, rings, merge, sampler.
+"""Deterministic time-series recorder: windows, rings, merge.
 
 Unit-level pins for :mod:`repro.obs.timeseries`: window assignment at
 boundaries (closed left edge), ring eviction with ``dropped_windows``
-accounting, byte-identical snapshots across identical runs, snapshot →
-merge round trips that replay float addition in the same order, and the
-MetricsSampler's gauge-level / counter-delta translation.
+accounting, byte-identical snapshots across identical runs, and
+snapshot → merge round trips that replay float addition in the same
+order.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
     DEFAULT_MAX_WINDOWS,
     DEFAULT_WINDOW_S,
     HistWindow,
-    MetricsSampler,
     SeriesRecorder,
     TimeSeries,
 )
@@ -114,7 +112,7 @@ class TestHistSeries:
         with pytest.raises(ConfigurationError):
             recorder.series("a", kind="hist")
         with pytest.raises(ConfigurationError):
-            recorder.observe("a", 0.0, 1.0)
+            recorder.get("a").observe(0.0, 1.0)
         series = recorder.series("h", kind="hist")
         with pytest.raises(ConfigurationError):
             series.record(0.0, 1.0)
@@ -127,7 +125,7 @@ class TestSnapshotMerge:
         for t, v in ((0.2, 1.5), (0.7, 2.5), (1.1, 4.0)):
             recorder.record("throughput", t, v)
         for t, v in ((0.3, 0.002), (1.4, 0.05)):
-            recorder.observe("latency", t, v)
+            recorder.series("latency", kind="hist").observe(t, v)
         return recorder
 
     def test_identical_runs_dump_identical_snapshots(self):
@@ -176,42 +174,3 @@ class TestSnapshotMerge:
         assert SeriesRecorder().span_s() == (0.0, 0.0)
         assert len(recorder) == 2
         assert recorder.names() == ["latency", "throughput"]
-
-
-class TestMetricsSampler:
-    def test_gauge_levels_and_counter_deltas(self):
-        registry = MetricsRegistry()
-        recorder = SeriesRecorder()
-        sampler = MetricsSampler(recorder, registry)
-
-        registry.gauge("depth").set(3.0)
-        registry.counter("ops", kind="read").inc(10)
-        sampler.sample(0.5)
-        registry.gauge("depth").set(7.0)
-        registry.counter("ops", kind="read").inc(5)
-        sampler.sample(1.5)
-
-        depth = recorder.get("gauge/depth")
-        assert depth.value_at(0, "last") == 3.0
-        assert depth.value_at(1, "last") == 7.0
-        rate = recorder.get("rate/ops{kind=read}")
-        assert rate.value_at(0, "last") == 10.0
-        assert rate.value_at(1, "last") == 5.0
-
-    def test_histogram_deltas(self):
-        registry = MetricsRegistry()
-        recorder = SeriesRecorder()
-        sampler = MetricsSampler(recorder, registry)
-        hist = registry.histogram("lat", bounds=(0.001, 0.01))
-        hist.observe(0.005)
-        hist.observe(0.005)
-        touched = sampler.sample(0.2)
-        assert touched == 2  # _count and _sum
-        hist.observe(0.002)
-        sampler.sample(1.2)
-        counts = recorder.get("rate/lat_count")
-        assert counts.value_at(0, "last") == 2.0
-        assert counts.value_at(1, "last") == 1.0
-        sums = recorder.get("rate/lat_sum")
-        assert sums.value_at(0, "last") == pytest.approx(0.010)
-        assert sums.value_at(1, "last") == pytest.approx(0.002)

@@ -295,6 +295,11 @@ class TestAblationShapes:
 class TestExtensionShapes:
     """The extension studies ``tools/make_results.py`` writes."""
 
+    def test_raid_is_no_defense_against_common_mode(self):
+        # RAID5 rides out one independently failed member, but one
+        # speaker stalls every member of the enclosure at once.
+        assert make_results.raid_common_mode() == (True, False)
+
     def test_rack_coverage_shrinks_with_distance(self):
         rows = make_results.rack_coverage()
         by_cm = {cm: (disabled, stalled) for cm, disabled, stalled in rows}

@@ -1,47 +1,11 @@
-"""More property-based tests: RAID and campaign math."""
+"""More property-based tests: campaign math."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.rng import make_rng
-from repro.sim.clock import VirtualClock
-
 _settings = settings(
     max_examples=50, suppress_health_check=[HealthCheck.too_slow], deadline=None
 )
-
-
-class TestRaidProperties:
-    @given(
-        st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)), min_size=1, max_size=50),
-        st.sampled_from(["raid1", "raid5"]),
-        st.integers(0, 2),
-    )
-    @_settings
-    def test_reads_match_model_even_degraded(self, writes, level_name, victim):
-        from repro.hdd.drive import HardDiskDrive
-        from repro.storage.block import BlockDevice
-        from repro.storage.raid import RaidArray, RaidLevel
-        from repro.units import BLOCK_4K
-
-        clock = VirtualClock()
-        members = [
-            BlockDevice(
-                HardDiskDrive(clock=clock, rng=make_rng(5).fork(f"m{i}")),
-                name=f"sd{i}",
-            )
-            for i in range(3)
-        ]
-        level = RaidLevel.RAID1 if level_name == "raid1" else RaidLevel.RAID5
-        array = RaidArray(level, members)
-        model = {}
-        for block, byte in writes:
-            data = bytes([byte]) * BLOCK_4K
-            array.write_block(block, data)
-            model[block] = data
-        array.members[victim].failed = True  # lose any one member
-        for block, data in model.items():
-            assert array.read_block(block) == data
 
 
 class TestCampaignProperties:

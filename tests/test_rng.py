@@ -54,10 +54,6 @@ class TestChance:
         hits = sum(rng.chance(0.3) for _ in range(10_000))
         assert 2700 <= hits <= 3300
 
-    def test_randbytes_length_and_determinism(self):
-        assert make_rng(3).randbytes(16) == make_rng(3).randbytes(16)
-        assert len(make_rng(3).randbytes(32)) == 32
-
     def test_randint_bounds(self):
         rng = make_rng(4)
         values = [rng.randint(2, 5) for _ in range(200)]

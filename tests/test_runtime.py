@@ -125,13 +125,13 @@ class TestResultCache:
         with pytest.raises(ConfigurationError):
             ResultCache(occupied)
 
-    def test_len_and_clear(self, tmp_path):
+    def test_len_counts_entries_on_disk(self, tmp_path):
         cache = ResultCache(tmp_path)
+        assert len(cache) == 0
         cache.put("aa" * 32, {"x": 1})
         cache.put("bb" * 32, {"x": 2})
+        cache.put("aa" * 32, {"x": 3})  # a rewrite replaces its entry
         assert len(cache) == 2
-        assert cache.clear() == 2
-        assert len(cache) == 0
 
 
 class TestSweepRunnerMechanics:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.clock import VirtualClock
-from repro.sim.events import EventQueue, Simulator
+from repro.sim.events import EventQueue, EventScheduler
 
 
 class TestVirtualClock:
@@ -75,8 +75,10 @@ class TestEventQueue:
 
 
 class TestSimulator:
+    """The event loop itself, as :class:`EventScheduler` runs it."""
+
     def test_step_advances_clock_to_event_time(self):
-        sim = Simulator()
+        sim = EventScheduler()
         fired = []
         sim.schedule(5.0, lambda: fired.append(sim.now))
         assert sim.step() is True
@@ -84,7 +86,7 @@ class TestSimulator:
         assert sim.now == 5.0
 
     def test_run_until_fires_only_due_events(self):
-        sim = Simulator()
+        sim = EventScheduler()
         fired = []
         sim.schedule(1.0, lambda: fired.append(1))
         sim.schedule(10.0, lambda: fired.append(10))
@@ -93,14 +95,14 @@ class TestSimulator:
         assert sim.now == 5.0
 
     def test_schedule_every_repeats(self):
-        sim = Simulator()
+        sim = EventScheduler()
         fired = []
         sim.schedule_every(1.0, lambda: fired.append(sim.now), until=4.5)
         sim.run_until(10.0)
         assert fired == [1.0, 2.0, 3.0, 4.0]
 
     def test_schedule_every_stops_on_stopiteration(self):
-        sim = Simulator()
+        sim = EventScheduler()
         fired = []
 
         def action():
@@ -114,10 +116,4 @@ class TestSimulator:
 
     def test_schedule_rejects_negative_delay(self):
         with pytest.raises(ConfigurationError):
-            Simulator().schedule(-1.0, lambda: None)
-
-    def test_run_drains_queue(self):
-        sim = Simulator()
-        for delay in (1.0, 2.0, 3.0):
-            sim.schedule(delay, lambda: None)
-        assert sim.run() == 3
+            EventScheduler().schedule(-1.0, lambda: None)

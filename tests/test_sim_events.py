@@ -50,7 +50,7 @@ class TestSchedulerOrdering:
         sched.schedule(1.0, lambda: calls.append("repair"), lane=LANE_REPAIR)
         sched.schedule(1.0, lambda: calls.append("attack"), lane=LANE_ATTACK)
         sched.schedule(0.5, lambda: calls.append("early"))
-        sched.run()
+        sched.run_until(1.0)
         assert calls == ["early", "attack", "service", "repair", "monitor"]
 
     def test_same_time_same_lane_fires_in_scheduling_order(self):
@@ -58,7 +58,7 @@ class TestSchedulerOrdering:
         calls = []
         for tag in ("a", "b", "c"):
             sched.schedule(2.0, lambda tag=tag: calls.append(tag))
-        sched.run()
+        sched.run_until(2.0)
         assert calls == ["a", "b", "c"]
 
     def test_cancelled_event_is_skipped(self):
@@ -68,7 +68,7 @@ class TestSchedulerOrdering:
         drop = sched.schedule(1.0, lambda: calls.append("drop"))
         drop.cancel()
         assert len(sched.queue) == 1
-        sched.run()
+        sched.run_until(1.0)
         assert calls == ["keep"]
         assert not keep.cancelled
 
@@ -117,7 +117,7 @@ class TestActorRng:
             sched = EventScheduler(name="unit")
             sched.schedule(0.5, lambda: None)
             sched.schedule(1.0, lambda: None)
-            sched.run()
+            sched.run_until(1.0)
         assert tel.metrics.counter_value("sim_events_fired_total", scheduler="unit") == 2
         assert "sim/events" in tel.series.names()
 

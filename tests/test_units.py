@@ -8,63 +8,13 @@ from repro import units
 from repro.errors import UnitError
 
 
-class TestDecibels:
-    def test_db_to_ratio_zero_db_is_unity(self):
-        assert units.db_to_ratio(0.0) == pytest.approx(1.0)
-
-    def test_db_to_ratio_20db_is_10x(self):
-        assert units.db_to_ratio(20.0) == pytest.approx(10.0)
-
-    def test_db_to_ratio_negative(self):
-        assert units.db_to_ratio(-6.0) == pytest.approx(0.5012, rel=1e-3)
-
-    def test_ratio_to_db_roundtrip(self):
-        for db in (-40.0, -3.0, 0.0, 12.5, 60.0):
-            assert units.ratio_to_db(units.db_to_ratio(db)) == pytest.approx(db)
-
-    def test_ratio_to_db_rejects_nonpositive(self):
-        with pytest.raises(UnitError):
-            units.ratio_to_db(0.0)
-        with pytest.raises(UnitError):
-            units.ratio_to_db(-1.0)
-
-    def test_power_ratio_10db_is_10x(self):
-        assert units.db_power_to_ratio(10.0) == pytest.approx(10.0)
-
-
 class TestThroughputAndTime:
-    def test_mb_per_s(self):
-        assert units.mb_per_s(10_000_000, 2.0) == pytest.approx(5.0)
-
-    def test_mb_per_s_rejects_zero_duration(self):
-        with pytest.raises(UnitError):
-            units.mb_per_s(1000, 0.0)
-
     def test_rpm_to_rev_time_7200(self):
         assert units.rpm_to_rev_time(7200.0) == pytest.approx(8.333e-3, rel=1e-3)
 
     def test_rpm_rejects_nonpositive(self):
         with pytest.raises(UnitError):
             units.rpm_to_rev_time(0.0)
-
-    def test_celsius_to_kelvin(self):
-        assert units.celsius_to_kelvin(20.0) == pytest.approx(293.15)
-
-    def test_celsius_below_absolute_zero_rejected(self):
-        with pytest.raises(UnitError):
-            units.celsius_to_kelvin(-300.0)
-
-
-class TestPressureDepth:
-    def test_surface_is_one_atm(self):
-        assert units.depth_to_pressure_atm(0.0) == pytest.approx(1.0)
-
-    def test_ten_metres_is_two_atm(self):
-        assert units.depth_to_pressure_atm(10.0) == pytest.approx(2.0)
-
-    def test_negative_depth_rejected(self):
-        with pytest.raises(UnitError):
-            units.depth_to_pressure_atm(-1.0)
 
 
 class TestReferencePressures:

@@ -9,12 +9,7 @@ from repro.vibration.enclosure import Enclosure
 from repro.vibration.materials import ALUMINUM, DAMPING_POLYMER, HARD_PLASTIC, Material
 from repro.vibration.modes import ModalResponse, VibrationMode
 from repro.vibration.mount import DirectPlacement, Mount, StorageTower
-from repro.vibration.transmission import (
-    PanelWall,
-    intensity_transmission_coefficient,
-    mass_law_tl_db,
-    pressure_transmission_coefficient,
-)
+from repro.vibration.transmission import PanelWall
 
 
 class TestMaterials:
@@ -32,44 +27,11 @@ class TestMaterials:
     def test_damping_polymer_is_lossy(self):
         assert DAMPING_POLYMER.loss_factor > 5 * HARD_PLASTIC.loss_factor
 
-    def test_longitudinal_speed(self):
-        # Aluminum: ~5000 m/s bar velocity.
-        assert ALUMINUM.longitudinal_speed() == pytest.approx(5055.0, rel=0.02)
-
     def test_validation(self):
         with pytest.raises(UnitError):
             Material("bad", -1.0, 1e9)
         with pytest.raises(UnitError):
             Material("bad", 1000.0, 1e9, poisson_ratio=0.7)
-
-
-class TestTransmissionCoefficients:
-    def test_matched_impedance_transmits_fully(self):
-        assert intensity_transmission_coefficient(1e6, 1e6) == pytest.approx(1.0)
-
-    def test_water_to_air_is_tiny(self):
-        t = intensity_transmission_coefficient(1.48e6, 413.0)
-        assert t < 0.002
-
-    def test_intensity_is_symmetric(self):
-        assert intensity_transmission_coefficient(1e6, 400.0) == pytest.approx(
-            intensity_transmission_coefficient(400.0, 1e6)
-        )
-
-    def test_pressure_coefficient_can_exceed_unity(self):
-        # Entering a stiffer medium doubles the pressure at the limit.
-        assert pressure_transmission_coefficient(400.0, 1.48e6) == pytest.approx(2.0, abs=0.01)
-
-    def test_mass_law_nearly_transparent_in_water(self):
-        # The reproduction's point: thin walls give almost no protection
-        # underwater, unlike in air.
-        in_water = mass_law_tl_db(1000.0, 4.5, 1.48e6)
-        in_air = mass_law_tl_db(1000.0, 4.5, 413.0)
-        assert in_water < 0.1
-        assert in_air > 25.0
-
-    def test_mass_law_rises_with_frequency(self):
-        assert mass_law_tl_db(8000.0, 4.5, 413.0) > mass_law_tl_db(1000.0, 4.5, 413.0)
 
 
 class TestPanelWall:
@@ -91,32 +53,11 @@ class TestPanelWall:
         # ~12 dB/octave: one octave up, ~4x less displacement.
         assert d650 / d1300 == pytest.approx(4.0, rel=0.2)
 
-    def test_velocity_is_omega_times_displacement(self):
-        wall = PanelWall(material=ALUMINUM, thickness_m=0.003)
-        f = 650.0
-        assert wall.velocity_per_pascal(f) == pytest.approx(
-            2 * math.pi * f * wall.displacement_per_pascal(f)
-        )
-
-    def test_airborne_path_is_heavily_attenuated(self):
-        wall = PanelWall(material=HARD_PLASTIC, thickness_m=0.004)
-        assert wall.airborne_tl_db(650.0) > 25.0
-
-
 class TestModes:
     def test_mode_peaks_at_resonance(self):
         mode = ModalResponse([VibrationMode(frequency_hz=500.0, damping_ratio=0.1)])
         assert mode.response(500.0) > mode.response(250.0)
         assert mode.response(500.0) > mode.response(1000.0)
-
-    def test_peak_response_matches_formula(self):
-        mode = VibrationMode(frequency_hz=500.0, damping_ratio=0.1, gain=2.0)
-        expected = 2.0 / (2 * 0.1 * math.sqrt(1 - 0.01))
-        assert mode.peak_response == pytest.approx(expected)
-
-    def test_overdamped_mode_has_no_peak(self):
-        mode = VibrationMode(frequency_hz=500.0, damping_ratio=0.9)
-        assert mode.peak_response == mode.gain
 
     def test_modal_sum_in_quadrature(self):
         response = ModalResponse(
@@ -153,9 +94,6 @@ class TestEnclosure:
         base = enclosure.frame_displacement_per_pascal(650.0)
         enclosure.structural_gain = 2.0
         assert enclosure.frame_displacement_per_pascal(650.0) == pytest.approx(2 * base)
-
-    def test_airborne_tl_reported(self):
-        assert Enclosure.hard_plastic().airborne_tl_db(650.0) > 20.0
 
     def test_bad_rolloff_rejected(self):
         from repro.vibration.transmission import PanelWall

@@ -29,7 +29,6 @@ from repro.analysis.report import ReportOptions, render_report, run_report
 from repro.core.attacker import AttackConfig
 from repro.core.coupling import AttackCoupling
 from repro.core.fleet import DriveRack
-from repro.errors import BlockIOError
 from repro.experiments.ablations import run_drive_type_ablation
 from repro.hdd.drive import HardDiskDrive
 from repro.hdd.servo import VibrationInput
@@ -38,42 +37,37 @@ from repro.sim.clock import VirtualClock
 from repro.storage.block import BlockDevice
 from repro.storage.fs.filesystem import SimFS
 from repro.storage.kv.db import DB, Options
-from repro.storage.raid import ArrayFailed, RaidArray, RaidLevel
-from repro.units import BLOCK_4K
+from repro.storage.raid import RaidGroup, RaidLevel
 from repro.workloads.ycsb import WORKLOADS, YcsbRunner
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 def raid_common_mode() -> Tuple[bool, bool]:
-    """Whether a 3-bay RAID5 survives one dead member, and one speaker."""
+    """Whether a 3-bay RAID5 survives one dead member, and one speaker.
 
-    def loaded_array() -> Tuple[DriveRack, RaidArray]:
-        rack = DriveRack(bays=3)
-        array = RaidArray.from_rack(rack, RaidLevel.RAID5)
-        for i in range(6):
-            array.write_block(i, bytes([i]) * BLOCK_4K)
-        return rack, array
+    Each bay the rack reports stalled fails its member of the fleet's
+    :class:`RaidGroup`; the array survives while the group stays online.
+    """
+
+    def survives(rack: DriveRack) -> bool:
+        group = RaidGroup(RaidLevel.RAID5, 3)
+        for bay in rack.stalled_bays():
+            group.fail_member(bay, rack.clock.now)
+        return group.online
 
     # One independent mechanical failure: a single member stalls.
-    _, array = loaded_array()
-    drive = array.members[0].device.drive
+    rack = DriveRack(bays=3)
+    drive = rack.drives[0]
     servo = drive.profile.servo
     mechanical = servo.hsa.response(650.0) * servo.head_gain * servo.rejection(650.0)
     drive.set_vibration(VibrationInput(650.0, 2.0 * servo.servo_limit_m / mechanical))
-    survived = all(array.read_block(i) == bytes([i]) * BLOCK_4K for i in range(6))
-    independent = survived and array.online
+    independent = survives(rack)
 
     # The acoustic attack: every member stalls at once.
-    rack, array = loaded_array()
+    rack = DriveRack(bays=3)
     rack.apply_attack(AttackConfig.paper_best())
-    try:
-        for i in range(6):
-            array.read_block(i)
-        attacked = array.online
-    except (ArrayFailed, BlockIOError):
-        attacked = False
-    return independent, attacked
+    return independent, survives(rack)
 
 
 def rack_coverage() -> List[Tuple[int, int, int]]:

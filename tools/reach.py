@@ -66,15 +66,6 @@ def _reads(where: str) -> str:
     return f"{where} reads what it checks through it"
 
 
-def _only_tests(where: str) -> str:
-    """The function's own tests are its only callers.
-
-    These entries are the deletion queue (ROADMAP item 2): each goes,
-    with its tests, in a later change.
-    """
-    return f"its only callers are {where}; queued for deletion with them"
-
-
 _RECOVERY = (
     "a recovery path: tests/test_integration_recovery.py and the remount/"
     "reopen tests run it to show committed data survives an attack; no "
@@ -84,10 +75,6 @@ _CALIBRATION = (
     "tests/test_hdd_geometry.py and tests/test_golden_values.py check the "
     "drive model's calibration through it"
 )
-_AIRBORNE = _only_tests(
-    "the airborne-path and mass-law tests in tests/test_vibration.py and "
-    "tests/test_acoustics_core.py::TestMedium"
-)
 _HOT_KV = (
     "removing it edits the kind and sequence checks of DB.get, MemTable.get "
     "and SSTableReader.get, the kv-read hot path, so it needs its own "
@@ -96,41 +83,6 @@ _HOT_KV = (
 
 #: Unreached public functions that stay anyway, each with its reason.
 ALLOWLIST: Dict[str, str] = {
-    "acoustics/medium.py:Medium.impedance": _AIRBORNE,
-    "acoustics/medium.py:Medium.wavelength": _only_tests(
-        "tests/test_acoustics_core.py::TestMedium"
-    ),
-    "acoustics/propagation.py:PropagationModel.max_range_for_level": _only_tests(
-        "tests/test_acoustics_signals.py::TestPropagation"
-    ),
-    "acoustics/signals.py:CompositeSignal": _only_tests(
-        "tests/test_acoustics_signals.py::TestCompositeAndSilence"
-    ),
-    "acoustics/signals.py:FrequencySweep": _only_tests(
-        "tests/test_acoustics_signals.py::TestSweep"
-    ),
-    "acoustics/signals.py:Signal": _only_tests(
-        "tests/test_acoustics_signals.py::TestSineTone (sample) and "
-        "tests/test_coverage_gaps.py::TestSourceBits"
-    ),
-    "acoustics/signals.py:Silence": _only_tests(
-        "tests/test_coverage_gaps.py::TestSourceBits"
-    ),
-    "acoustics/source.py:Amplifier.with_gain": _only_tests(
-        "tests/test_coverage_gaps.py::TestSourceBits"
-    ),
-    "acoustics/source.py:SignalChain.tone_at_level": _only_tests(
-        "tests/test_acoustics_signals.py::TestSourceChain"
-    ),
-    "acoustics/spl.py:spl_air_to_water": _only_tests(
-        "tests/test_acoustics_core.py::TestSPL"
-    ),
-    "acoustics/spl.py:spl_sum": _only_tests(
-        "tests/test_acoustics_core.py::TestSPL and tests/test_vecphys.py"
-    ),
-    "acoustics/spl.py:spl_water_to_air": _only_tests(
-        "tests/test_acoustics_core.py::TestSPL"
-    ),
     "core/attack.py:FrequencySweepResult.vulnerable_band": _reads(
         "tests/test_core_attack.py (a measured sweep's band) and "
         "tests/test_paper_shapes.py"
@@ -141,30 +93,15 @@ ALLOWLIST: Dict[str, str] = {
     "core/coupling.py:AttackCoupling.offtrack_ratio": _reads(
         "tests/test_core_attack.py::TestCoupling and TestDefenses"
     ),
-    "core/fleet.py:BaySweepPoint.stalled": _only_tests(
-        "tests/test_fleet_parity.py::TestRackParity::test_sweep_rows_flatten_bay_major"
-    ),
     "core/fleet.py:DriveRack.drives": _reads(
-        "tests/test_fleet_smart_detector.py (a rack's drives) and tests/test_raid.py"
-    ),
-    "core/fleet.py:DriveRack.sweep_rows": _only_tests(
-        "tests/test_fleet_parity.py::TestRackParity::test_sweep_rows_flatten_bay_major"
-    ),
-    "core/monitor.py:AvailabilityMonitor.average_time_to_crash_s": _only_tests(
-        "tests/test_core_attack.py::TestMonitor"
-    ),
-    "experiments/apps.py:DVRVictim": _only_tests(
-        "tests/test_profiles_dvr.py::TestDVRVictim and tests/test_config_bounds.py "
-        "(16 tests)"
+        "tests/test_fleet_smart_detector.py (a rack's drives) and "
+        "tools/make_results.py's RAID study"
     ),
     "experiments/objectives.py:ObjectiveOutcome.completion_fraction": _reads(
         "tests/test_objectives.py (the two objectives' progress)"
     ),
     "hdd/drive.py:HardDiskDrive.flush": (
         "its only caller is BlockDevice.flush, which e2ebench wraps"
-    ),
-    "hdd/drive.py:HardDiskDrive.offtrack_ratio": _only_tests(
-        "tests/test_hdd_drive.py::TestUnderAttack::test_offtrack_ratio_reporting"
     ),
     "hdd/geometry.py:DiskGeometry.capacity_bytes": _CALIBRATION,
     "hdd/geometry.py:DiskGeometry.sectors_per_track_at": _CALIBRATION,
@@ -184,26 +121,11 @@ ALLOWLIST: Dict[str, str] = {
         "the SMART tests in tests/test_fleet_smart_detector.py and "
         "tests/test_hdd_drive.py"
     ),
-    "obs/health.py:HealthTracker.mark_crashed": _only_tests(
-        "tests/test_obs_slo_dashboard.py and an AvailabilityMonitor built with "
-        "a tracker, which no command builds"
-    ),
-    "obs/health.py:HealthTracker.mark_truncated": _only_tests(
-        "tests/test_obs_slo_dashboard.py and an AvailabilityMonitor built with "
-        "a tracker, which no command builds"
-    ),
     "obs/health.py:HealthTracker.rack_state": _reads(
         "tests/test_obs_slo_dashboard.py::TestHealthRollups"
     ),
     "obs/health.py:HealthTracker.unit_state": _reads(
         "tests/test_obs_slo_dashboard.py::TestHealthRollups"
-    ),
-    "obs/metrics.py:Gauge": _only_tests(
-        "tests/test_obs_core.py::TestMetrics::test_gauge_set_and_add and "
-        "tests/test_obs_timeseries.py::TestMetricsSampler"
-    ),
-    "obs/metrics.py:Histogram.percentile": _only_tests(
-        "tests/test_obs_core.py::TestMetrics (three percentile tests)"
     ),
     "obs/metrics.py:MetricsRegistry.counter_total": _reads(
         "tests/test_obs_core.py and tests/test_obs_pipeline.py"
@@ -215,31 +137,12 @@ ALLOWLIST: Dict[str, str] = {
     "obs/metrics.py:MetricsRegistry.description": _reads(
         "tests/test_obs_slo_dashboard.py::TestMonitorTruncation"
     ),
-    "obs/metrics.py:MetricsRegistry.gauge": _only_tests(
-        "tests/test_obs_core.py::TestMetrics and "
-        "tests/test_obs_timeseries.py::TestMetricsSampler"
-    ),
-    "obs/timeseries.py:HistWindow": _only_tests(
-        "tests/test_obs_timeseries.py::TestHistSeries and TestSnapshotMerge "
-        "(histogram series, which no command records)"
-    ),
-    "obs/timeseries.py:MetricsSampler": _only_tests(
-        "tests/test_obs_timeseries.py::TestMetricsSampler"
-    ),
-    "obs/timeseries.py:SeriesRecorder.observe": _only_tests(
-        "tests/test_obs_timeseries.py::TestHistSeries and TestSnapshotMerge "
-        "(histogram series, which no command records)"
-    ),
     "obs/timeseries.py:ValueWindow.mean": _reads(
         "tests/test_obs_timeseries.py::TestWindowing"
     ),
     "obs/trace.py:Tracer.current_track": _reads("tests/test_obs_core.py::TestTracer"),
     "obs/trace.py:Tracer.find_spans": _reads(
         "tests/test_obs_core.py and tests/test_obs_pipeline.py"
-    ),
-    "rng.py:ReproRandom.randbytes": _only_tests("tests/test_rng.py::TestChance"),
-    "runtime/cache.py:ResultCache.clear": _only_tests(
-        "tests/test_runtime.py::TestResultCache::test_len_and_clear"
     ),
     "runtime/runner.py:SweepRunner.last_reporter": _reads(
         "tests/test_resilience.py (a run's point counts)"
@@ -249,25 +152,12 @@ ALLOWLIST: Dict[str, str] = {
         "cli-quick, so removing it edits that loop; tests/test_sim.py and "
         "tests/test_sim_events.py cover it"
     ),
-    "sim/events.py:Simulator.run": _only_tests(
-        "tests/test_sim.py and tests/test_sim_events.py (the fleet runs "
-        "EventScheduler.run_until)"
-    ),
-    "sim/events.py:Simulator.step": _only_tests(
-        "tests/test_sim.py (EventScheduler.step overrides it)"
-    ),
     "storage/faults.py": (
         "the block-device fake tests/test_fault_injection.py::"
-        "TestStackUnderFaults uses to show that SSTable CRCs, RAID1 and the "
+        "TestStackUnderFaults uses to show that SSTable CRCs and the "
         "filesystem error path handle independent faults"
     ),
-    "storage/fs/filesystem.py:FileHandle": _only_tests(
-        "tests/test_fs_filesystem.py::TestFileHandle"
-    ),
     "storage/fs/filesystem.py:SimFS.mount": _RECOVERY,
-    "storage/fs/filesystem.py:SimFS.open": _only_tests(
-        "tests/test_fs_filesystem.py::TestFileHandle"
-    ),
     "storage/fs/fsck.py": (
         "the invariant checker tests/test_integration_recovery.py asserts "
         "after a post-attack remount (committed data survives, fsck comes "
@@ -284,8 +174,10 @@ ALLOWLIST: Dict[str, str] = {
         "benchmark change drops that target; tests/test_kv_db.py::"
         "TestFlushAndCompaction drives it"
     ),
-    "storage/kv/db.py:DB.close": _only_tests(
-        "tests/test_kv_db.py::TestCrashSemantics"
+    "storage/kv/db.py:DB.close": (
+        "it syncs the WAL before the handle closes, the flush that makes "
+        "acknowledged writes durable; no command closes a database, and "
+        "tests/test_kv_db.py::TestCrashSemantics checks it"
     ),
     "storage/kv/db.py:DB.compact_range": (
         "compaction's tests drive it through this (tests/test_kv_db.py, "
@@ -295,9 +187,6 @@ ALLOWLIST: Dict[str, str] = {
     "storage/kv/db.py:DB.get_property": _reads(
         "tests/test_ambient_extras.py::TestKVRangeAndProperties (level counts "
         "after compaction)"
-    ),
-    "storage/kv/db.py:DB.level_summary": _only_tests(
-        "tests/test_kv_db.py::TestCrashSemantics::test_level_summary_format"
     ),
     "storage/kv/db.py:DB.range_scan": (
         "YCSB's scan operation reads through it; tests/test_ycsb_latency.py "
@@ -334,45 +223,12 @@ ALLOWLIST: Dict[str, str] = {
     "storage/oskernel/server.py:UbuntuServer.crashed": _reads(
         "tests/test_oskernel.py::TestUbuntuServerHealthy"
     ),
-    "storage/oskernel/server.py:UbuntuServer.uptime_report": _only_tests(
-        "tests/test_oskernel.py::TestUbuntuServerHealthy"
-    ),
     "storage/oskernel/shell.py:CommandResult.ok": _reads(
         "tests/test_oskernel.py and tests/test_coverage_gaps.py::TestShellEdges"
     ),
-    "storage/raid.py:RaidArray": _only_tests(
-        "tests/test_raid.py, two stack tests (13 tests in all) and "
-        "tools/make_results.py's RAID study"
-    ),
-    "units.py:celsius_to_kelvin": _only_tests("tests/test_units.py"),
-    "units.py:db_power_to_ratio": _only_tests("tests/test_units.py"),
-    "units.py:db_to_ratio": _only_tests("tests/test_units.py"),
-    "units.py:depth_to_pressure_atm": _only_tests("tests/test_units.py::TestPressureDepth"),
-    "units.py:mb_per_s": _only_tests("tests/test_units.py"),
-    "units.py:ratio_to_db": _only_tests("tests/test_units.py"),
-    "vibration/enclosure.py:Enclosure.airborne_tl_db": _AIRBORNE,
     "vibration/enclosure.py:Enclosure.material": _reads(
         "tests/test_vibration.py and tests/test_core_attack.py (the scenarios' "
         "wall materials)"
-    ),
-    "vibration/materials.py:Material.longitudinal_speed": _only_tests(
-        "tests/test_vibration.py::TestMaterials"
-    ),
-    "vibration/modes.py:VibrationMode.peak_response": _only_tests(
-        "tests/test_vibration.py::TestModes"
-    ),
-    "vibration/transmission.py:PanelWall.airborne_tl_db": _AIRBORNE,
-    "vibration/transmission.py:PanelWall.velocity_per_pascal": _only_tests(
-        "tests/test_vibration.py::TestPanelWall"
-    ),
-    "vibration/transmission.py:intensity_transmission_coefficient": _AIRBORNE,
-    "vibration/transmission.py:mass_law_tl_db": _AIRBORNE,
-    "vibration/transmission.py:pressure_transmission_coefficient": _AIRBORNE,
-    "workloads/fio.py:FioResult.iops": _only_tests(
-        "tests/test_workloads.py::TestFioBaseline"
-    ),
-    "workloads/fio.py:FioTester.run_suite": _only_tests(
-        "tests/test_coverage_gaps.py::TestFioEdges"
     ),
     "workloads/ycsb.py:ServiceRunResult.attack_window": _reads(
         "tests/test_obs_slo_dashboard.py (the attack window a tracer recorded)"
@@ -441,6 +297,13 @@ def commands(tmp: pathlib.Path) -> List[List[str]]:
             "--trace", str(tmp / "runner-trace.json"),
             "--metrics-out", str(tmp / "runner-metrics.prom"),
             "--series-out", str(tmp / "runner-series.jsonl"),
+        ],
+        # The same for a fleet campaign, whose series hold histogram
+        # windows (service/latency).
+        [
+            "fleet", "--racks", "2", "--towers", "5", "--duration", "12",
+            "--rate", "40", "--progress",
+            "--series-out", str(tmp / "fleet-series.jsonl"),
         ],
         # A journaled failure, then its replay: both print a DEGRADED row.
         [
