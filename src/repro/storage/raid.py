@@ -7,9 +7,10 @@ RAID-0/1/5 group have failed on the virtual clock, and whether the
 group is degraded or offline.
 
 The punchline (``results/ablation_raid.txt``, pinned by
-``TestExtensionShapes`` in ``tests/test_paper_shapes.py``): acoustic
-interference is a **common-mode fault**.  Every member in the
-same enclosure feels the same vibration, so all of them stall together
+``TestExtensionShapes`` in ``tests/test_paper_shapes.py`` and by
+``tests/test_raid.py``): acoustic interference is a **common-mode
+fault**.  Every member in the same enclosure feels the same
+vibration, so all of them stall together
 and redundancy buys nothing — unlike independent mechanical failures,
 which RAID handles exactly as designed.
 """

@@ -1,151 +1,41 @@
-"""RAID arrays: layout, degraded mode, and the common-mode attack."""
-
-import pytest
+"""RAID under the common-mode attack: one speaker stalls every member."""
 
 from repro.core.attacker import AttackConfig
 from repro.core.fleet import DriveRack
-from repro.errors import BlockIOError, ConfigurationError
-from repro.hdd.drive import HardDiskDrive
 from repro.hdd.servo import VibrationInput
-from repro.rng import make_rng
-from repro.sim.clock import VirtualClock
-from repro.storage.block import BlockDevice
-from repro.storage.raid import ArrayFailed, RaidArray, RaidLevel
-from repro.units import BLOCK_4K
+from repro.storage.raid import RaidGroup, RaidLevel
 
 
-def make_members(n, clock=None, seed=0):
-    clock = clock if clock is not None else VirtualClock()
-    return [
-        BlockDevice(
-            HardDiskDrive(clock=clock, rng=make_rng(seed).fork(f"m{i}")),
-            name=f"sd{chr(97 + i)}",
-        )
-        for i in range(n)
-    ]
-
-
-def stall(device):
-    drive = device.drive
+def stall(drive):
     servo = drive.profile.servo
     mechanical = servo.hsa.response(650.0) * servo.head_gain * servo.rejection(650.0)
     drive.set_vibration(VibrationInput(650.0, 2.0 * servo.servo_limit_m / mechanical))
 
 
-def payload(byte):
-    return bytes([byte]) * BLOCK_4K
-
-
-class TestLayouts:
-    def test_raid0_stripes_across_members(self):
-        members = make_members(2)
-        array = RaidArray(RaidLevel.RAID0, members)
-        array.write_block(0, payload(0xA0))
-        array.write_block(1, payload(0xA1))
-        assert members[0].read_block(0) == payload(0xA0)
-        assert members[1].read_block(0) == payload(0xA1)
-        assert array.total_blocks == 2 * members[0].total_blocks
-
-    def test_raid1_mirrors_everything(self):
-        members = make_members(2)
-        array = RaidArray(RaidLevel.RAID1, members)
-        array.write_block(5, payload(0xBB))
-        assert members[0].read_block(5) == payload(0xBB)
-        assert members[1].read_block(5) == payload(0xBB)
-        assert array.total_blocks == members[0].total_blocks
-
-    def test_raid5_parity_reconstructs_data(self):
-        members = make_members(3)
-        array = RaidArray(RaidLevel.RAID5, members)
-        for i in range(6):
-            array.write_block(i, payload(0x10 + i))
-        # Knock a member out and read everything back through parity.
-        array.members[1].failed = True
-        for i in range(6):
-            assert array.read_block(i) == payload(0x10 + i)
-        assert array.degraded_reads > 0
-
-    def test_roundtrip_all_levels(self):
-        for level, n in ((RaidLevel.RAID0, 2), (RaidLevel.RAID1, 2), (RaidLevel.RAID5, 4)):
-            array = RaidArray(level, make_members(n))
-            for i in range(10):
-                array.write_block(i, payload(i))
-            for i in range(10):
-                assert array.read_block(i) == payload(i), level
-
-    def test_member_minimums(self):
-        with pytest.raises(ConfigurationError):
-            RaidArray(RaidLevel.RAID5, make_members(2))
-        with pytest.raises(ConfigurationError):
-            RaidArray(RaidLevel.RAID0, make_members(1))
-
-
-class TestIndependentFailures:
-    def test_raid1_survives_one_dead_member(self):
-        members = make_members(2)
-        array = RaidArray(RaidLevel.RAID1, members)
-        array.write_block(0, payload(0xCC))
-        stall(members[0])
-        # Write path kicks the dead mirror but completes on the other.
-        array.write_block(1, payload(0xDD))
-        assert array.degraded
-        assert array.online
-        assert array.read_block(0) == payload(0xCC)
-        assert array.read_block(1) == payload(0xDD)
-
-    def test_raid5_survives_one_dead_member(self):
-        members = make_members(3)
-        array = RaidArray(RaidLevel.RAID5, members)
-        for i in range(4):
-            array.write_block(i, payload(0x40 + i))
-        stall(members[2])
-        # Reads of blocks homed on the dead member reconstruct.
-        for i in range(4):
-            assert array.read_block(i) == payload(0x40 + i)
-        assert array.degraded and array.online
-
-    def test_raid0_dies_with_any_member(self):
-        members = make_members(2)
-        array = RaidArray(RaidLevel.RAID0, members)
-        array.write_block(0, payload(0x01))
-        stall(members[1])
-        with pytest.raises((BlockIOError, ArrayFailed)):
-            array.write_block(1, payload(0x02))
-        with pytest.raises(ArrayFailed):
-            array.read_block(1)
-
-    def test_status_line(self):
-        members = make_members(3)
-        array = RaidArray(RaidLevel.RAID5, members)
-        assert array.status() == "raid5 [UUU] clean"
-        array.members[1].failed = True
-        assert "U_U" in array.status()
-        assert "degraded" in array.status()
+def raid5_over(rack):
+    """A RAID5 group over the rack's bays, each stalled bay a failed member."""
+    group = RaidGroup(RaidLevel.RAID5, len(rack.drives))
+    for bay in rack.stalled_bays():
+        group.fail_member(bay, rack.clock.now)
+    return group
 
 
 class TestCommonModeAttack:
     def test_acoustic_attack_defeats_raid(self):
         """The headline: one speaker kills every member at once."""
         rack = DriveRack(bays=3)
-        members = [BlockDevice(drive, name=f"sd{i}") for i, drive in enumerate(rack.drives)]
-        array = RaidArray(RaidLevel.RAID5, members)
-        for i in range(4):
-            array.write_block(i, payload(i))
         rack.apply_attack(AttackConfig.paper_best())
         # All members stall together: even RAID5 cannot serve.
-        with pytest.raises((ArrayFailed, BlockIOError)):
-            for i in range(4):
-                array.read_block(i)
-        assert not array.online
+        assert rack.stalled_bays() == [0, 1, 2]
+        group = raid5_over(rack)
+        assert group.failed_members == 3
+        assert not group.online
 
     def test_independent_failure_comparison(self):
         """Same array, single-member failure: RAID5 handles it fine."""
         rack = DriveRack(bays=3)
-        members = [BlockDevice(drive, name=f"sd{i}") for i, drive in enumerate(rack.drives)]
-        array = RaidArray(RaidLevel.RAID5, members)
-        for i in range(4):
-            array.write_block(i, payload(i))
-        stall(members[0])
-        for i in range(4):
-            assert array.read_block(i) == payload(i)
-        assert array.online
+        stall(rack.drives[0])
+        assert rack.stalled_bays() == [0]
+        group = raid5_over(rack)
+        assert group.degraded
+        assert group.online
