@@ -40,7 +40,7 @@ docs-check: ## CI gate: fail if docs/CLI.md is stale
 bench:      ## regenerate every results/ file in one full-fidelity pass (seed 42)
 	$(PYTHON) tools/make_results.py
 
-trace-smoke: ## tiny traced sweeps (both detail levels; --workers 2 must write the serial trace) + trace schema validation
+trace-smoke: ## tiny traced sweeps (both detail levels; --workers 2 must write the serial trace at each) + trace schema validation
 	$(PYTHON) -m repro.cli figure2 --runtime 0.2 --seed 7 \
 		--trace trace.json --metrics-out metrics.prom > /dev/null
 	$(PYTHON) -m repro.cli figure2 --runtime 0.2 --seed 7 --workers 2 \
@@ -48,6 +48,9 @@ trace-smoke: ## tiny traced sweeps (both detail levels; --workers 2 must write t
 	cmp trace.json trace-w2.json
 	$(PYTHON) -m repro.cli figure2 --runtime 0.2 --seed 7 \
 		--trace-detail attempts --trace trace-attempts.json > /dev/null
+	$(PYTHON) -m repro.cli figure2 --runtime 0.2 --seed 7 --workers 2 \
+		--trace-detail attempts --trace trace-attempts-w2.json > /dev/null
+	cmp trace-attempts.json trace-attempts-w2.json
 	$(PYTHON) tools/validate_trace.py trace.json trace-attempts.json
 
 dashboard-smoke: ## tiny attacked YCSB run + series/dashboard validation

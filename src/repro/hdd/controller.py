@@ -94,7 +94,12 @@ class DriveController:
         self.clock = clock
         self.rng = rng
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.current_track = 0
+        # The head's track and its LBA range [_track_lo, _track_hi): a
+        # command whose first and last sectors fall inside the range is
+        # on that track without a geometry lookup.  A 4 KiB sequential
+        # command leaves its track once in hundreds of commands.
+        self._track_span = profile.geometry.track_span
+        self.current_track, self._track_lo, self._track_hi = self._track_span(0)
         # Counters exposed through drive statistics.
         self.commands = 0
         self.retries = 0
@@ -122,7 +127,6 @@ class DriveController:
         self._p_write: Optional[float] = None
         self._service_read: dict = {}
         self._service_write: dict = {}
-        self._locate = profile.geometry.locate
 
     #: How often a stalled command re-samples the vibration state: real
     #: drives retry servo acquisition continuously; a quarter second of
@@ -261,14 +265,19 @@ class DriveController:
             success_p = self._await_servo(op, lba, sectors, deadline, resample)
             now = clock.now
 
-        locate = self._locate
-        track = locate(lba)[0]
+        current = self.current_track
+        lo = self._track_lo
+        hi = self._track_hi
+        if lo <= lba < hi:
+            track = current
+        else:
+            track, lo, hi = self._track_span(lba)
         nbytes = sectors * 512
         # The memoized zero-seek time of _service_s, read inline: a
         # sequential command never seeks.
         base = (
             (self._service_write if is_write else self._service_read).get(nbytes)
-            if -1 <= track - self.current_track <= 1
+            if -1 <= track - current <= 1
             else None
         )
         if base is None:
@@ -322,9 +331,12 @@ class DriveController:
                 if success_p >= 1.0 or self.rng.chance(success_p):
                     break
 
-        if sectors > 1:
-            track = locate(lba + sectors - 1)[0]
-        self.current_track = track
+        if lba + sectors > hi:
+            track, lo, hi = self._track_span(lba + sectors - 1)
+        if track != current:
+            self.current_track = track
+            self._track_lo = lo
+            self._track_hi = hi
         return _tuple_new(IOResult, (op, lba, sectors, now - start, attempts, now))
 
     def run_sequential(
@@ -393,5 +405,7 @@ class DriveController:
         self.clock.advance_to(now)
         self.commands += completed
         last_lba = lba + (completed - 1) * sectors
-        self.current_track, _ = geometry.locate(last_lba + sectors - 1)
+        self.current_track, self._track_lo, self._track_hi = geometry.track_span(
+            last_lba + sectors - 1
+        )
         return latencies

@@ -14,8 +14,9 @@ store above observe real persistence semantics; payload-less writes
 from __future__ import annotations
 
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, DriveTimeout, MediumError, UnitError
 from repro.rng import ReproRandom, make_rng
@@ -49,6 +50,20 @@ class DriveStats:
     medium_errors: int = 0
     timeouts: int = 0
     shock_parks: int = 0
+
+
+class _Run:
+    """The open run of :meth:`HardDiskDrive.batched`: its op, the span
+    rows and sector total of the commands kept so far, and the tracer's
+    live track stack, which each kept command reads as it completes."""
+
+    __slots__ = ("op", "rows", "sectors", "tracks")
+
+    def __init__(self, op: OpKind, tracks: List[str]) -> None:
+        self.op = op
+        self.rows: List[tuple] = []
+        self.sectors = 0
+        self.tracks = tracks
 
 
 class HardDiskDrive:
@@ -86,6 +101,7 @@ class HardDiskDrive:
         # built lazily on the first recorded command of each op so the
         # hot path skips label-key construction and registry lookups.
         self._tel_handles: dict = {}
+        self._run: Optional[_Run] = None
 
     # -- capacity -------------------------------------------------------------
 
@@ -189,13 +205,18 @@ class HardDiskDrive:
         if result.attempts > 1:
             self._sync_counters()
         if tel is not None:
-            span_name, ops_total, sectors_total, latency = self._tel_handles.get(
-                "read"
-            ) or self._new_handles(tel, "read")
-            tel.tracer.record(span_name, start, result.completed_at, "drive")
-            ops_total.inc()
-            sectors_total.inc(sectors)
-            latency.observe(result.latency_s)
+            run = self._run
+            if run is not None and run.op is _READ:
+                tracks = run.tracks
+                run.rows.append((
+                    "drive.read", "drive", start, result.completed_at,
+                    tracks[-1] if tracks else "main", "ok", None,
+                ))
+                run.sectors += sectors
+            else:
+                self._record(
+                    tel, "read", start, result.completed_at, result.latency_s, sectors
+                )
         stats = self.stats
         stats.reads += 1
         stats.sectors_read += sectors
@@ -238,13 +259,18 @@ class HardDiskDrive:
         if result.attempts > 1:
             self._sync_counters()
         if tel is not None:
-            span_name, ops_total, sectors_total, latency = self._tel_handles.get(
-                "write"
-            ) or self._new_handles(tel, "write")
-            tel.tracer.record(span_name, start, result.completed_at, "drive")
-            ops_total.inc()
-            sectors_total.inc(sectors)
-            latency.observe(result.latency_s)
+            run = self._run
+            if run is not None and run.op is _WRITE:
+                tracks = run.tracks
+                run.rows.append((
+                    "drive.write", "drive", start, result.completed_at,
+                    tracks[-1] if tracks else "main", "ok", None,
+                ))
+                run.sectors += sectors
+            else:
+                self._record(
+                    tel, "write", start, result.completed_at, result.latency_s, sectors
+                )
         stats = self.stats
         stats.writes += 1
         stats.sectors_written += sectors
@@ -343,27 +369,91 @@ class HardDiskDrive:
             return
         end_s = self.clock.now
         if isinstance(exc, DriveTimeout):
-            kind = "timeout"
+            error = "timeout"
         elif isinstance(exc, MediumError):
-            kind = "medium_error"
+            error = "medium_error"
         else:
-            kind = None
+            error = None
+        self._record(tel, op_label, start_s, end_s, end_s - start_s, sectors, error)
+
+    def _record(
+        self,
+        tel,
+        op_label: str,
+        start_s: float,
+        end_s: float,
+        latency_s: float,
+        sectors: int,
+        error: Optional[str] = None,
+    ) -> None:
+        """Record one command on its own: its span, op and sector counts
+        and latency, plus an ``error`` span status and a
+        ``drive_errors_total`` count for a timeout or medium error.
+
+        An open run hands over what it kept first, so the spans stay in
+        command order.
+        """
+        if self._run is not None and self._run.rows:
+            self._emit_run(tel)
         span_name, ops_total, sectors_total, latency = self._tel_handles.get(
             op_label
         ) or self._new_handles(tel, op_label)
-        tel.tracer.record(
-            span_name,
-            start_s,
-            end_s,
-            category="drive",
-            status="ok" if kind is None else "error",
-            args=None if kind is None else {"error": kind},
-        )
+        if error is None:
+            tel.tracer.record(span_name, start_s, end_s, "drive")
+        else:
+            tel.tracer.record(span_name, start_s, end_s, "drive", "error", {"error": error})
         ops_total.inc()
         sectors_total.inc(sectors)
-        latency.observe(end_s - start_s)
-        if kind is not None:
-            tel.metrics.counter("drive_errors_total", kind=kind).inc()
+        latency.observe(latency_s)
+        if error is not None:
+            tel.metrics.counter("drive_errors_total", kind=error).inc()
+
+    @contextmanager
+    def batched(self, op: OpKind) -> Iterator[None]:
+        """Hand the telemetry of the block's ``op`` commands to obs in bulk.
+
+        Inside the block each ``op`` command that completes keeps its
+        span row (track read as it completes) and sector count instead
+        of recording them.  The kept commands reach obs in one emit: one
+        bounded :meth:`~repro.obs.trace.Tracer.extend`, one ``inc(n)``
+        per counter and one ``observe_many`` of their latencies, when the
+        block exits and before this drive records any other command (a
+        failed one, or one of the other op).  The trace and metrics are
+        then those of recording each command as it completes, as long as
+        nothing else records into the tracer inside the block.
+
+        Does nothing without telemetry, inside another open run, or at
+        the ``attempts`` trace detail, whose attempt spans fall between
+        the drive spans.
+        """
+        tel = self._obs
+        if tel is None or self._run is not None or tel.tracer.detail == "attempts":
+            yield
+            return
+        self._run = _Run(op, tel.tracer.track_stack)
+        try:
+            yield
+        finally:
+            if self._run.rows:
+                self._emit_run(tel)
+            self._run = None
+
+    def _emit_run(self, tel) -> None:
+        """Hand the open run's kept commands to obs and empty it."""
+        run = self._run
+        rows = run.rows
+        op_label = run.op.value
+        _, ops_total, sectors_total, latency = self._tel_handles.get(
+            op_label
+        ) or self._new_handles(tel, op_label)
+        tel.tracer.extend(rows)
+        ops_total.inc(len(rows))
+        sectors_total.inc(run.sectors)
+        # end - start is the latency the controller returns: the same
+        # two floats, observed in command order.
+        latency.observe_many([row[3] - row[2] for row in rows])
+        run.rows = []
+        run.sectors = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -11,17 +11,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import ConfigurationError, UnitError
 from repro.units import NM, SECTOR_SIZE
 
 __all__ = ["Zone", "DiskGeometry"]
-
-#: LBA -> (track, sector) memo entries kept before the table is
-#: cleared; sequential FIO wraps over the same region, so a bounded
-#: table captures essentially all repeat lookups.
-_LOCATE_CACHE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,6 @@ class DiskGeometry:
         for zone in zones:
             self._zone_starts.append(acc)
             acc += zone.sectors
-        self._locate_cache: Dict[int, Tuple[int, int]] = {}
 
     @property
     def capacity_bytes(self) -> int:
@@ -100,25 +94,19 @@ class DiskGeometry:
         return index, self.zones[index]
 
     def locate(self, lba: int) -> Tuple[int, int]:
-        """Map ``lba`` to (track index, sector within track).
+        """Map ``lba`` to (track index, sector within track)."""
+        track, first, _ = self.track_span(lba)
+        return track, lba - first
 
-        Memoized per geometry: the controller locates the same LBAs over
-        and over as sequential workloads wrap their target region.  The
-        mapping is a pure function of the (immutable) zone table, so the
-        cache can never go stale.
-        """
-        cache = self._locate_cache
-        cached = cache.get(lba)
-        if cached is not None:
-            return cached
+    def track_span(self, lba: int) -> Tuple[int, int, int]:
+        """The track holding ``lba``: (track index, its first LBA, the
+        LBA one past its last sector)."""
         index, zone = self.zone_of_lba(lba)
-        offset = lba - self._zone_starts[index]
-        track_in_zone, sector = divmod(offset, zone.sectors_per_track)
-        value = (zone.first_track + track_in_zone, sector)
-        if len(cache) >= _LOCATE_CACHE_CAP:
-            cache.clear()
-        cache[lba] = value
-        return value
+        zone_start = self._zone_starts[index]
+        sectors_per_track = zone.sectors_per_track
+        track_in_zone = (lba - zone_start) // sectors_per_track
+        first = zone_start + track_in_zone * sectors_per_track
+        return zone.first_track + track_in_zone, first, first + sectors_per_track
 
     def sectors_per_track_at(self, lba: int) -> int:
         """Sectors per track in the zone containing ``lba``."""

@@ -96,8 +96,7 @@ class DriveProfile:
 
 # Campaigns build a fresh rig per sweep point, but the zone table of a
 # drive model never changes: share one DiskGeometry per profile family
-# so fresh profiles skip rebuilding it and share a warm locate cache
-# within the process.  Mutable per-drive state (servo, seek, spindle,
+# so fresh profiles skip rebuilding it.  Mutable per-drive state (servo, seek, spindle,
 # shock sensor) stays per-instance — see
 # tests/test_hdd_geometry.py::test_fresh_profiles_are_independent.
 _BARRACUDA_GEOMETRY = DiskGeometry.barracuda_500gb()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -89,7 +89,10 @@ class Tracer:
         self._spans: List[tuple] = []
         self._events: List[tuple] = []
         self.dropped = 0
-        self._track_stack: List[str] = []
+        #: The entered tracks, innermost last; only :meth:`track` changes
+        #: it.  A bulk recorder (``HardDiskDrive.batched``) reads it per
+        #: row, as :meth:`record` does, without a call.
+        self.track_stack: List[str] = []
 
     @property
     def spans(self) -> List[SpanRecord]:
@@ -106,16 +109,16 @@ class Tracer:
     @property
     def current_track(self) -> str:
         """The track new records land on (default ``"main"``)."""
-        return self._track_stack[-1] if self._track_stack else "main"
+        return self.track_stack[-1] if self.track_stack else "main"
 
     @contextmanager
     def track(self, name: str) -> Iterator[None]:
         """Route records inside the block onto track ``name``."""
-        self._track_stack.append(name)
+        self.track_stack.append(name)
         try:
             yield
         finally:
-            self._track_stack.pop()
+            self.track_stack.pop()
 
     # -- recording -----------------------------------------------------------
 
@@ -141,7 +144,7 @@ class Tracer:
             self.dropped += 1
             return
         if track is None:
-            stack = self._track_stack
+            stack = self.track_stack
             track = stack[-1] if stack else "main"
         spans.append((name, category, start_s, end_s, track, status, args))
 
@@ -179,9 +182,26 @@ class Tracer:
         if self._full():
             return
         if track is None:
-            stack = self._track_stack
+            stack = self.track_stack
             track = stack[-1] if stack else "main"
         self._events.append((name, category, ts_s, track, args))
+
+    def extend(self, spans: Sequence[tuple], events: Sequence[tuple] = ()) -> None:
+        """Append span rows, then event rows, in bulk.
+
+        Keeps and drops exactly what one :meth:`record` per span row,
+        then one :meth:`instant` per event row, would: the rows that fit
+        under ``max_records`` are appended, spans first, and the rest
+        are counted in ``dropped``.  Each row is kept as it is, so it
+        must be a tuple in :class:`SpanRecord` (or :class:`EventRecord`)
+        field order, its track included.
+        """
+        room = max(self.max_records - len(self._spans) - len(self._events), 0)
+        kept_spans = spans[:room]
+        kept_events = events[: room - len(kept_spans)]
+        self._spans.extend(kept_spans)
+        self._events.extend(kept_events)
+        self.dropped += len(spans) - len(kept_spans) + len(events) - len(kept_events)
 
     def ingest_dmesg(self, buffer, track: str = "dmesg") -> int:
         """Copy a :class:`~repro.storage.oskernel.dmesg.DmesgBuffer`'s
@@ -221,12 +241,11 @@ class Tracer:
     def ingest(self, snapshot: Dict[str, Any]) -> None:
         """Merge a :meth:`snapshot` from another tracer (append order).
 
-        Keeps and drops exactly what one :meth:`record` per span, then
-        one :meth:`instant` per event, would: the rows that fit under
-        ``max_records`` are appended in bulk, spans first, and the rest
-        are counted in ``dropped``, as is the snapshot's own ``dropped``.
-        The rows are kept as they are, so each must be a tuple of its
-        record's width (a pickled snapshot's are); any other row raises
+        Its rows go through :meth:`extend`, so the merge keeps and drops
+        exactly what one :meth:`record` per span, then one
+        :meth:`instant` per event, would; the snapshot's own ``dropped``
+        is added.  Each row must be a tuple of its record's width (a
+        pickled snapshot's are); any other row raises
         :class:`~repro.errors.ConfigurationError` before anything is kept.
         """
         spans = snapshot["spans"]
@@ -235,15 +254,8 @@ class Tracer:
             raise ConfigurationError(
                 "snapshot rows must be tuples of 7 (spans) and 5 (events) fields"
             )
-        room = max(self.max_records - len(self._spans) - len(self._events), 0)
-        kept_spans = spans[:room]
-        kept_events = events[: room - len(kept_spans)]
-        self._spans.extend(kept_spans)
-        self._events.extend(kept_events)
-        self.dropped += (
-            len(spans) - len(kept_spans) + len(events) - len(kept_events)
-            + snapshot.get("dropped", 0)
-        )
+        self.extend(spans, events)
+        self.dropped += snapshot.get("dropped", 0)
 
     # -- introspection -------------------------------------------------------
 

@@ -50,6 +50,7 @@ from repro.errors import (
 )
 from repro.obs import telemetry as obs
 from repro.obs.telemetry import Telemetry
+from repro.obs.trace import Tracer
 
 from .faultinject import FaultAction, FaultPlan, apply_fault
 from .progress import ProgressReporter, _STDERR
@@ -71,7 +72,7 @@ __all__ = ["SweepRunner", "make_runner"]
 _MIN_WAIT_TICK_S = 0.01
 
 
-def _telemetry_point_job(fn: Callable[[Any], Any], spec: Any):
+def _telemetry_point_job(fn: Callable[[Any], Any], spec: Any, trace_detail: str):
     """Run one point under a fresh telemetry bundle.
 
     Used for every pending point — in-process and in worker processes
@@ -80,8 +81,10 @@ def _telemetry_point_job(fn: Callable[[Any], Any], spec: Any):
     order makes the aggregated totals *identical* at any worker count:
     counters add the same per-point integers in the same order, and
     histogram sums add the same per-point floats in the same order.
+    The bundle's tracer records at the parent's ``trace_detail``, so a
+    point's rig traces what it would trace in the parent.
     """
-    bundle = Telemetry()
+    bundle = Telemetry(tracer=Tracer(detail=trace_detail))
     previous = obs.install(bundle)
     try:
         result = fn(spec)
@@ -100,19 +103,20 @@ def _attempt_job(
     fn: Callable[[Any], Any],
     spec: Any,
     fault: Optional[FaultAction],
-    with_telemetry: bool,
+    trace_detail: Optional[str],
 ):
     """One point attempt as the pool executes it.
 
     The scripted fault (if any) fires first — it belongs to this
     (point, attempt) pair and rides along in the job payload, so the
     schedule is deterministic with no cross-process coordination.
+    ``trace_detail`` is the parent tracer's, or None without telemetry.
     Returns ``(result, trace_snapshot | None, metrics_snapshot | None)``.
     """
     if fault is not None:
         apply_fault(fault, in_process=False)
-    if with_telemetry:
-        return _telemetry_point_job(fn, spec)
+    if trace_detail is not None:
+        return _telemetry_point_job(fn, spec, trace_detail)
     return fn(spec), None, None
 
 
@@ -222,8 +226,9 @@ class _MapContext:
         self.snapshots: Dict[int, Tuple[Any, Any]] = {}
 
     @property
-    def with_telemetry(self) -> bool:
-        return self.telemetry is not None
+    def trace_detail(self) -> Optional[str]:
+        """The parent tracer's detail, or None without telemetry."""
+        return None if self.telemetry is None else self.telemetry.tracer.detail
 
     def key_for(self, index: int) -> Optional[str]:
         return self.keys[index] if self.keys is not None else None
@@ -510,9 +515,9 @@ class SweepRunner:
                 try:
                     if fault is not None:
                         apply_fault(fault, in_process=True)
-                    if context.with_telemetry:
+                    if context.trace_detail is not None:
                         value, trace_snap, metric_snap = _telemetry_point_job(
-                            fn, specs[index]
+                            fn, specs[index], context.trace_detail
                         )
                     else:
                         value, trace_snap, metric_snap = fn(specs[index]), None, None
@@ -581,7 +586,7 @@ class SweepRunner:
                             fn,
                             specs[state.index],
                             self._fault_for(state),
-                            context.with_telemetry,
+                            context.trace_detail,
                         )
                     except concurrent.futures.process.BrokenProcessPool as exc:
                         raise WorkerCrashed(

@@ -147,7 +147,9 @@ class FioTester:
         loop.  Its per-op invariants (target-region span, mode dispatch,
         bound methods) are hoisted, and latency aggregation streams into
         locals + a flat array — a campaign evaluates this loop thousands
-        of times per point.
+        of times per point.  The loop runs inside the drive's
+        :meth:`~HardDiskDrive.batched` scope, so a traced run hands its
+        drive spans and metrics to obs in one bulk emit.
         """
         result = FioResult(job=job)
         clock = self.drive.clock
@@ -161,10 +163,11 @@ class FioTester:
             raise ConfigurationError("target region smaller than one block")
         is_random = job.mode.is_random
         is_write = job.mode.is_write
+        op = OpKind.WRITE if is_write else OpKind.READ
         # A traced run takes the loop: its aggregates are recorded below.
         if not is_random and self._obs is None:
             closed = self.drive.run_sequential(
-                OpKind.WRITE if is_write else OpKind.READ,
+                op,
                 region_start,
                 sectors_per_block,
                 span_blocks,
@@ -185,7 +188,6 @@ class FioTester:
                 result.latencies_s = closed
                 return result
         runtime_s = job.runtime_s
-        elapsed_since = clock.elapsed_since
         randint = self.rng.randint
         write = self.drive.write
         read = self.drive.read
@@ -196,30 +198,37 @@ class FioTester:
         error_ops = 0
         total_latency = 0.0
         max_latency = 0.0
-        while elapsed_since(start) < runtime_s:
-            if is_random:
-                index = randint(0, span_blocks - 1)
-            else:
-                index = cursor % span_blocks
-            lba = region_start + index * sectors_per_block
-            cursor += 1
-            try:
-                if is_write:
-                    io = write(lba, sectors_per_block)
+        # Elapsed virtual time after each command: a completion's
+        # ``completed_at`` is the clock's time when the drive returns.
+        elapsed = 0.0
+        with self.drive.batched(op):
+            while elapsed < runtime_s:
+                if is_random:
+                    index = randint(0, span_blocks - 1)
                 else:
-                    io, _ = read(lba, sectors_per_block)
-            except DriveTimeout:
-                timeout_ops += 1
-                continue
-            except MediumError:
-                error_ops += 1
-                continue
-            completed_ops += 1
-            latency = io.latency_s
-            total_latency += latency
-            if latency > max_latency:
-                max_latency = latency
-            append_latency(latency)
+                    index = cursor % span_blocks
+                lba = region_start + index * sectors_per_block
+                cursor += 1
+                try:
+                    if is_write:
+                        io = write(lba, sectors_per_block)
+                    else:
+                        io, _ = read(lba, sectors_per_block)
+                except DriveTimeout:
+                    timeout_ops += 1
+                    elapsed = clock.now - start
+                    continue
+                except MediumError:
+                    error_ops += 1
+                    elapsed = clock.now - start
+                    continue
+                completed_ops += 1
+                latency = io.latency_s
+                total_latency += latency
+                if latency > max_latency:
+                    max_latency = latency
+                append_latency(latency)
+                elapsed = io.completed_at - start
         result.completed_ops = completed_ops
         result.timeout_ops = timeout_ops
         result.error_ops = error_ops
@@ -229,9 +238,8 @@ class FioTester:
         result.busy_time_s = clock.elapsed_since(start)
         tel = self._obs
         if tel is not None:
-            # Aggregates only, pushed after the loop: the per-op issue
-            # path stays exactly as hot as with telemetry off (the
-            # drive records the per-command spans).
+            # Aggregates only, recorded after the run scope has emitted
+            # the per-command drive spans.
             tel.tracer.record(
                 f"fio.{job.mode.value}",
                 start,

@@ -94,6 +94,9 @@ def test_trace_file_digest(tmp_path, capsys):
 
 
 TRACED_FIGURE2 = ["figure2", "--runtime", "0.05", "--seed", "7"]
+ATTEMPTS_TRACE = {
+    "trace.json": "ceeea71efd46731c7a95aadeeef83f05cc1b0d2f0f2887a0c2fde74f01734a17",
+}
 
 
 @pytest.mark.parametrize(
@@ -106,18 +109,16 @@ TRACED_FIGURE2 = ["figure2", "--runtime", "0.05", "--seed", "7"]
                 "metrics.prom": "e6574edf552119d66b81c5a00d86609e4c557d0aa1e12d8d2f3533e0ea29ba2a",
             },
         ),
-        (
-            ["--trace-detail", "attempts"],
-            {
-                "trace.json": "ceeea71efd46731c7a95aadeeef83f05cc1b0d2f0f2887a0c2fde74f01734a17",
-            },
-        ),
+        (["--trace-detail", "attempts"], ATTEMPTS_TRACE),
+        (["--trace-detail", "attempts", "--workers", "2"], ATTEMPTS_TRACE),
+        (["--trace-detail", "attempts", "--progress"], ATTEMPTS_TRACE),
     ],
-    ids=["commands", "attempts"],
+    ids=["commands", "attempts", "attempts-workers2", "attempts-progress"],
 )
 def test_traced_figure2_file_digests(extra, digests, tmp_path, capsys):
     # 70 timeouts and 71 retries: the error spans, the drive_errors_total
-    # counts and the per-attempt spans of the command path.
+    # counts and the per-attempt spans of the command path.  A campaign
+    # runner (a pool, or --progress in process) writes the serial bytes.
     argv = TRACED_FIGURE2 + extra + ["--trace", str(tmp_path / "trace.json")]
     if "metrics.prom" in digests:
         argv += ["--metrics-out", str(tmp_path / "metrics.prom")]

@@ -163,6 +163,26 @@ class TestTracer:
         assert bulk._events == reference._events
         assert bulk.dropped == reference.dropped
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_extend_equals_one_call_per_row(self, data):
+        source = obs.Tracer()
+        _record_rows(source, data.draw(_ROWS))
+        spans, events = source._spans, source._events
+        present = data.draw(_ROWS)
+        boundary = len(present) + len(spans) + data.draw(
+            st.sampled_from([0, len(events)])
+        )
+        max_records = max(1, boundary + data.draw(st.integers(-2, 2)))
+        bulk, reference = obs.Tracer(max_records), obs.Tracer(max_records)
+        for sink in (bulk, reference):
+            _record_rows(sink, present)
+        bulk.extend(spans, events)
+        _ingest_one_call_per_row(reference, {"spans": spans, "events": events})
+        assert bulk._spans == reference._spans
+        assert bulk._events == reference._events
+        assert bulk.dropped == reference.dropped
+
     @pytest.mark.parametrize("as_lists", [False, True])
     @pytest.mark.parametrize(
         "spans, events",

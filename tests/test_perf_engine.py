@@ -12,6 +12,8 @@ exception text.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.attack import AttackSession
 from repro.errors import ConfigurationError, DriveTimeout
@@ -152,6 +154,38 @@ class TestStaticFastPath:
         capped_errors, capped_retries = run(mutate=True)
         assert capped_retries < default_retries
         assert capped_errors >= default_errors
+
+
+#: LBAs near the drive's start and around its first zone boundary
+#: (38,000 tracks of 1,860 sectors), where sectors per track change.
+_ZONE_EDGE = 38_000 * 1860
+_LBAS = st.one_of(
+    st.integers(0, 20_000), st.integers(_ZONE_EDGE - 20_000, _ZONE_EDGE + 20_000)
+)
+
+
+class TestHeadTrack:
+    """The controller's head-track range against one geometry lookup
+    per command: the track a command seeks from and the track it ends
+    on are those of its first and last sectors."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        commands=st.lists(
+            st.tuples(st.booleans(), _LBAS, st.integers(1, 4000)), max_size=25
+        )
+    )
+    def test_head_track_matches_a_lookup_per_command(self, commands):
+        drive = HardDiskDrive(clock=VirtualClock(), rng=make_rng(3), store_data=False)
+        controller = drive.controller
+        locate = drive.profile.geometry.locate
+        for is_write, lba, sectors in commands:
+            # Seek from the head's track to the first sector's.
+            service_s = controller._service_s(is_write, sectors * 512, locate(lba)[0])
+            expected = drive.clock.now + service_s
+            result = drive.write(lba, sectors) if is_write else drive.read(lba, sectors)[0]
+            assert result.completed_at == expected
+            assert controller.current_track == locate(lba + sectors - 1)[0]
 
 
 class TestTelemetryOffIdentity:
